@@ -30,8 +30,7 @@ from .locreg import (
     COND_THRESHOLD,
     EstimationError,
     KernelSpec,
-    center,
-    fit_tvp_ar,
+    boundary_fit,
     local_level,
     local_linear,
 )
@@ -130,20 +129,23 @@ def tvar_forecast(
 ) -> dict[int, float]:
     """Time-varying AR(p): iterate the recursion with boundary coefficients.
 
-    The series is centered with the estimated local level (trend) curve,
-    the AR recursion is iterated on centered values with coefficients
-    frozen at u = 1 and future shocks set to zero, and the boundary level
-    is added back.  p = 0 degenerates to the local level (trend-only)
-    forecast.
+    The last p observations are centered with the estimated local level
+    (trend) at their own time points, the AR recursion is iterated on
+    centered values with the boundary (u = 1) coefficients of `boundary_fit`
+    and future shocks set to zero, and the boundary level is added back.
+    Only those p levels and one boundary solve are computed; they equal the
+    matching entries of a full `fit_tvp_ar` and `center` bit for bit.  p = 0
+    degenerates to the local level (trend-only) forecast.
     """
     values = np.asarray(values, dtype=float)
     if p == 0:
         return {h: local_level(values, kernel, u=1.0) for h in horizons}
-    fit = fit_tvp_ar(values, p, kernel)
-    centered = center(fit)
-    trend = float(centered.trend[-1])  # local level at the u = 1 boundary
-    coefs = fit.phi[-1, 1:]  # boundary AR coefficients
-    buf = list(centered.values[-p:])  # most recent last
+    levels, _, _ = boundary_fit(values, p, kernel)
+    T = len(values)
+    trend_tail = local_level(values, kernel, u=np.arange(T - p + 1, T + 1, dtype=float) / T)
+    trend = float(trend_tail[-1])  # local level at the u = 1 boundary
+    coefs = levels[1:]  # boundary AR coefficients
+    buf = list(values[-p:] - trend_tail)  # centered, most recent last
     out: dict[int, float] = {}
     for step in range(1, max(horizons) + 1):
         nxt = float(np.dot(coefs, buf[::-1][:p]))

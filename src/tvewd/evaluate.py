@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .benchmarks import ModelSpec
+from .locreg import EstimationError
 from .series import VolatilitySeries, atomic_write, format_value
 
 __all__ = [
@@ -37,6 +38,10 @@ __all__ = [
 
 MIN_DM_OBS = 30
 P_THRESHOLDS = (0.10, 0.05, 0.01)
+# What a model may raise on a window it cannot fit: singular or too-short
+# windows, and the numerical and precondition errors of the solvers.  Any
+# other exception is a bug and propagates out of rolling_evaluate.
+_MODEL_FAILURES = (EstimationError, np.linalg.LinAlgError, FloatingPointError, ValueError)
 
 
 def rmse(errors: np.ndarray) -> float:
@@ -185,7 +190,7 @@ def _forecast_one_origin(args) -> tuple[int, dict[tuple[str, int], float], list[
     for model in models:
         try:
             fc = model.forecast_all(window_values, horizons)
-        except Exception as exc:  # noqa: BLE001 - failures become missing values
+        except _MODEL_FAILURES as exc:  # failures become missing values
             failures.append(f"{model.display}: {type(exc).__name__}: {exc}")
             continue
         for h, value in fc.items():
@@ -212,9 +217,11 @@ def rolling_evaluate(
         jobs: origins are independent; jobs > 1 evaluates them in parallel
             processes with a deterministic, order-independent reduction.
 
-    Model failures at an origin are recorded and the affected forecasts are
-    treated as missing; ratio and DM columns pair each model with the
-    benchmark on origins where both produced a forecast.
+    Model failures at an origin (EstimationError, LinAlgError,
+    FloatingPointError or ValueError) are recorded and the affected
+    forecasts are treated as missing; ratio and DM columns pair each model
+    with the benchmark on origins where both produced a forecast.  Any other
+    exception propagates.
     """
     names = [m.display for m in models]
     if len(set(names)) != len(names):

@@ -243,15 +243,19 @@ class MultiscaleDecomposition:
 
 
 def _decompose_arrays(
-    phi_rows: np.ndarray,
+    alpha: np.ndarray,
     residuals: np.ndarray,
     grid: np.ndarray,
     config: MultiscaleConfig,
     dates: np.ndarray | None,
 ) -> MultiscaleDecomposition:
-    alpha = ar_to_ma(phi_rows, config.H)
+    """Decompose MA weights, given per row (G, H+1) or once for all rows (H+1,)."""
     betas = extended_wold_beta(alpha, config)
     gamma = scaling_gamma(alpha, config)
+    if alpha.ndim == 1:
+        G = len(residuals)
+        alpha, gamma = (np.broadcast_to(a, (G, len(a))) for a in (alpha, gamma))
+        betas = [np.broadcast_to(b, (G, len(b))) for b in betas]
     innovations = scale_innovations(residuals, config.J)
     low_pass = scaling_innovations(residuals, config.J)
     components, residual_component = scale_components(
@@ -283,7 +287,8 @@ def decompose(
         raise ValueError("decompose requires a fit on the default per-observation grid")
     if dates is not None and len(dates) != len(fit.grid):
         raise ValueError("dates must align with the fit grid")
-    return _decompose_arrays(fit.phi[:, 1:], fit.residuals, fit.grid, config, dates)
+    alpha = ar_to_ma(fit.phi[:, 1:], config.H)
+    return _decompose_arrays(alpha, fit.residuals, fit.grid, config, dates)
 
 
 def decompose_static(
@@ -295,7 +300,8 @@ def decompose_static(
 ) -> MultiscaleDecomposition:
     """Decompose with one time-invariant AR coefficient vector.
 
-    The single alpha row is broadcast across all residual rows, giving the
+    The AR row is inverted and Haar-transformed once; alpha, betas and gamma
+    are read-only broadcasts of that row across all residual rows, giving the
     same machinery as `decompose` with constant surfaces.
     """
     phi = np.asarray(phi, dtype=float)
@@ -303,8 +309,8 @@ def decompose_static(
     G = len(residuals)
     if grid is None:
         grid = np.arange(1, G + 1, dtype=float) / G
-    rows = np.broadcast_to(phi, (G, len(phi)))
-    return _decompose_arrays(rows, residuals, np.asarray(grid, dtype=float), config, dates)
+    alpha = ar_to_ma(phi, config.H)
+    return _decompose_arrays(alpha, residuals, np.asarray(grid, dtype=float), config, dates)
 
 
 @dataclass

@@ -164,6 +164,35 @@ def test_tvar_manual_recursion_oracle_p2():
         assert out[h] == pytest.approx(expected[h], rel=1e-12)
 
 
+def full_fit_tvar(values, p, horizons, kernel):
+    """TVAR through a full per-observation fit and a full centring."""
+    fit = fit_tvp_ar(values, p, kernel)
+    centered = center(fit)
+    coefs = fit.phi[-1, 1:]
+    buf = list(centered.values[-p:])
+    out = {}
+    for step in range(1, max(horizons) + 1):
+        buf.append(float(np.dot(coefs, buf[::-1][:p])))
+        if step in horizons:
+            out[step] = float(centered.trend[-1]) + buf[-1]
+    return out
+
+
+@pytest.mark.parametrize("p", [1, 2, 6])
+def test_tvar_boundary_route_equals_full_fit_route(p):
+    """One boundary solve plus the last p levels give the full-fit forecasts
+    bit for bit, on random windows, kernels and bandwidths."""
+    rng = np.random.default_rng(80 + p)
+    horizons = (1, 5, 22)
+    for trial in range(50):
+        T = int(rng.integers(150, 800))
+        kernel = KernelSpec(str(rng.choice(["epanechnikov", "gaussian", "uniform"])), float(rng.uniform(0.15, 1.0)))
+        v = ar1_path(float(rng.uniform(0.0, 0.95)), T, seed=1000 * p + trial, level=float(rng.uniform(1.0, 20.0)))
+        out = tvar_forecast(v, p, horizons, kernel)
+        expected = full_fit_tvar(v, p, horizons, kernel)
+        np.testing.assert_array_equal([out[h] for h in horizons], [expected[h] for h in horizons])
+
+
 def test_tvar_order_zero_is_boundary_level():
     v = ar1_path(0.5, 400, seed=77, level=10.0)
     out = tvar_forecast(v, 0, (1, 22), KERN)

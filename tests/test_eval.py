@@ -232,6 +232,23 @@ def test_failures_counted_and_pairing_respected():
     assert bench_entry.n == n_origins
 
 
+class BrokenModel:
+    """Duck-typed model with a programming error."""
+
+    display = "BROKEN"
+
+    def forecast_all(self, window, horizons):
+        return {h: window[-1] + None for h in horizons}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_programming_errors_propagate(jobs):
+    series = make_series(130, seed=97)
+    plan = RollingPlan(window=100, horizons=(1,), max_origins=4)
+    with pytest.raises(TypeError):
+        rolling_evaluate(series, [BrokenModel(), ModelSpec(name="HAR")], plan, benchmark="HAR", jobs=jobs)
+
+
 def test_forecasts_ignore_future_values():
     base = make_series(150, seed=96)
     mutated_values = base.values.copy()

@@ -1,11 +1,18 @@
 """Local linear TVP-AR estimation tests against known coefficient curves."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tvewd.locreg import (
+    GRID_CHUNK,
+    KERNEL_FAMILIES,
     EstimationError,
     KernelSpec,
+    _design,
     boundary_fit,
     center,
     export_curves,
@@ -245,3 +252,122 @@ def test_export_curves(tmp_path):
     assert float(first[0]) == fit.grid[0]
     assert float(first[1]) == fit.phi[0, 0]
     assert float(first[2]) == fit.phi[0, 1]
+
+
+# ---------------------------------------------------------------------------
+# batched solver against the single-point oracle
+# ---------------------------------------------------------------------------
+
+def oracle_grid(y, X, tau, grid, kernel):
+    """Loop of `local_linear` solves; returns (levels, slopes) or the first error."""
+    try:
+        rows = [local_linear(y, X, tau, float(u), kernel) for u in grid]
+    except EstimationError as exc:
+        return exc
+    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+
+
+def assert_close(batched, oracle, rel=1e-10):
+    gap = float(np.max(np.abs(batched - oracle)))
+    assert gap <= rel * float(np.max(np.abs(oracle))), f"gap {gap:.3g}"
+
+
+def assert_same_outcome(batched_call, oracle_result):
+    """Where the oracle raised, the batched call must raise the same message;
+    otherwise its result is returned for comparison."""
+    if isinstance(oracle_result, EstimationError):
+        with pytest.raises(EstimationError, match=re.escape(str(oracle_result))):
+            batched_call()
+        return None
+    return batched_call()
+
+
+def persistent_series(T, seed):
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(-0.5, 0.95)
+    level = rng.uniform(0.0, 20.0)
+    return ar1_path(phi, T, seed=seed, intercept=level * (1 - phi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(1, 6),
+    G=st.one_of(
+        st.sampled_from([GRID_CHUNK, 2 * GRID_CHUNK, 3 * GRID_CHUNK]),
+        st.integers(40, 5 * GRID_CHUNK),
+    ),
+    family=st.sampled_from(KERNEL_FAMILIES),
+    bandwidth=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    n_custom=st.integers(1, 2 * GRID_CHUNK + 3),
+)
+@example(p=1, G=50, family="epanechnikov", bandwidth=0.3, seed=1, n_custom=1)
+@example(p=2, G=GRID_CHUNK, family="gaussian", bandwidth=0.5, seed=2, n_custom=GRID_CHUNK)
+@example(p=6, G=3 * GRID_CHUNK + 5, family="uniform", bandwidth=0.2, seed=3, n_custom=70)
+def test_batched_fits_match_local_linear_oracle(p, G, family, bandwidth, seed, n_custom):
+    """fit_tvp_ar (default and custom grid), boundary_fit and local_level
+    equal a loop over local_linear to 1e-10 relative, or raise its error."""
+    T = G + p
+    kernel = KernelSpec(family, bandwidth)
+    v = persistent_series(T, seed)
+    y, X, tau = _design(v, p)
+    if T <= 10 * (2 * p + 2) or bandwidth * T < 2 * p + 2:
+        with pytest.raises(EstimationError):
+            fit_tvp_ar(v, p, kernel)
+        return
+    custom = np.random.default_rng(seed).uniform(0.0, 1.0, n_custom)
+    custom[0] = 1.0
+    for grid in (None, custom):
+        oracle = oracle_grid(y, X, tau, tau if grid is None else grid, kernel)
+        fit = assert_same_outcome(lambda: fit_tvp_ar(v, p, kernel, grid=grid), oracle)
+        if fit is not None:
+            assert_close(fit.phi, oracle[0])
+            assert_close(fit.slopes, oracle[1])
+    for at_end, u in ((True, 1.0), (False, tau[0])):
+        oracle = oracle_grid(y, X, tau, [u], kernel)
+        out = assert_same_outcome(lambda: boundary_fit(v, p, kernel, at_end=at_end), oracle)
+        if out is not None:
+            assert_close(out[0], oracle[0][0])
+            assert_close(out[1], oracle[1][0])
+    full = np.arange(1, T + 1) / T
+    ones = np.ones((T, 1))
+    for u in (None, custom):
+        oracle = oracle_grid(v, ones, full, full if u is None else u, kernel)
+        level = assert_same_outcome(lambda: local_level(v, kernel, u=u), oracle)
+        if level is not None:
+            assert_close(level, oracle[0][:, 0])
+
+
+def test_batched_cond_is_the_oracle_condition_number():
+    """fit.cond estimates cond(Z) of each local design, not cond(Z'WZ)."""
+    v = ar1_path(0.6, 700, seed=31, intercept=4.0)
+    y, X, tau = _design(v, 2)
+    fit = fit_tvp_ar(v, 2, EPA)
+    oracle = np.array([local_linear(y, X, tau, float(u), EPA)[2] for u in tau])
+    np.testing.assert_allclose(fit.cond, oracle, rtol=1e-6)
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-12, 1e-9, 1e-6, 1e-3])
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+def test_near_collinear_windows_raise_where_the_oracle_does(noise, family):
+    """On a ramp the lag is a straight line in time, so the local design is
+    collinear up to the noise; the batched fit raises exactly when the
+    oracle loop does, with the same message, and otherwise matches it."""
+    T = 300
+    kernel = KernelSpec(family, 0.3)
+    v = 1.0 + 0.01 * np.arange(T) + noise * np.random.default_rng(32).standard_normal(T)
+    y, X, tau = _design(v, 1)
+    oracle = oracle_grid(y, X, tau, tau, kernel)
+    fit = assert_same_outcome(lambda: fit_tvp_ar(v, 1, kernel), oracle)
+    if fit is not None:
+        assert_close(fit.phi, oracle[0], rel=1e-6)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_constant_series_raises_the_oracle_error(p):
+    v = np.full(300, 5.0)
+    y, X, tau = _design(v, p)
+    oracle = oracle_grid(y, X, tau, tau, EPA)
+    assert isinstance(oracle, EstimationError)
+    assert_same_outcome(lambda: fit_tvp_ar(v, p, EPA), oracle)
+    assert_same_outcome(lambda: boundary_fit(v, p, EPA), oracle_grid(y, X, tau, [1.0], EPA))

@@ -6,6 +6,7 @@ arithmetic used by the implementation.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -376,6 +377,35 @@ def test_decompose_static_agrees_with_constant_rows():
         np.testing.assert_allclose(
             static.components[j][mask], varying.components[j][mask], rtol=1e-12
         )
+
+
+def test_decompose_static_inverts_once_and_equals_row_route():
+    """The once-inverted row broadcast equals inverting the broadcast rows."""
+    from tvewd.wold import _decompose_arrays
+
+    rng = np.random.default_rng(46)
+    for J, N, p in ((1, 1, 1), (3, 2, 2), (5, 4, 6), (7, 4, 3)):
+        cfg = MultiscaleConfig(J=J, N=N)
+        phi = rng.uniform(-0.3, 0.3, p)
+        eps = rng.standard_normal(cfg.H + 50)
+        static = decompose_static(phi, eps, cfg)
+        rows = np.broadcast_to(phi, (len(eps), p))
+        route = _decompose_arrays(ar_to_ma(rows, cfg.H), eps, static.grid, cfg, None)
+        np.testing.assert_array_equal(static.alpha, route.alpha)
+        np.testing.assert_array_equal(static.gamma, route.gamma)
+        np.testing.assert_array_equal(static.residual_component, route.residual_component)
+        for j in range(J):
+            np.testing.assert_array_equal(static.betas[j], route.betas[j])
+            np.testing.assert_array_equal(static.components[j], route.components[j])
+
+
+def test_decompose_static_warns_once_when_explosive():
+    cfg = MultiscaleConfig(J=7, N=4)
+    eps = np.random.default_rng(47).standard_normal(600)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        decompose_static(np.array([1.5]), eps, cfg)
+    assert [w.category for w in caught] == [ExplosiveWarning]
 
 
 def test_decompose_rejects_misaligned_inputs():
