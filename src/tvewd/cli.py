@@ -193,6 +193,14 @@ def _lag_for_horizon(cfg: dict, h: int) -> int:
     return int(cfg["p"])
 
 
+def _horizon_groups(cfg: dict, horizons: tuple[int, ...]) -> dict[int, list[int]]:
+    """Horizons grouped by AR order, so one window fit serves every horizon in a group."""
+    groups: dict[int, list[int]] = {}
+    for h in horizons:
+        groups.setdefault(_lag_for_horizon(cfg, h), []).append(h)
+    return groups
+
+
 def _require(cfg: dict, key: str, command: str) -> str:
     if not cfg.get(key):
         raise ConfigError(f"command {command!r} requires {key!r} (flag --{key} or config)")
@@ -250,28 +258,29 @@ def cmd_forecast(cfg: dict) -> int:
     if window > len(series):
         raise ConfigError(f"window {window} exceeds series length {len(series)}")
     values = series.values[-window:]
-    points = []
-    for h in horizons:
+    values_by_h: dict[int, float] = {}
+    for p, hs in _horizon_groups(cfg, horizons).items():
         spec = benchmarks.ModelSpec(
             name=name,
-            p=_lag_for_horizon(cfg, h),
+            p=p,
             kernel=_kernel(cfg),
             scales=_scales(cfg),
             weight_window=cfg.get("weight_window"),
         )
-        value = spec.forecast_all(values, (h,))[h]
-        points.append(
-            forecast.ForecastPoint(
-                horizon=h,
-                value=value,
-                trend=float("nan"),
-                scale_parts=np.array([]),
-                weights=np.array([]),
-                model=name,
-                origin_date=str(series.dates[-1]),
-                target_date=str(np.busday_offset(series.dates[-1], h, roll="forward")),
-            )
+        values_by_h.update(spec.forecast_all(values, tuple(hs)))
+    points = [
+        forecast.ForecastPoint(
+            horizon=h,
+            value=values_by_h[h],
+            trend=float("nan"),
+            scale_parts=np.array([]),
+            weights=np.array([]),
+            model=name,
+            origin_date=str(series.dates[-1]),
+            target_date=str(np.busday_offset(series.dates[-1], h, roll="forward")),
         )
+        for h in horizons
+    ]
     forecast.store_forecasts(points, out)
     for pt in points:
         print(f"{name} h={pt.horizon}: {pt.value:.6f}")
@@ -300,12 +309,8 @@ def cmd_evaluate(cfg: dict) -> int:
             raise ConfigError(f"unknown model {name!r}, expected one of {benchmarks.MODEL_NAMES}")
     kernel, scales = _kernel(cfg), _scales(cfg)
     ww = cfg.get("weight_window")
-    # group horizons by AR order so one window fit serves all horizons in a group
-    groups: dict[int, list[int]] = {}
-    for h in horizons:
-        groups.setdefault(_lag_for_horizon(cfg, h), []).append(h)
     reports = []
-    for p, hs in groups.items():
+    for p, hs in _horizon_groups(cfg, horizons).items():
         models = [
             benchmarks.ModelSpec(name=n, p=p, kernel=kernel, scales=scales, weight_window=ww)
             for n in names

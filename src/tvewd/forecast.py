@@ -12,7 +12,6 @@ is excluded from the combination.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,21 +133,18 @@ def forecast_scale(
     E_T[v_j(T+h)] = sum_k beta_j(k) * eps_j(T+h - k 2^j) over translates
     whose innovation is observable (T+h - k 2^j <= T, i.e. k 2^j >= h).
     Innovations dated after T, and translates reaching before the available
-    shock history, contribute zero; an empty sum returns 0.
+    shock history, contribute zero; an empty sum returns 0.  The observable
+    terms are one index gather of the innovations and one dot product.
     """
     if h < 1:
         raise ValueError(f"horizon must be >= 1, got {h}")
     spacing = 1 << j
-    G = len(innovations)
-    total = 0.0
-    for k in range(int(math.ceil(h / spacing)), len(beta_boundary)):
-        idx = G - 1 + h - k * spacing
-        if idx < 0:
-            break
-        e = innovations[idx]
-        if np.isfinite(e):
-            total += float(beta_boundary[k]) * float(e)
-    return total
+    k = np.arange(-(-h // spacing), len(beta_boundary))
+    idx = len(innovations) - 1 + h - k * spacing
+    k, idx = k[idx >= 0], idx[idx >= 0]
+    e = np.asarray(innovations, dtype=float)[idx]
+    observed = np.isfinite(e)
+    return float(np.dot(np.asarray(beta_boundary, dtype=float)[k[observed]], e[observed]))
 
 
 def forecast_trend(centered: CenteredSeries) -> float:
@@ -175,8 +171,10 @@ class _WindowState:
 def _prepare_window(values: np.ndarray, cfg: ForecastConfig) -> _WindowState:
     fit = fit_tvp_ar(values, cfg.p, cfg.kernel)
     centered = center(fit)
-    decomp = decompose(fit, cfg.scales)
-    rows = centered.values[cfg.p :]
+    # only rows with a full shock history enter the weights, and the forecast
+    # reads the boundary row, so the rows before them are not decomposed
+    decomp = decompose(fit, cfg.scales, start=cfg.scales.first_full_row(len(fit.residuals)))
+    rows = centered.values[cfg.p + decomp.start :]
     weights = estimate_weights(rows, decomp.components, cfg.weight_window)
     # the trend curve's last point sits at u = 1, i.e. the boundary level
     trend = forecast_trend(centered)

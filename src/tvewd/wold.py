@@ -23,6 +23,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .locreg import TvpArFit
 from .series import atomic_write, format_value
@@ -76,6 +77,15 @@ class MultiscaleConfig:
         """Number of stored translates at scale j (1 <= j <= J)."""
         return self.N << (self.J - j)
 
+    def first_full_row(self, n_rows: int) -> int:
+        """First of n_rows residual rows with a full H-lag shock history.
+
+        Components are defined exactly on rows t >= H - 1.  When no row has
+        a full history this is the last row, whose coefficients a forecast
+        still reads.
+        """
+        return max(min(self.H, n_rows) - 1, 0)
+
 
 def ar_to_ma(phi: np.ndarray, H: int) -> np.ndarray:
     """Invert AR coefficients to MA weights alpha(0..H).
@@ -84,6 +94,11 @@ def ar_to_ma(phi: np.ndarray, H: int) -> np.ndarray:
     Accepts a (p,) vector or a (G, p) matrix of coefficient rows; returns
     matching (H+1,) or (G, H+1).  Explosive inputs are allowed but trigger
     an ExplosiveWarning once sum |alpha| exceeds the overflow guard.
+
+    The recursion runs on a lag-major (H+p, G) buffer whose first p-1 rows
+    are zero, so each lag is one reduction over the p products of every
+    row.  The reduction adds i = 1..p in order; the zero-padded terms add
+    exact zeros, so each row's bits equal the scalar recursion's.
     """
     if H < 0:
         raise ValueError(f"H must be >= 0, got {H}")
@@ -91,14 +106,17 @@ def ar_to_ma(phi: np.ndarray, H: int) -> np.ndarray:
     single = phi.ndim == 1
     mat = phi[None, :] if single else phi
     G, p = mat.shape
-    alpha = np.zeros((G, H + 1))
-    alpha[:, 0] = 1.0
-    for h in range(1, H + 1):
-        upto = min(h, p)
-        acc = np.zeros(G)
-        for i in range(1, upto + 1):
-            acc += mat[:, i - 1] * alpha[:, h - i]
-        alpha[:, h] = acc
+    lags = np.zeros((H + p, G))
+    lags[p - 1] = 1.0
+    cols = np.ascontiguousarray(mat.T)
+    terms = np.empty((p, G))
+    for r in range(p, H + p):
+        # rows r-1, r-2, ..., r-p hold alpha(h-1), ..., alpha(h-p) for h = r-p+1
+        stop = r - p - 1 if r > p else None
+        np.multiply(cols, lags[r - 1 : stop : -1], out=terms)
+        np.add.reduce(terms, axis=0, out=lags[r])
+    # row-major like its input, so a row of alpha and of its betas is contiguous
+    alpha = np.ascontiguousarray(lags[p - 1 :].T)
     total = np.sum(np.abs(alpha), axis=1)
     if np.any(total > ABS_ALPHA_GUARD):
         warnings.warn(
@@ -114,37 +132,44 @@ def _haar_factor(j: int) -> float:
     return 1.0 / math.sqrt(float(1 << j))
 
 
+def _haar_head(alpha: np.ndarray, config: MultiscaleConfig) -> np.ndarray:
+    """The first H MA weights of each row, after checking that there are H."""
+    alpha = np.asarray(alpha, dtype=float)
+    H = config.H
+    if alpha.shape[-1] < H:
+        raise ValueError(f"alpha must provide at least H={H} weights, got {alpha.shape[-1]}")
+    return alpha[..., :H]
+
+
 def extended_wold_beta(alpha: np.ndarray, config: MultiscaleConfig) -> list[np.ndarray]:
     """Detail coefficients beta_j(k) for j = 1..J.
 
     alpha may be (H',) or (G, H') with H' >= config.H; returns one array per
     scale with trailing axis of length config.n_translates(j).
+
+    One Haar pyramid of pairwise sums: s_0 = alpha, and at scale j the even
+    and odd entries of s_{j-1} (the sums over the two halves of each 2^j
+    block) give beta_j = 2^(-j/2) (even - odd) and s_j = even + odd, so a
+    row costs O(H) work over all scales.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    H = config.H
-    if alpha.shape[-1] < H:
-        raise ValueError(f"alpha must provide at least H={H} weights, got {alpha.shape[-1]}")
-    head = alpha[..., :H]
+    s = _haar_head(alpha, config)
     betas: list[np.ndarray] = []
     for j in range(1, config.J + 1):
-        block = 1 << j
-        half = block >> 1
-        grouped = head.reshape(*head.shape[:-1], H // block, block)
-        diff = grouped[..., :half].sum(axis=-1) - grouped[..., half:].sum(axis=-1)
-        betas.append(_haar_factor(j) * diff)
+        even, odd = s[..., 0::2], s[..., 1::2]
+        betas.append(_haar_factor(j) * (even - odd))
+        s = even + odd
     return betas
 
 
 def scaling_gamma(alpha: np.ndarray, config: MultiscaleConfig) -> np.ndarray:
-    """Depth-J scaling (low-pass) coefficients gamma_J(k), k = 0..N-1."""
-    alpha = np.asarray(alpha, dtype=float)
-    H = config.H
-    if alpha.shape[-1] < H:
-        raise ValueError(f"alpha must provide at least H={H} weights, got {alpha.shape[-1]}")
-    head = alpha[..., :H]
-    block = 1 << config.J
-    grouped = head.reshape(*head.shape[:-1], config.N, block)
-    return _haar_factor(config.J) * grouped.sum(axis=-1)
+    """Depth-J scaling (low-pass) coefficients gamma_J(k), k = 0..N-1.
+
+    The sums s_J of the same pyramid as `extended_wold_beta`, scaled by 2^(-J/2).
+    """
+    s = _haar_head(alpha, config)
+    for _ in range(config.J):
+        s = s[..., 0::2] + s[..., 1::2]
+    return _haar_factor(config.J) * s
 
 
 def _window_sums(eps: np.ndarray, width: int) -> np.ndarray:
@@ -183,19 +208,26 @@ def scaling_innovations(eps: np.ndarray, J: int) -> np.ndarray:
 
 
 def _component(surface: np.ndarray, innov: np.ndarray, spacing: int) -> np.ndarray:
-    """sum_k surface[t, k] * innov[t - k*spacing], NaN where any term is undefined."""
-    G, K = surface.shape
-    out = np.zeros(G)
-    defined = np.ones(G, dtype=bool)
-    for k in range(K):
-        shift = k * spacing
-        shifted = np.full(G, np.nan)
-        if shift < G:
-            shifted[shift:] = innov[: G - shift]
-        term = surface[:, k] * shifted
-        defined &= np.isfinite(shifted)
-        out = out + np.where(np.isfinite(term), term, 0.0)
-    out[~defined] = np.nan
+    """sum_k surface[r, k] * innov[t - k*spacing] for the trailing rows t of innov.
+
+    Surface row r belongs to innovation row t = offset + r, with offset =
+    len(innov) - len(surface).  A row is NaN when it lacks a full history
+    (t < H - 1, H = K * spacing, which is exactly when some innovation it
+    needs is undefined); otherwise non-finite terms propagate to the result.  The window product is made
+    in C order before the row sum, so a row's bits do not depend on the
+    other rows or on whether the surface is a broadcast.
+    """
+    rows, K = surface.shape
+    offset = len(innov) - rows
+    out = np.full(rows, np.nan)
+    first = max(K * spacing - 1 - offset, 0)
+    if first < rows:
+        width = (K - 1) * spacing + 1
+        # window i covers innov[i : i + width] and ends at t = i + width - 1;
+        # stepping back from its end by `spacing` gives k = 0..K-1
+        windows = sliding_window_view(innov, width)[offset + first - width + 1 :, ::-spacing]
+        terms = np.multiply(surface[first:], windows, order="C")
+        out[first:] = terms.sum(axis=1)
     return out
 
 
@@ -209,7 +241,9 @@ def scale_components(
     """Per-scale components v_j(t) and low-pass residual component pi_J(t).
 
     v_j(t) = sum_k beta_j(t, k) * eps_j(t - k 2^j); positions without a full
-    H-lag shock history are NaN.
+    H-lag shock history are NaN.  The coefficient surfaces may cover only
+    the trailing rows of the innovations; the components then cover the
+    same rows.
     """
     comps = [
         _component(betas[j - 1], innovations[j - 1], 1 << j) for j in range(1, config.J + 1)
@@ -220,10 +254,15 @@ def scale_components(
 
 @dataclass
 class MultiscaleDecomposition:
-    """Multiscale decomposition of a fitted window.
+    """Multiscale decomposition of a fitted window, or of its trailing rows.
 
-    All row arrays are aligned with the fit's residual index (observations
-    t = p+1..T of the window); row r corresponds to rescaled time grid[r].
+    `innovations` and `low_pass` cover every residual row of the fit
+    (observations t = p+1..T of the window), since the components and the
+    forecasts read shock history from before the first decomposed row.
+    The row arrays (grid, dates, alpha, betas, gamma, components,
+    residual_component) cover residual rows start..G-1: row r is residual
+    row start + r, at rescaled time grid[r].  With start = 0 the two
+    indexings coincide.
     """
 
     config: MultiscaleConfig
@@ -236,6 +275,7 @@ class MultiscaleDecomposition:
     components: list[np.ndarray]
     residual_component: np.ndarray
     dates: np.ndarray | None = None
+    start: int = 0
 
     @property
     def n_rows(self) -> int:
@@ -249,13 +289,17 @@ def _decompose_arrays(
     config: MultiscaleConfig,
     dates: np.ndarray | None,
 ) -> MultiscaleDecomposition:
-    """Decompose MA weights, given per row (G, H+1) or once for all rows (H+1,)."""
+    """Decompose the trailing len(grid) residual rows.
+
+    alpha holds MA weights per decomposed row (rows, H+1), or once for all
+    rows (H+1,); innovations are built from every residual.
+    """
     betas = extended_wold_beta(alpha, config)
     gamma = scaling_gamma(alpha, config)
     if alpha.ndim == 1:
-        G = len(residuals)
-        alpha, gamma = (np.broadcast_to(a, (G, len(a))) for a in (alpha, gamma))
-        betas = [np.broadcast_to(b, (G, len(b))) for b in betas]
+        rows = len(grid)
+        alpha, gamma = (np.broadcast_to(a, (rows, len(a))) for a in (alpha, gamma))
+        betas = [np.broadcast_to(b, (rows, len(b))) for b in betas]
     innovations = scale_innovations(residuals, config.J)
     low_pass = scaling_innovations(residuals, config.J)
     components, residual_component = scale_components(
@@ -272,23 +316,42 @@ def _decompose_arrays(
         components=components,
         residual_component=residual_component,
         dates=dates,
+        start=len(residuals) - len(grid),
     )
 
 
+def _check_start(start: int, n_rows: int) -> None:
+    if not 0 <= start < max(n_rows, 1):
+        raise ValueError(f"start must be a residual row in [0, {n_rows}), got {start}")
+
+
 def decompose(
-    fit: TvpArFit, config: MultiscaleConfig, dates: np.ndarray | None = None
+    fit: TvpArFit,
+    config: MultiscaleConfig,
+    dates: np.ndarray | None = None,
+    *,
+    start: int = 0,
 ) -> MultiscaleDecomposition:
     """Decompose a TVP-AR fit into persistence-scale components.
 
     Requires the fit to be on the default per-observation grid so that
-    coefficient rows, residuals and innovations share one index.
+    coefficient rows, residuals and innovations share one index.  `dates`
+    align with the fit grid.  Only residual rows start..G-1 are inverted and
+    decomposed (see `MultiscaleDecomposition` for the row alignment); each
+    decomposed row equals the same row of the full decomposition bit for
+    bit.  `config.first_full_row(G)` is the first row whose components are
+    defined.
     """
-    if len(fit.grid) != len(fit.residuals):
+    G = len(fit.residuals)
+    if len(fit.grid) != G:
         raise ValueError("decompose requires a fit on the default per-observation grid")
-    if dates is not None and len(dates) != len(fit.grid):
+    if dates is not None and len(dates) != G:
         raise ValueError("dates must align with the fit grid")
-    alpha = ar_to_ma(fit.phi[:, 1:], config.H)
-    return _decompose_arrays(alpha, fit.residuals, fit.grid, config, dates)
+    _check_start(start, G)
+    alpha = ar_to_ma(fit.phi[start:, 1:], config.H)
+    if dates is not None:
+        dates = dates[start:]
+    return _decompose_arrays(alpha, fit.residuals, fit.grid[start:], config, dates)
 
 
 def decompose_static(
@@ -297,20 +360,29 @@ def decompose_static(
     config: MultiscaleConfig,
     grid: np.ndarray | None = None,
     dates: np.ndarray | None = None,
+    *,
+    start: int = 0,
 ) -> MultiscaleDecomposition:
     """Decompose with one time-invariant AR coefficient vector.
 
     The AR row is inverted and Haar-transformed once; alpha, betas and gamma
-    are read-only broadcasts of that row across all residual rows, giving the
-    same machinery as `decompose` with constant surfaces.
+    are read-only broadcasts of that row across the decomposed rows, giving
+    the same machinery as `decompose` with constant surfaces.  `grid` and
+    `dates` align with the residuals; rows before `start` are skipped as in
+    `decompose`.
     """
     phi = np.asarray(phi, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
     G = len(residuals)
+    _check_start(start, G)
     if grid is None:
         grid = np.arange(1, G + 1, dtype=float) / G
+    if dates is not None:
+        dates = dates[start:]
     alpha = ar_to_ma(phi, config.H)
-    return _decompose_arrays(alpha, residuals, np.asarray(grid, dtype=float), config, dates)
+    return _decompose_arrays(
+        alpha, residuals, np.asarray(grid, dtype=float)[start:], config, dates
+    )
 
 
 @dataclass

@@ -339,6 +339,55 @@ def test_forecast_preset_lag_mapping(tmp_path):
     assert float(cells[4]) == spec.forecast_all(series.values[-700:], (1,))[1]
 
 
+@pytest.mark.parametrize("model", ["TVEWD", "EWD", "TVAR", "HAR", "TVHAR"])
+def test_forecast_fits_once_per_lag_and_matches_per_horizon_route(tmp_path, monkeypatch, model):
+    """Horizons sharing an AR order share one window fit; the CSV is
+    byte-identical to forecasting each horizon on its own."""
+    from tvewd import forecast
+
+    series_csv = tmp_path / "series.csv"
+    series = write_series(series_csv, ar1_values(760, seed=48))
+    out = tmp_path / "fc.csv"
+    fits = []
+    fit_tvp_ar = forecast.fit_tvp_ar
+
+    def counting_fit(values, p, *args, **kwargs):
+        fits.append(p)
+        return fit_tvp_ar(values, p, *args, **kwargs)
+
+    monkeypatch.setattr(forecast, "fit_tvp_ar", counting_fit)
+    argv = ["forecast", "--input", str(series_csv), "--output", str(out), "--model", model]
+    code = main(argv + ["--preset", "period-2010", "--series", "CL", "--horizon", "5,1,22"])
+    assert code == 0
+    # period-2010 maps CL to p=2 at h=1 and p=6 at h=5 and h=22
+    assert fits == ([6, 2] if model == "TVEWD" else [])
+
+    window = series.values[-700:]
+    points = []
+    for h, p in ((5, 6), (1, 2), (22, 6)):
+        spec = ModelSpec(
+            name=model,
+            p=p,
+            kernel=KernelSpec("epanechnikov", 0.3),
+            scales=MultiscaleConfig(J=7, N=4),
+        )
+        points.append(
+            forecast.ForecastPoint(
+                horizon=h,
+                value=spec.forecast_all(window, (h,))[h],
+                trend=float("nan"),
+                scale_parts=np.array([]),
+                weights=np.array([]),
+                model=model,
+                origin_date=str(series.dates[-1]),
+                target_date=str(np.busday_offset(series.dates[-1], h, roll="forward")),
+            )
+        )
+    expected = tmp_path / "per_horizon.csv"
+    forecast.store_forecasts(points, str(expected))
+    assert out.read_bytes() == expected.read_bytes()
+
+
 def test_forecast_unknown_series_key(tmp_path, capsys):
     series_csv = tmp_path / "series.csv"
     write_series(series_csv, ar1_values(400, seed=44))

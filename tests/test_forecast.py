@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvewd.forecast import (
     ForecastConfig,
@@ -142,6 +144,50 @@ def test_forecast_scale_linearity():
     b2 = rng.standard_normal(5)
     f = lambda b: forecast_scale(b, innov, 2, 3)
     assert f(2.0 * b1 - 0.5 * b2) == pytest.approx(2.0 * f(b1) - 0.5 * f(b2), rel=1e-12)
+
+
+def loop_forecast_scale(beta_boundary, innovations, j, h):
+    """The per-translate loop: add beta_j(k) eps_j(T+h-k 2^j) while the index
+    stays in the history, skipping non-finite innovations."""
+    spacing = 1 << j
+    G = len(innovations)
+    total = 0.0
+    for k in range(int(math.ceil(h / spacing)), len(beta_boundary)):
+        idx = G - 1 + h - k * spacing
+        if idx < 0:
+            break
+        e = innovations[idx]
+        if np.isfinite(e):
+            total += float(beta_boundary[k]) * float(e)
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    j=st.integers(1, 7),
+    K=st.integers(1, 300),
+    G=st.integers(1, 700),
+    h=st.integers(1, 40),
+    missing=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_forecast_scale_matches_translate_loop(j, K, G, h, missing, seed):
+    """The gather-and-dot sum equals the loop up to reordering: within 1e-15
+    of the summed term magnitudes (the loop's own rounding scale)."""
+    rng = np.random.default_rng(seed)
+    beta = rng.standard_normal(K)
+    innov = rng.standard_normal(G)
+    innov[rng.uniform(size=G) < missing] = rng.choice([np.nan, np.inf, -np.inf])
+    got = forecast_scale(beta, innov, j, h)
+    want = loop_forecast_scale(beta, innov, j, h)
+    spacing = 1 << j
+    terms = [
+        beta[k] * innov[G - 1 + h - k * spacing]
+        for k in range(K)
+        if k * spacing >= h and G - 1 + h - k * spacing >= 0
+    ]
+    magnitude = sum(abs(t) for t in terms if np.isfinite(t))
+    assert abs(got - want) <= 1e-15 * magnitude
 
 
 def test_forecast_scale_horizon_validated():

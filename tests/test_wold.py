@@ -7,11 +7,23 @@ arithmetic used by the implementation.
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tvewd.locreg import KernelSpec, TvpArFit, fit_tvp_ar
+from tvewd.benchmarks import _ols_ar, ewd_static_forecast
+from tvewd.forecast import (
+    ForecastConfig,
+    combine_forecast,
+    estimate_weights,
+    forecast_scale,
+    forecast_trend,
+    tvewd_forecast_window,
+)
+from tvewd.locreg import KernelSpec, TvpArFit, center, fit_tvp_ar
 from tvewd.wold import (
     ExplosiveWarning,
     MultiscaleConfig,
@@ -72,6 +84,56 @@ def oracle_low_pass(eps, J, t):
     if t - width + 1 < 0:
         return math.nan
     return sum(eps[t - i] for i in range(width)) / math.sqrt(2.0**J)
+
+
+def loop_ar_to_ma(phi, H):
+    """The per-lag loop: one vector update per lag and AR term, rows in parallel."""
+    mat = np.atleast_2d(np.asarray(phi, dtype=float))
+    G, p = mat.shape
+    alpha = np.zeros((G, H + 1))
+    alpha[:, 0] = 1.0
+    for h in range(1, H + 1):
+        acc = np.zeros(G)
+        for i in range(1, min(h, p) + 1):
+            acc += mat[:, i - 1] * alpha[:, h - i]
+        alpha[:, h] = acc
+    return alpha
+
+
+def reshape_sum_betas(alpha, cfg):
+    """Detail coefficients by one reshape and two half-block sums per scale."""
+    head = np.asarray(alpha, dtype=float)[..., : cfg.H]
+    betas = []
+    for j in range(1, cfg.J + 1):
+        block, half = 1 << j, 1 << (j - 1)
+        grouped = head.reshape(*head.shape[:-1], cfg.H // block, block)
+        diff = grouped[..., :half].sum(axis=-1) - grouped[..., half:].sum(axis=-1)
+        betas.append(diff / math.sqrt(2.0**j))
+    return betas
+
+
+def reshape_sum_gamma(alpha, cfg):
+    head = np.asarray(alpha, dtype=float)[..., : cfg.H]
+    grouped = head.reshape(*head.shape[:-1], cfg.N, 1 << cfg.J)
+    return grouped.sum(axis=-1) / math.sqrt(2.0**cfg.J)
+
+
+def loop_component(surface, innov, spacing):
+    """The per-translate loop over full-row surfaces: one shifted copy of the
+    innovations per translate, a row undefined where any copy is."""
+    G, K = surface.shape
+    out = np.zeros(G)
+    defined = np.ones(G, dtype=bool)
+    for k in range(K):
+        shift = k * spacing
+        shifted = np.full(G, np.nan)
+        if shift < G:
+            shifted[shift:] = innov[: G - shift]
+        observed = np.isfinite(shifted)
+        defined &= observed
+        out = out + np.where(observed, surface[:, k] * shifted, 0.0)
+    out[~defined] = np.nan
+    return out
 
 
 def make_fit(phi1_rows, residuals):
@@ -417,6 +479,228 @@ def test_decompose_rejects_misaligned_inputs():
     good = fit_tvp_ar(v, 1, KernelSpec("epanechnikov", 0.3))
     with pytest.raises(ValueError, match="dates"):
         decompose(good, cfg, dates=np.arange(3))
+    for start in (-1, len(good.residuals)):
+        with pytest.raises(ValueError, match="start"):
+            decompose(good, cfg, start=start)
+        with pytest.raises(ValueError, match="start"):
+            decompose_static(np.array([0.5]), good.residuals, cfg, start=start)
+
+
+def test_overflowing_row_is_nan_and_left_out_of_weights():
+    """An explosive row whose MA weights overflow yields non-finite
+    components, which the weight regression drops; other rows are untouched."""
+    cfg = MultiscaleConfig(J=7, N=4)
+    G = cfg.H + 60
+    rng = np.random.default_rng(48)
+    eps = rng.standard_normal(G)
+    phi1 = rng.uniform(-0.5, 0.5, G)
+    bad = cfg.H + 20
+    clean = decompose(make_fit(phi1, eps), cfg)
+    phi1[bad] = 5.0  # 5^h overflows to inf from h = 441, inside the 512 lags
+    with pytest.warns(ExplosiveWarning), np.errstate(over="ignore", invalid="ignore"):
+        decomp = decompose(make_fit(phi1, eps), cfg)
+    others = np.arange(G) != bad
+    for comp, ok in zip(decomp.components, clean.components):
+        assert np.isnan(comp[bad])
+        np.testing.assert_array_equal(comp[others], ok[others])
+    assert not np.isfinite(decomp.residual_component[bad])
+    y = rng.standard_normal(G)
+    got = estimate_weights(y, decomp.components)
+    assert got.n_rows == G - (cfg.H - 1) - 1
+    y[bad] = np.nan
+    want = estimate_weights(y, clean.components)
+    np.testing.assert_array_equal(got.weights, want.weights)
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the loops and exact arithmetic
+# ---------------------------------------------------------------------------
+
+def stable_phi(rng, p, modulus):
+    """AR(p) coefficients whose characteristic roots have modulus <= `modulus`,
+    drawn as real roots and complex-conjugate pairs."""
+    roots = []
+    while len(roots) < p:
+        r = modulus * rng.uniform(0.0, 1.0)
+        if p - len(roots) >= 2 and rng.uniform() < 0.5:
+            theta = rng.uniform(0.0, math.pi)
+            roots += [r * np.exp(1j * theta), r * np.exp(-1j * theta)]
+        else:
+            roots.append(r * rng.choice([-1.0, 1.0]))
+    return -np.real(np.poly(roots))[1:]
+
+
+def exact_alpha(phi, H):
+    """MA weights by the recursion in exact rational arithmetic on the float inputs."""
+    f = [Fraction(float(x)) for x in phi]
+    a = [Fraction(1)]
+    for h in range(1, H + 1):
+        a.append(sum((f[i] * a[h - 1 - i] for i in range(min(h, len(f)))), Fraction(0)))
+    return a
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(1, 6), modulus=st.floats(0.05, 0.99), seed=SEEDS)
+def test_ar_to_ma_matches_exact_rational_recursion(p, modulus, seed):
+    phi = stable_phi(np.random.default_rng(seed), p, modulus)
+    H = 128
+    exact = exact_alpha(phi, H)
+    alpha = ar_to_ma(phi, H)
+    gap = max(abs(Fraction(float(x)) - a) for x, a in zip(alpha, exact))
+    assert float(gap) <= 1e-12 * float(max(abs(a) for a in exact))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.integers(1, 6),
+    G=st.one_of(st.integers(1, 12), st.sampled_from([187, 694])),
+    seed=SEEDS,
+)
+def test_ar_to_ma_batch_equals_rows_and_the_lag_loop(p, G, seed):
+    rng = np.random.default_rng(seed)
+    rows = np.stack([stable_phi(rng, p, rng.uniform(0.05, 0.99)) for _ in range(G)])
+    H = 512
+    batch = ar_to_ma(rows, H)
+    np.testing.assert_array_equal(batch, loop_ar_to_ma(rows, H))
+    for g in {0, G // 2, G - 1}:
+        np.testing.assert_array_equal(batch[g], ar_to_ma(rows[g], H))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    J=st.integers(1, 7),
+    N=st.integers(1, 6),
+    G=st.integers(1, 4),
+    extra=st.integers(0, 3),
+    log_scale=st.floats(-3.0, 3.0),
+    seed=SEEDS,
+)
+def test_haar_pyramid_matches_reshape_sums_and_keeps_energy(J, N, G, extra, log_scale, seed):
+    cfg = MultiscaleConfig(J=J, N=N)
+    rng = np.random.default_rng(seed)
+    alpha = rng.standard_normal((G, cfg.H + extra)) * 10.0**log_scale
+    got = extended_wold_beta(alpha, cfg) + [scaling_gamma(alpha, cfg)]
+    want = reshape_sum_betas(alpha, cfg) + [reshape_sum_gamma(alpha, cfg)]
+    tol = 1e-14 * np.abs(alpha[:, : cfg.H]).sum(axis=1, keepdims=True)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.all(np.abs(g - w) <= tol)
+    for g in range(G):
+        assert haar_energy_gap(alpha[g], cfg) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    J=st.integers(1, 5),
+    N=st.integers(1, 4),
+    extra=st.integers(-20, 40),
+    start_share=st.floats(0.0, 1.0),
+    seed=SEEDS,
+)
+def test_components_match_translate_loop(J, N, extra, start_share, seed):
+    cfg = MultiscaleConfig(J=J, N=N)
+    G = max(cfg.H + extra, 1)
+    rng = np.random.default_rng(seed)
+    eps = rng.standard_normal(G)
+    betas = [rng.standard_normal((G, cfg.n_translates(j))) for j in range(1, J + 1)]
+    gamma = rng.standard_normal((G, N))
+    innovations = scale_innovations(eps, J)
+    low = scaling_innovations(eps, J)
+    comps, residual = scale_components(betas, gamma, innovations, low, cfg)
+    surfaces = betas + [gamma]
+    series = innovations + [low]
+    spacings = [1 << j for j in range(1, J + 1)] + [1 << J]
+    for got, surface, innov, spacing in zip(comps + [residual], surfaces, series, spacings):
+        want = loop_component(surface, innov, spacing)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_array_equal(np.isnan(got), np.arange(G) < cfg.H - 1)
+        defined = ~np.isnan(want)
+        np.testing.assert_allclose(got[defined], want[defined], rtol=1e-12, atol=1e-12)
+    # trailing surfaces give the trailing rows of the full components, bit for bit
+    start = int(start_share * (G - 1))
+    tail, tail_residual = scale_components(
+        [b[start:] for b in betas], gamma[start:], innovations, low, cfg
+    )
+    for got, full in zip(tail + [tail_residual], comps + [residual]):
+        np.testing.assert_array_equal(got, full[start:])
+
+
+def simulated_window(seed, T, phi=0.7, level=5.0):
+    rng = np.random.default_rng(seed)
+    v = np.empty(T)
+    v[0] = level
+    for t in range(1, T):
+        v[t] = level * (1 - phi) + phi * v[t - 1] + rng.standard_normal()
+    return v
+
+
+def multiscale_forecasts(decomp, weights, trend, horizons):
+    J = decomp.config.J
+    return {
+        h: combine_forecast(
+            trend,
+            weights.weights,
+            np.array(
+                [
+                    forecast_scale(decomp.betas[j - 1][-1], decomp.innovations[j - 1], j, h)
+                    for j in range(1, J + 1)
+                ]
+            ),
+        )
+        for h in horizons
+    }
+
+
+HORIZONS = (1, 5, 22)
+
+
+@pytest.mark.parametrize("p", [1, 2, 6])
+@settings(max_examples=6, deadline=None)
+@given(
+    extra=st.integers(40, 200),
+    weight_window=st.sampled_from([None, 30]),
+    family=st.sampled_from(["epanechnikov", "gaussian", "uniform"]),
+    seed=SEEDS,
+)
+def test_trailing_row_forecasts_equal_full_row_route(p, extra, weight_window, family, seed):
+    """TVEWD and EWD decompose only rows t >= H-1; the forecasts equal, bit
+    for bit, the route that decomposes every residual row."""
+    scales = MultiscaleConfig(J=5, N=4)
+    values = simulated_window(seed, scales.H + p + extra)
+    cfg = ForecastConfig(
+        p=p, scales=scales, kernel=KernelSpec(family, 0.3), weight_window=weight_window
+    )
+    points = tvewd_forecast_window(values, cfg, HORIZONS)
+    fit = fit_tvp_ar(values, p, cfg.kernel)
+    centered = center(fit)
+    full = decompose(fit, scales)
+    weights = estimate_weights(centered.values[p:], full.components, weight_window)
+    route = multiscale_forecasts(full, weights, forecast_trend(centered), HORIZONS)
+    assert {pt.horizon: pt.value for pt in points} == route
+
+    start = scales.first_full_row(len(fit.residuals))
+    tail = decompose(fit, scales, start=start)
+    assert tail.start == start and tail.n_rows == full.n_rows - start
+    np.testing.assert_array_equal(tail.alpha, full.alpha[start:])
+    np.testing.assert_array_equal(tail.residual_component, full.residual_component[start:])
+    for j in range(scales.J):
+        np.testing.assert_array_equal(tail.betas[j], full.betas[j][start:])
+        np.testing.assert_array_equal(tail.components[j], full.components[j][start:])
+        np.testing.assert_array_equal(tail.innovations[j], full.innovations[j])
+
+    coef, residuals = _ols_ar(values, p)
+    T = len(values)
+    tau = np.arange(1, T + 1, dtype=float) / T
+    line, *_ = np.linalg.lstsq(np.column_stack([np.ones(T), tau]), values, rcond=None)
+    trend_curve = line[0] + line[1] * tau
+    static = decompose_static(coef[1:], residuals, scales)
+    centered_rows = values[p:] - trend_curve[p:]
+    static_weights = estimate_weights(centered_rows, static.components, weight_window)
+    static_route = multiscale_forecasts(static, static_weights, float(trend_curve[-1]), HORIZONS)
+    assert ewd_static_forecast(values, p, scales, HORIZONS, weight_window) == static_route
 
 
 # ---------------------------------------------------------------------------
