@@ -193,10 +193,8 @@ def ewd_static_forecast(
     line, *_ = np.linalg.lstsq(np.column_stack([np.ones(T), tau]), values, rcond=None)
     trend_curve = line[0] + line[1] * tau
     trend = float(trend_curve[-1])
-    decomp = decompose_static(
-        coef[1:], residuals, scales, start=scales.first_full_row(len(residuals))
-    )
-    centered_rows = values[p + decomp.start :] - trend_curve[p + decomp.start :]
+    decomp = decompose_static(coef[1:], residuals, scales)
+    centered_rows = values[p:] - trend_curve[p:]
     weights = estimate_weights(centered_rows, decomp.components, weight_window)
     out: dict[int, float] = {}
     for h in horizons:

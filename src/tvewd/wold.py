@@ -98,7 +98,10 @@ def ar_to_ma(phi: np.ndarray, H: int) -> np.ndarray:
     The recursion runs on a lag-major (H+p, G) buffer whose first p-1 rows
     are zero, so each lag is one reduction over the p products of every
     row.  The reduction adds i = 1..p in order; the zero-padded terms add
-    exact zeros, so each row's bits equal the scalar recursion's.
+    exact zeros, so each row's bits equal the scalar recursion's.  The
+    buffer has at least two columns: with one, the reduction axis would be
+    contiguous and numpy would sum it pairwise, which reorders the terms
+    once p >= 8.
     """
     if H < 0:
         raise ValueError(f"H must be >= 0, got {H}")
@@ -106,17 +109,19 @@ def ar_to_ma(phi: np.ndarray, H: int) -> np.ndarray:
     single = phi.ndim == 1
     mat = phi[None, :] if single else phi
     G, p = mat.shape
-    lags = np.zeros((H + p, G))
+    width = max(G, 2)
+    lags = np.zeros((H + p, width))
     lags[p - 1] = 1.0
-    cols = np.ascontiguousarray(mat.T)
-    terms = np.empty((p, G))
+    cols = np.zeros((p, width))
+    cols[:, :G] = mat.T
+    terms = np.empty((p, width))
     for r in range(p, H + p):
         # rows r-1, r-2, ..., r-p hold alpha(h-1), ..., alpha(h-p) for h = r-p+1
         stop = r - p - 1 if r > p else None
         np.multiply(cols, lags[r - 1 : stop : -1], out=terms)
         np.add.reduce(terms, axis=0, out=lags[r])
     # row-major like its input, so a row of alpha and of its betas is contiguous
-    alpha = np.ascontiguousarray(lags[p - 1 :].T)
+    alpha = np.ascontiguousarray(lags[p - 1 :, :G].T)
     total = np.sum(np.abs(alpha), axis=1)
     if np.any(total > ABS_ALPHA_GUARD):
         warnings.warn(
@@ -320,11 +325,6 @@ def _decompose_arrays(
     )
 
 
-def _check_start(start: int, n_rows: int) -> None:
-    if not 0 <= start < max(n_rows, 1):
-        raise ValueError(f"start must be a residual row in [0, {n_rows}), got {start}")
-
-
 def decompose(
     fit: TvpArFit,
     config: MultiscaleConfig,
@@ -347,7 +347,8 @@ def decompose(
         raise ValueError("decompose requires a fit on the default per-observation grid")
     if dates is not None and len(dates) != G:
         raise ValueError("dates must align with the fit grid")
-    _check_start(start, G)
+    if not 0 <= start < max(G, 1):
+        raise ValueError(f"start must be a residual row in [0, {G}), got {start}")
     alpha = ar_to_ma(fit.phi[start:, 1:], config.H)
     if dates is not None:
         dates = dates[start:]
@@ -360,29 +361,20 @@ def decompose_static(
     config: MultiscaleConfig,
     grid: np.ndarray | None = None,
     dates: np.ndarray | None = None,
-    *,
-    start: int = 0,
 ) -> MultiscaleDecomposition:
     """Decompose with one time-invariant AR coefficient vector.
 
     The AR row is inverted and Haar-transformed once; alpha, betas and gamma
-    are read-only broadcasts of that row across the decomposed rows, giving
-    the same machinery as `decompose` with constant surfaces.  `grid` and
-    `dates` align with the residuals; rows before `start` are skipped as in
-    `decompose`.
+    are read-only broadcasts of that row across all residual rows, giving the
+    same machinery as `decompose` with constant surfaces.
     """
     phi = np.asarray(phi, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
     G = len(residuals)
-    _check_start(start, G)
     if grid is None:
         grid = np.arange(1, G + 1, dtype=float) / G
-    if dates is not None:
-        dates = dates[start:]
     alpha = ar_to_ma(phi, config.H)
-    return _decompose_arrays(
-        alpha, residuals, np.asarray(grid, dtype=float)[start:], config, dates
-    )
+    return _decompose_arrays(alpha, residuals, np.asarray(grid, dtype=float), config, dates)
 
 
 @dataclass

@@ -11,10 +11,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tvewd.benchmarks import _ols_ar, ewd_static_forecast
 from tvewd.forecast import (
     ForecastConfig,
     combine_forecast,
@@ -482,8 +481,6 @@ def test_decompose_rejects_misaligned_inputs():
     for start in (-1, len(good.residuals)):
         with pytest.raises(ValueError, match="start"):
             decompose(good, cfg, start=start)
-        with pytest.raises(ValueError, match="start"):
-            decompose_static(np.array([0.5]), good.residuals, cfg, start=start)
 
 
 def test_overflowing_row_is_nan_and_left_out_of_weights():
@@ -543,7 +540,7 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 
 @settings(max_examples=40, deadline=None)
-@given(p=st.integers(1, 6), modulus=st.floats(0.05, 0.99), seed=SEEDS)
+@given(p=st.integers(1, 12), modulus=st.floats(0.05, 0.99), seed=SEEDS)
 def test_ar_to_ma_matches_exact_rational_recursion(p, modulus, seed):
     phi = stable_phi(np.random.default_rng(seed), p, modulus)
     H = 128
@@ -555,10 +552,12 @@ def test_ar_to_ma_matches_exact_rational_recursion(p, modulus, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    p=st.integers(1, 6),
+    p=st.integers(1, 12),
     G=st.one_of(st.integers(1, 12), st.sampled_from([187, 694])),
     seed=SEEDS,
 )
+@example(p=8, G=1, seed=0)  # one row at p >= 8: numpy would sum a contiguous axis pairwise
+@example(p=12, G=2, seed=0)
 def test_ar_to_ma_batch_equals_rows_and_the_lag_loop(p, G, seed):
     rng = np.random.default_rng(seed)
     rows = np.stack([stable_phi(rng, p, rng.uniform(0.05, 0.99)) for _ in range(G)])
@@ -666,8 +665,8 @@ HORIZONS = (1, 5, 22)
     seed=SEEDS,
 )
 def test_trailing_row_forecasts_equal_full_row_route(p, extra, weight_window, family, seed):
-    """TVEWD and EWD decompose only rows t >= H-1; the forecasts equal, bit
-    for bit, the route that decomposes every residual row."""
+    """TVEWD decomposes only rows t >= H-1; its forecasts equal, bit for bit,
+    the route that decomposes every residual row."""
     scales = MultiscaleConfig(J=5, N=4)
     values = simulated_window(seed, scales.H + p + extra)
     cfg = ForecastConfig(
@@ -690,17 +689,6 @@ def test_trailing_row_forecasts_equal_full_row_route(p, extra, weight_window, fa
         np.testing.assert_array_equal(tail.betas[j], full.betas[j][start:])
         np.testing.assert_array_equal(tail.components[j], full.components[j][start:])
         np.testing.assert_array_equal(tail.innovations[j], full.innovations[j])
-
-    coef, residuals = _ols_ar(values, p)
-    T = len(values)
-    tau = np.arange(1, T + 1, dtype=float) / T
-    line, *_ = np.linalg.lstsq(np.column_stack([np.ones(T), tau]), values, rcond=None)
-    trend_curve = line[0] + line[1] * tau
-    static = decompose_static(coef[1:], residuals, scales)
-    centered_rows = values[p:] - trend_curve[p:]
-    static_weights = estimate_weights(centered_rows, static.components, weight_window)
-    static_route = multiscale_forecasts(static, static_weights, float(trend_curve[-1]), HORIZONS)
-    assert ewd_static_forecast(values, p, scales, HORIZONS, weight_window) == static_route
 
 
 # ---------------------------------------------------------------------------
