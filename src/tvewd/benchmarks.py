@@ -15,6 +15,7 @@ drives.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,9 +28,10 @@ from .forecast import (
     tvewd_forecast_window,
 )
 from .locreg import (
-    COND_THRESHOLD,
     EstimationError,
     KernelSpec,
+    _checked_lstsq,
+    _design,
     boundary_fit,
     local_level,
     local_linear,
@@ -97,11 +99,7 @@ def har_fit_forecast(values: np.ndarray, h: int) -> tuple[float, np.ndarray]:
     """
     values = _check_har_window(values)
     y, X, _ = _har_design(values, h)
-    coef, _, rank, svals = np.linalg.lstsq(X, y, rcond=None)
-    smin = svals[-1] if len(svals) == X.shape[1] else 0.0
-    cond = float("inf") if smin <= 0.0 else float(svals[0] / smin)
-    if rank < X.shape[1] or cond > COND_THRESHOLD:
-        raise EstimationError(f"singular HAR design: condition number {cond:.3g}")
+    coef, _ = _checked_lstsq(X, y, "singular HAR design")
     x_T = np.array([1.0, *har_terms(values, len(values))])
     return float(x_T @ coef), coef
 
@@ -160,16 +158,8 @@ def _ols_ar(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     T = len(values)
     if T <= 10 * (p + 1):
         raise EstimationError(f"series too short for OLS AR({p}): {T} observations")
-    y = values[p:]
-    X = np.empty((T - p, p + 1))
-    X[:, 0] = 1.0
-    for i in range(1, p + 1):
-        X[:, i] = values[p - i : T - i]
-    coef, _, rank, svals = np.linalg.lstsq(X, y, rcond=None)
-    smin = svals[-1] if len(svals) == p + 1 else 0.0
-    cond = float("inf") if smin <= 0.0 else float(svals[0] / smin)
-    if rank < p + 1 or cond > COND_THRESHOLD:
-        raise EstimationError(f"singular AR design: condition number {cond:.3g}")
+    y, X, _ = _design(values, p)
+    coef, _ = _checked_lstsq(X, y, "singular AR design")
     return coef, y - X @ coef
 
 
@@ -190,7 +180,7 @@ def ewd_static_forecast(
     coef, residuals = _ols_ar(values, p)
     T = len(values)
     tau = np.arange(1, T + 1, dtype=float) / T
-    line, *_ = np.linalg.lstsq(np.column_stack([np.ones(T), tau]), values, rcond=None)
+    line, _ = _checked_lstsq(np.column_stack([np.ones(T), tau]), values, "singular trend design")
     trend_curve = line[0] + line[1] * tau
     trend = float(trend_curve[-1])
     decomp = decompose_static(coef[1:], residuals, scales)
@@ -210,10 +200,17 @@ def ewd_static_forecast(
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A named, fully-configured forecasting model for the rolling harness."""
+    """A named, fully-configured forecasting model for the rolling harness.
+
+    p is the AR order of TVAR, EWD and TVEWD: one order for every horizon,
+    or a per-horizon map {h: p}, which is stored as (h, p) pairs sorted by h
+    so that the spec stays hashable.  Horizons that share an order share one
+    window fit.  HAR and TVHAR do not read p but group their horizons the
+    same way, so that every model counts a failure once per order.
+    """
 
     name: str
-    p: int = 1
+    p: int | tuple[tuple[int, int], ...] = 1
     kernel: KernelSpec = field(default_factory=KernelSpec)
     scales: MultiscaleConfig = field(default_factory=MultiscaleConfig)
     weight_window: int | None = None
@@ -222,24 +219,49 @@ class ModelSpec:
     def __post_init__(self):
         if self.name not in MODEL_NAMES:
             raise ValueError(f"unknown model {self.name!r}, expected one of {MODEL_NAMES}")
+        if isinstance(self.p, Mapping):
+            pairs = tuple(sorted((int(h), int(p)) for h, p in self.p.items()))
+            object.__setattr__(self, "p", pairs)
 
     @property
     def display(self) -> str:
         return self.label or self.name
 
+    def horizon_groups(self, horizons: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+        """The requested horizons grouped by AR order, in order of first appearance."""
+        orders = dict(self.p) if isinstance(self.p, tuple) else dict.fromkeys(horizons, self.p)
+        missing = [h for h in horizons if h not in orders]
+        if missing:
+            raise ValueError(f"{self.display}: no AR order for horizons {missing}")
+        groups: dict[int, list[int]] = {}
+        for h in horizons:
+            groups.setdefault(orders[h], []).append(h)
+        return {p: tuple(hs) for p, hs in groups.items()}
+
     def forecast_all(self, values: np.ndarray, horizons: tuple[int, ...]) -> dict[int, float]:
-        """Point forecasts for every horizon from one in-sample window."""
+        """Point forecasts for every horizon from one in-sample window.
+
+        The window is fitted once per distinct AR order among the requested
+        horizons; an order with no requested horizon is not fitted.
+        """
         values = np.asarray(values, dtype=float)
+        out: dict[int, float] = {}
+        for p, hs in self.horizon_groups(horizons).items():
+            out.update(self._forecast_order(values, p, hs))
+        return out
+
+    def _forecast_order(self, values: np.ndarray, p: int, horizons: tuple[int, ...]) -> dict:
+        """Forecasts for horizons that share the AR order p."""
         if self.name == "HAR":
             return {h: har_fit_forecast(values, h)[0] for h in horizons}
         if self.name == "TVHAR":
             return {h: tvhar_fit_forecast(values, h, self.kernel)[0] for h in horizons}
         if self.name == "TVAR":
-            return tvar_forecast(values, self.p, horizons, self.kernel)
+            return tvar_forecast(values, p, horizons, self.kernel)
         if self.name == "EWD":
-            return ewd_static_forecast(values, self.p, self.scales, horizons, self.weight_window)
+            return ewd_static_forecast(values, p, self.scales, horizons, self.weight_window)
         cfg = ForecastConfig(
-            p=self.p, scales=self.scales, kernel=self.kernel, weight_window=self.weight_window
+            p=p, scales=self.scales, kernel=self.kernel, weight_window=self.weight_window
         )
         points = tvewd_forecast_window(values, cfg, horizons)
         return {pt.horizon: pt.value for pt in points}

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import benchmarks, evaluate, forecast, locreg, rv, sim, wold
 from .locreg import KernelSpec
-from .series import atomic_write, format_value, load_series, store_series
+from .series import atomic_write, format_value, load_series, store_series, write_csv
 from .wold import MultiscaleConfig
 
 __all__ = ["main"]
@@ -175,8 +175,8 @@ def _scales(cfg: dict) -> MultiscaleConfig:
     return MultiscaleConfig(J=int(cfg["J"]), N=int(cfg["N"]))
 
 
-def _lag_for_horizon(cfg: dict, h: int) -> int:
-    """Per-horizon AR order: explicit lags map > preset series map > flat p."""
+def _lags(cfg: dict, horizons: tuple[int, ...]) -> dict[int, int]:
+    """Per-horizon AR orders: explicit lags map > preset series map > flat p."""
     lags = cfg.get("lags")
     if lags is None and cfg.get("series") is not None:
         series_lags = cfg.get("series_lags", {})
@@ -186,19 +186,12 @@ def _lag_for_horizon(cfg: dict, h: int) -> int:
                 f"series {key!r} has no lag mapping; available: {sorted(series_lags)}"
             )
         lags = series_lags[key]
-    if lags is not None:
+    if lags is None:
+        return {h: int(cfg["p"]) for h in horizons}
+    for h in horizons:
         if str(h) not in lags:
             raise ConfigError(f"lag mapping has no entry for horizon {h}")
-        return int(lags[str(h)])
-    return int(cfg["p"])
-
-
-def _horizon_groups(cfg: dict, horizons: tuple[int, ...]) -> dict[int, list[int]]:
-    """Horizons grouped by AR order, so one window fit serves every horizon in a group."""
-    groups: dict[int, list[int]] = {}
-    for h in horizons:
-        groups.setdefault(_lag_for_horizon(cfg, h), []).append(h)
-    return groups
+    return {h: int(lags[str(h)]) for h in horizons}
 
 
 def _require(cfg: dict, key: str, command: str) -> str:
@@ -257,17 +250,14 @@ def cmd_forecast(cfg: dict) -> int:
     window = int(cfg.get("window") or len(series))
     if window > len(series):
         raise ConfigError(f"window {window} exceeds series length {len(series)}")
-    values = series.values[-window:]
-    values_by_h: dict[int, float] = {}
-    for p, hs in _horizon_groups(cfg, horizons).items():
-        spec = benchmarks.ModelSpec(
-            name=name,
-            p=p,
-            kernel=_kernel(cfg),
-            scales=_scales(cfg),
-            weight_window=cfg.get("weight_window"),
-        )
-        values_by_h.update(spec.forecast_all(values, tuple(hs)))
+    spec = benchmarks.ModelSpec(
+        name=name,
+        p=_lags(cfg, horizons),
+        kernel=_kernel(cfg),
+        scales=_scales(cfg),
+        weight_window=cfg.get("weight_window"),
+    )
+    values_by_h = spec.forecast_all(series.values[-window:], horizons)
     points = [
         forecast.ForecastPoint(
             horizon=h,
@@ -287,17 +277,6 @@ def cmd_forecast(cfg: dict) -> int:
     return 0
 
 
-def _merge_reports(reports: list[evaluate.EvaluationReport]) -> evaluate.EvaluationReport:
-    base = reports[0]
-    for extra in reports[1:]:
-        base.entries.update(extra.entries)
-        base.records.extend(extra.records)
-        for msg, count in extra.failures.items():
-            base.failures[msg] = base.failures.get(msg, 0) + count
-    base.records.sort(key=lambda r: (r.origin, r.horizon, r.model))
-    return base
-
-
 def cmd_evaluate(cfg: dict) -> int:
     path = _require(cfg, "input", "evaluate")
     out = _require(cfg, "output", "evaluate")
@@ -307,30 +286,21 @@ def cmd_evaluate(cfg: dict) -> int:
     for name in names:
         if name not in benchmarks.MODEL_NAMES:
             raise ConfigError(f"unknown model {name!r}, expected one of {benchmarks.MODEL_NAMES}")
-    kernel, scales = _kernel(cfg), _scales(cfg)
-    ww = cfg.get("weight_window")
-    reports = []
-    for p, hs in _horizon_groups(cfg, horizons).items():
-        models = [
-            benchmarks.ModelSpec(name=n, p=p, kernel=kernel, scales=scales, weight_window=ww)
-            for n in names
-        ]
-        plan = evaluate.RollingPlan(
-            window=int(cfg["window"]),
-            step=int(cfg["step"]),
-            horizons=tuple(hs),
-            max_origins=cfg.get("max_origins"),
+    lags, kernel, scales = _lags(cfg, horizons), _kernel(cfg), _scales(cfg)
+    models = [
+        benchmarks.ModelSpec(
+            name=n, p=lags, kernel=kernel, scales=scales, weight_window=cfg.get("weight_window")
         )
-        reports.append(
-            evaluate.rolling_evaluate(
-                series, models, plan, benchmark=cfg["benchmark"], jobs=int(cfg["jobs"])
-            )
-        )
-    report = _merge_reports(reports)
-    # present entries in the requested horizon order
-    report.plan = evaluate.RollingPlan(
-        window=int(cfg["window"]), step=int(cfg["step"]), horizons=horizons,
+        for n in names
+    ]
+    plan = evaluate.RollingPlan(
+        window=int(cfg["window"]),
+        step=int(cfg["step"]),
+        horizons=horizons,
         max_origins=cfg.get("max_origins"),
+    )
+    report = evaluate.rolling_evaluate(
+        series, models, plan, benchmark=cfg["benchmark"], jobs=int(cfg["jobs"])
     )
     evaluate.store_report(report, out)
     if cfg.get("forecasts_output"):
@@ -359,14 +329,9 @@ def cmd_simulate(cfg: dict) -> int:
     result = sim.simulate(scenario)
     store_series(result.series, out)
     if cfg.get("truth_output"):
-        cols = ["u", "phi0"] + [f"phi{i}" for i in range(1, scenario.p + 1)] + ["sigma"]
-        lines = [",".join(cols)]
-        for i in range(len(result.u)):
-            row = [format_value(result.u[i]), format_value(result.intercept[i])]
-            row += [format_value(v) for v in result.coefficients[i]]
-            row.append(format_value(result.sigma[i]))
-            lines.append(",".join(row))
-        atomic_write(cfg["truth_output"], "\n".join(lines) + "\n")
+        header = ["u", "phi0"] + [f"phi{i}" for i in range(1, scenario.p + 1)] + ["sigma"]
+        truth = np.column_stack([result.u, result.intercept, result.coefficients, result.sigma])
+        write_csv(cfg["truth_output"], header, (map(format_value, row) for row in truth.tolist()))
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"simulated {scenario.T} observations (seed {scenario.seed}) to {out}")

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .benchmarks import ModelSpec
+from .forecast import FORECAST_COLUMNS
 from .locreg import EstimationError
-from .series import VolatilitySeries, atomic_write, format_value
+from .series import VolatilitySeries, format_value, write_csv
 
 __all__ = [
     "RollingPlan",
@@ -188,13 +189,18 @@ def _forecast_one_origin(args) -> tuple[int, dict[tuple[str, int], float], list[
     out: dict[tuple[str, int], float] = {}
     failures: list[str] = []
     for model in models:
-        try:
-            fc = model.forecast_all(window_values, horizons)
-        except _MODEL_FAILURES as exc:  # failures become missing values
-            failures.append(f"{model.display}: {type(exc).__name__}: {exc}")
-            continue
-        for h, value in fc.items():
-            out[(model.display, h)] = value
+        # a ModelSpec fails or succeeds per AR order; other models as a whole
+        groups = (horizons,)
+        if isinstance(model, ModelSpec):
+            groups = model.horizon_groups(horizons).values()
+        for hs in groups:
+            try:
+                fc = model.forecast_all(window_values, hs)
+            except _MODEL_FAILURES as exc:  # failures become missing values
+                failures.append(f"{model.display}: {type(exc).__name__}: {exc}")
+                continue
+            for h, value in fc.items():
+                out[(model.display, h)] = value
     return origin, out, failures
 
 
@@ -219,7 +225,10 @@ def rolling_evaluate(
 
     Model failures at an origin (EstimationError, LinAlgError,
     FloatingPointError or ValueError) are recorded and the affected
-    forecasts are treated as missing; ratio and DM columns pair each model
+    forecasts are treated as missing.  A ModelSpec is called once per AR
+    order of its horizons (`ModelSpec.horizon_groups`), so a failing order
+    costs only its own horizons and counts once; an order with no horizon
+    left at an origin is not called.  Ratio and DM columns pair each model
     with the benchmark on origins where both produced a forecast.  Any other
     exception propagates.
     """
@@ -257,15 +266,16 @@ def rolling_evaluate(
             for msg in fails:
                 failures[msg] = failures.get(msg, 0) + 1
 
+    # records are ordered by origin, then horizon, then model name
     records: list[ForecastRecord] = []
     table: dict[tuple[str, int], dict[int, tuple[float, float]]] = {}
     for T0 in origins:
         out = results[T0]
-        for h in plan.horizons:
+        for h in sorted(plan.horizons):
             if T0 + h > T:
                 continue
             realized = float(values[T0 + h - 1])
-            for name in names:
+            for name in sorted(names):
                 key = (name, h)
                 if key not in out:
                     continue
@@ -380,37 +390,28 @@ def format_report(report: EvaluationReport) -> str:
 
 def store_report(report: EvaluationReport, path: str) -> None:
     """Write the evaluation summary as a long-format CSV."""
-    lines = ["model,h,loss,n,n_paired,value,ratio,dm_stat,p_better,p_worse,marks"]
+    header = "model,h,loss,n,n_paired,value,ratio,dm_stat,p_better,p_worse,marks".split(",")
+    rows = []
     for (name, h), e in sorted(report.entries.items(), key=lambda kv: (kv[0][1], kv[0][0])):
         for loss, value, ratio, dm, marks in (
             ("rmse", e.rmse, e.rmse_ratio, e.dm_sq, e.marks_sq),
             ("mae", e.mae, e.mae_ratio, e.dm_abs, e.marks_abs),
         ):
-            cells = [
-                name,
-                str(h),
-                loss,
-                str(e.n),
-                str(e.n_paired),
-                format_value(value),
-                format_value(ratio),
-                format_value(dm.stat) if dm else "",
-                format_value(dm.p_better) if dm else "",
-                format_value(dm.p_worse) if dm else "",
-                marks,
-            ]
-            lines.append(",".join(cells))
-    atomic_write(path, "\n".join(lines) + "\n")
+            dm_cells = map(format_value, (dm.stat, dm.p_better, dm.p_worse)) if dm else ("", "", "")
+            rows.append(
+                (name, str(h), loss, str(e.n), str(e.n_paired), format_value(value),
+                 format_value(ratio), *dm_cells, marks)
+            )
+    write_csv(path, header, rows)
 
 
 def store_forecast_records(report: EvaluationReport, path: str) -> None:
     """Write every rolling forecast as `origin_date,target_date,h,model,forecast`."""
-    lines = ["origin_date,target_date,h,model,forecast"]
-    for r in report.records:
-        lines.append(
-            ",".join([r.origin_date, r.target_date, str(r.horizon), r.model, format_value(r.forecast)])
-        )
-    atomic_write(path, "\n".join(lines) + "\n")
+    rows = (
+        (r.origin_date, r.target_date, str(r.horizon), r.model, format_value(r.forecast))
+        for r in report.records
+    )
+    write_csv(path, FORECAST_COLUMNS, rows)
 
 
 def grid_search(

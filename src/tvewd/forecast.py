@@ -17,15 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .locreg import (
-    COND_THRESHOLD,
     CenteredSeries,
     EstimationError,
     KernelSpec,
     TvpArFit,
+    _checked_lstsq,
     center,
     fit_tvp_ar,
 )
-from .series import VolatilitySeries, atomic_write, format_value
+from .series import VolatilitySeries, format_value, write_csv
 from .wold import MultiscaleConfig, MultiscaleDecomposition, decompose
 
 __all__ = [
@@ -40,6 +40,9 @@ __all__ = [
     "tvewd_forecast_window",
     "store_forecasts",
 ]
+
+
+FORECAST_COLUMNS = ("origin_date", "target_date", "h", "model", "forecast")
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,6 @@ def estimate_weights(
     centered: np.ndarray,
     components: list[np.ndarray],
     window: int | None = None,
-    cond_threshold: float = COND_THRESHOLD,
 ) -> ScaleWeights:
     """Estimate scale weights by no-intercept least squares.
 
@@ -95,7 +97,7 @@ def estimate_weights(
 
     Raises EstimationError when fewer defined rows than scales remain or the
     component matrix is too collinear (relative condition number beyond
-    cond_threshold).
+    COND_THRESHOLD).
     """
     C = np.column_stack(components)
     y = np.asarray(centered, dtype=float)
@@ -112,13 +114,7 @@ def estimate_weights(
             "window too short for the configured decomposition depth"
         )
     Cs, ys = C[idx], y[idx]
-    w, _, rank, svals = np.linalg.lstsq(Cs, ys, rcond=None)
-    smin = svals[-1] if len(svals) == J else 0.0
-    cond = float("inf") if smin <= 0.0 else float(svals[0] / smin)
-    if rank < J or cond > cond_threshold:
-        raise EstimationError(
-            f"collinear scale components: condition number {cond:.3g} exceeds {cond_threshold:.3g}"
-        )
+    w, cond = _checked_lstsq(Cs, ys, "collinear scale components")
     ss_res = float(np.sum((ys - Cs @ w) ** 2))
     ss_tot = float(np.sum(ys * ys))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
@@ -226,17 +222,9 @@ def tvewd_forecast(series, cfg: ForecastConfig, horizon: int = 1) -> ForecastPoi
 
 def store_forecasts(points: list[ForecastPoint], path: str) -> None:
     """Write forecasts as an `origin_date,target_date,h,model,forecast` CSV."""
-    lines = ["origin_date,target_date,h,model,forecast"]
-    for pt in points:
-        lines.append(
-            ",".join(
-                [
-                    pt.origin_date or "",
-                    pt.target_date or "",
-                    str(pt.horizon),
-                    pt.model,
-                    format_value(pt.value),
-                ]
-            )
-        )
-    atomic_write(path, "\n".join(lines) + "\n")
+    rows = (
+        (pt.origin_date or "", pt.target_date or "", str(pt.horizon), pt.model,
+         format_value(pt.value))
+        for pt in points
+    )
+    write_csv(path, FORECAST_COLUMNS, rows)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import VolatilitySeries, atomic_write, format_value
+from .series import VolatilitySeries, format_value, write_csv
 
 __all__ = [
     "EstimationError",
@@ -83,22 +83,33 @@ def _as_values(series) -> np.ndarray:
     return np.asarray(series, dtype=float)
 
 
+def _checked_lstsq(A: np.ndarray, b: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """Least-squares solution of A x = b, by SVD, and the condition number of A.
+
+    Every least-squares solve of the package goes through this guard: it
+    raises EstimationError, with `what` leading the message, if A is rank
+    deficient or its condition number exceeds COND_THRESHOLD.
+    """
+    n = A.shape[1]
+    x, _, rank, svals = np.linalg.lstsq(A, b, rcond=None)
+    smin = svals[-1] if len(svals) == n else 0.0
+    cond = float("inf") if smin <= 0.0 else float(svals[0] / smin)
+    if rank < n or cond > COND_THRESHOLD:
+        raise EstimationError(f"{what}: condition number {cond:.3g} exceeds {COND_THRESHOLD:.3g}")
+    return x, cond
+
+
 def local_linear(
-    y: np.ndarray,
-    X: np.ndarray,
-    tau: np.ndarray,
-    u: float,
-    kernel: KernelSpec,
-    cond_threshold: float = COND_THRESHOLD,
+    y: np.ndarray, X: np.ndarray, tau: np.ndarray, u: float, kernel: KernelSpec
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Weighted local linear solve at evaluation point u.
 
     Regresses y on [X, (tau - u) * X] with weights K((tau - u)/b), solved by
-    SVD-based least squares.  Returns (levels, slopes, condition number).
+    `_checked_lstsq`.  Returns (levels, slopes, condition number).
 
     Raises EstimationError if fewer active observations than parameters or
     if the relative condition number of the weighted design exceeds
-    cond_threshold.
+    COND_THRESHOLD.
 
     This is the single-point oracle: `fit_tvp_ar`, `boundary_fit` and
     `local_level` solve many points at once by batched normal equations
@@ -120,15 +131,7 @@ def local_linear(
     Z[:, :m] = Xa
     Z[:, m:] = Xa * offs[active, None]
     Z *= sw[:, None]
-    yw = y[active] * sw
-    theta, _, rank, svals = np.linalg.lstsq(Z, yw, rcond=None)
-    smin = svals[-1] if len(svals) == 2 * m else 0.0
-    cond = float("inf") if smin <= 0.0 else float(svals[0] / smin)
-    if rank < 2 * m or cond > cond_threshold:
-        raise EstimationError(
-            f"singular local system at u={u:.6g}: condition number {cond:.3g} "
-            f"exceeds {cond_threshold:.3g}"
-        )
+    theta, cond = _checked_lstsq(Z, y[active] * sw, f"singular local system at u={u:.6g}")
     return theta[:m], theta[m:], cond
 
 
@@ -138,7 +141,6 @@ def _local_linear_grid(
     tau: np.ndarray,
     ugrid: np.ndarray,
     kernel: KernelSpec,
-    cond_threshold: float = COND_THRESHOLD,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`local_linear` at every point of ugrid, as batched normal equations.
 
@@ -150,10 +152,10 @@ def _local_linear_grid(
     flattened outer products per block of observations, then one batched
     solve.  cond is sqrt(lmax/lmin) of the uncentred Gram matrix Z'WZ,
     i.e. the cond(Z) that `local_linear` bounds.  Rows with fewer than 2m
-    active observations or a cond estimate above FALLBACK_COND (or above
-    cond_threshold, if lower) are re-solved by `local_linear`, so a
-    singular window raises the EstimationError of a loop over
-    `local_linear`, at the same first failing point.
+    active observations or a cond estimate above FALLBACK_COND are
+    re-solved by `local_linear`, so a singular window raises the
+    EstimationError of a loop over `local_linear`, at the same first
+    failing point.
     """
     n, m = X.shape
     b = kernel.bandwidth
@@ -169,7 +171,6 @@ def _local_linear_grid(
     B = np.zeros((2 * m, 2 * m))
     B[:m, :m] = M
     B[m:, m:] = b * M
-    limit = min(FALLBACK_COND, cond_threshold)
     compact = kernel.family != "gaussian"
     C = GRID_CHUNK
     G = len(ugrid)
@@ -204,7 +205,7 @@ def _local_linear_grid(
         lam = np.linalg.eigvalsh(B.T @ gram @ B)
         with np.errstate(divide="ignore", invalid="ignore"):
             est = np.where(lam[:, 0] > 0.0, np.sqrt(lam[:, -1] / lam[:, 0]), np.inf)
-        flagged = (active < 2 * m) | ~(est <= limit)
+        flagged = (active < 2 * m) | ~(est <= FALLBACK_COND)
         gram[flagged] = np.eye(2 * m)
         theta = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
         theta[:, 0] -= theta[:, 1:m] @ mu[1:]
@@ -215,7 +216,7 @@ def _local_linear_grid(
         cond[rows] = est[:k]
         for i in np.flatnonzero(flagged[:k]):
             levels[start + i], slopes[start + i], cond[start + i] = local_linear(
-                y, X, tau, float(u[i]), kernel, cond_threshold
+                y, X, tau, float(u[i]), kernel
             )
     return levels, slopes, cond
 
@@ -365,12 +366,7 @@ def boundary_fit(series, p: int, kernel: KernelSpec, at_end: bool = True) -> tup
     return levels[0], slopes[0], float(cond[0])
 
 
-def local_level(
-    series,
-    kernel: KernelSpec,
-    u: float | np.ndarray | None = None,
-    cond_threshold: float = COND_THRESHOLD,
-):
+def local_level(series, kernel: KernelSpec, u: float | np.ndarray | None = None):
     """Local linear level (trend) of a series in rescaled time.
 
     Fits a weighted straight line in t/T around each evaluation point and
@@ -381,17 +377,17 @@ def local_level(
 
     The evaluation points are solved together by the batched normal
     equations of `fit_tvp_ar` with X = 1; points whose cond(Z) estimate
-    exceeds FALLBACK_COND (or cond_threshold, if lower) are re-solved by
-    `local_linear`, which applies cond_threshold exactly.  A level does not
-    depend on which other points are evaluated with it, so local_level(s,
-    k, u=tau[-p:]) equals local_level(s, k)[-p:] bit for bit.
+    exceeds FALLBACK_COND are re-solved by `local_linear`, which applies
+    COND_THRESHOLD exactly.  A level does not depend on which other points
+    are evaluated with it, so local_level(s, k, u=tau[-p:]) equals
+    local_level(s, k)[-p:] bit for bit.
     """
     values = _as_values(series)
     T = len(values)
     tau = np.arange(1, T + 1, dtype=float) / T
     scalar = u is not None and np.ndim(u) == 0
     grid = tau if u is None else np.atleast_1d(np.asarray(u, dtype=float))
-    levels, _, _ = _local_linear_grid(values, np.ones((T, 1)), tau, grid, kernel, cond_threshold)
+    levels, _, _ = _local_linear_grid(values, np.ones((T, 1)), tau, grid, kernel)
     out = levels[:, 0]
     return float(out[0]) if scalar else out
 
@@ -413,9 +409,6 @@ def center(fit: TvpArFit) -> CenteredSeries:
 
 def export_curves(fit: TvpArFit, path: str) -> None:
     """Write coefficient curves as a `u,phi0,...,phip` CSV."""
-    cols = ["u"] + [f"phi{i}" for i in range(fit.p + 1)]
-    lines = [",".join(cols)]
-    for g in range(len(fit.grid)):
-        row = [format_value(fit.grid[g])] + [format_value(v) for v in fit.phi[g]]
-        lines.append(",".join(row))
-    atomic_write(path, "\n".join(lines) + "\n")
+    header = ["u"] + [f"phi{i}" for i in range(fit.p + 1)]
+    table = np.column_stack([fit.grid, fit.phi])
+    write_csv(path, header, (map(format_value, row) for row in table.tolist()))

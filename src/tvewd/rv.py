@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import VolatilitySeries, atomic_write, format_value
+from .series import VolatilitySeries, format_value, write_csv
 
 __all__ = [
     "DataQualityError",
@@ -244,7 +244,4 @@ def rv_pipeline(
 
 def store_rv(dates: np.ndarray, rv: np.ndarray, path: str) -> None:
     """Write a `date,rv` CSV."""
-    lines = ["date,rv"]
-    for d, v in zip(dates, rv):
-        lines.append(f"{d},{format_value(v)}")
-    atomic_write(path, "\n".join(lines) + "\n")
+    write_csv(path, ("date", "rv"), zip(map(str, dates), map(format_value, rv)))

@@ -12,7 +12,7 @@ import csv
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "store_series",
     "format_value",
     "atomic_write",
+    "write_csv",
 ]
 
 
@@ -47,6 +48,18 @@ def atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Iterable[str]]) -> None:
+    """Write a CSV atomically: the header line, then one line per row.
+
+    Cells are already formatted text without commas or line breaks; they
+    are joined by commas and every line, the last included, ends in LF.
+    """
+    lines = [",".join(header)]
+    lines.extend(map(",".join, rows))
+    lines.append("")
+    atomic_write(path, "\n".join(lines))
 
 
 @dataclass
@@ -139,10 +152,8 @@ def load_series(path: str, label: str | None = None, value_column: str = "value"
 
 def store_series(series: VolatilitySeries, path: str, value_column: str = "value") -> None:
     """Write a VolatilitySeries as a `date,value` CSV (atomic replace)."""
-    lines = [f"date,{value_column}"]
-    for d, v in zip(series.dates, series.values):
-        lines.append(f"{d},{format_value(v)}")
-    atomic_write(path, "\n".join(lines) + "\n")
+    rows = zip(series.dates.astype(str), map(format_value, series.values))
+    write_csv(path, ("date", value_column), rows)
 
 
 def business_dates(start: str, n: int) -> np.ndarray:

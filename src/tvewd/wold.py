@@ -21,12 +21,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .locreg import TvpArFit
-from .series import atomic_write, format_value
+from .series import format_value, write_csv
 
 __all__ = [
     "ExplosiveWarning",
@@ -46,6 +47,11 @@ __all__ = [
 ]
 
 ABS_ALPHA_GUARD = 1e12
+# MA weights of an explosive row overflow to inf, and the Haar sums and
+# components built from them to inf or NaN.  That is their defined value:
+# ar_to_ma's ExplosiveWarning and the NaN components report such rows, so
+# the Wold step silences numpy's own overflow and invalid-value warnings.
+_EXPLOSIVE = {"over": "ignore", "invalid": "ignore"}
 
 
 class ExplosiveWarning(UserWarning):
@@ -93,7 +99,8 @@ def ar_to_ma(phi: np.ndarray, H: int) -> np.ndarray:
     alpha(0) = 1 and alpha(h) = sum_{i=1..min(h,p)} phi_i alpha(h-i).
     Accepts a (p,) vector or a (G, p) matrix of coefficient rows; returns
     matching (H+1,) or (G, H+1).  Explosive inputs are allowed but trigger
-    an ExplosiveWarning once sum |alpha| exceeds the overflow guard.
+    an ExplosiveWarning once sum |alpha| exceeds the overflow guard or is
+    NaN (weights that overflowed to inf - inf).
 
     The recursion runs on a lag-major (H+p, G) buffer whose first p-1 rows
     are zero, so each lag is one reduction over the p products of every
@@ -115,15 +122,16 @@ def ar_to_ma(phi: np.ndarray, H: int) -> np.ndarray:
     cols = np.zeros((p, width))
     cols[:, :G] = mat.T
     terms = np.empty((p, width))
-    for r in range(p, H + p):
-        # rows r-1, r-2, ..., r-p hold alpha(h-1), ..., alpha(h-p) for h = r-p+1
-        stop = r - p - 1 if r > p else None
-        np.multiply(cols, lags[r - 1 : stop : -1], out=terms)
-        np.add.reduce(terms, axis=0, out=lags[r])
-    # row-major like its input, so a row of alpha and of its betas is contiguous
-    alpha = np.ascontiguousarray(lags[p - 1 :, :G].T)
-    total = np.sum(np.abs(alpha), axis=1)
-    if np.any(total > ABS_ALPHA_GUARD):
+    with np.errstate(**_EXPLOSIVE):
+        for r in range(p, H + p):
+            # rows r-1, r-2, ..., r-p hold alpha(h-1), ..., alpha(h-p) for h = r-p+1
+            stop = r - p - 1 if r > p else None
+            np.multiply(cols, lags[r - 1 : stop : -1], out=terms)
+            np.add.reduce(terms, axis=0, out=lags[r])
+        # row-major like its input, so a row of alpha and of its betas is contiguous
+        alpha = np.ascontiguousarray(lags[p - 1 :, :G].T)
+        total = np.sum(np.abs(alpha), axis=1)
+    if not np.all(total <= ABS_ALPHA_GUARD):
         warnings.warn(
             f"MA weights exceed overflow guard (max sum |alpha| = {float(np.max(total)):.3g}); "
             "AR is explosive over the truncation window",
@@ -159,10 +167,11 @@ def extended_wold_beta(alpha: np.ndarray, config: MultiscaleConfig) -> list[np.n
     """
     s = _haar_head(alpha, config)
     betas: list[np.ndarray] = []
-    for j in range(1, config.J + 1):
-        even, odd = s[..., 0::2], s[..., 1::2]
-        betas.append(_haar_factor(j) * (even - odd))
-        s = even + odd
+    with np.errstate(**_EXPLOSIVE):
+        for j in range(1, config.J + 1):
+            even, odd = s[..., 0::2], s[..., 1::2]
+            betas.append(_haar_factor(j) * (even - odd))
+            s = even + odd
     return betas
 
 
@@ -172,8 +181,9 @@ def scaling_gamma(alpha: np.ndarray, config: MultiscaleConfig) -> np.ndarray:
     The sums s_J of the same pyramid as `extended_wold_beta`, scaled by 2^(-J/2).
     """
     s = _haar_head(alpha, config)
-    for _ in range(config.J):
-        s = s[..., 0::2] + s[..., 1::2]
+    with np.errstate(**_EXPLOSIVE):
+        for _ in range(config.J):
+            s = s[..., 0::2] + s[..., 1::2]
     return _haar_factor(config.J) * s
 
 
@@ -231,8 +241,9 @@ def _component(surface: np.ndarray, innov: np.ndarray, spacing: int) -> np.ndarr
         # window i covers innov[i : i + width] and ends at t = i + width - 1;
         # stepping back from its end by `spacing` gives k = 0..K-1
         windows = sliding_window_view(innov, width)[offset + first - width + 1 :, ::-spacing]
-        terms = np.multiply(surface[first:], windows, order="C")
-        out[first:] = terms.sum(axis=1)
+        with np.errstate(**_EXPLOSIVE):
+            terms = np.multiply(surface[first:], windows, order="C")
+            out[first:] = terms.sum(axis=1)
     return out
 
 
@@ -436,14 +447,16 @@ def haar_energy_gap(alpha: np.ndarray, config: MultiscaleConfig) -> float:
 
 def store_beta_surface(decomp: MultiscaleDecomposition, path: str) -> None:
     """Write the beta surface as a `u,j,k,beta` CSV."""
-    lines = ["u,j,k,beta"]
-    for r in range(decomp.n_rows):
-        u = format_value(decomp.grid[r])
-        for j in range(1, decomp.config.J + 1):
-            row = decomp.betas[j - 1][r]
-            for k in range(len(row)):
-                lines.append(f"{u},{j},{k},{format_value(row[k])}")
-    atomic_write(path, "\n".join(lines) + "\n")
+    js = [str(j) for j in range(1, decomp.config.J + 1)]
+    ks = [[str(k) for k in range(b.shape[1])] for b in decomp.betas]
+    # u is formatted once per row; tolist() gives Python floats, whose repr
+    # is the text format_value writes
+    rows = chain.from_iterable(
+        zip(repeat(u), repeat(js[j]), ks[j], map(repr, beta[r].tolist()))
+        for r, u in enumerate(map(format_value, decomp.grid))
+        for j, beta in enumerate(decomp.betas)
+    )
+    write_csv(path, ("u", "j", "k", "beta"), rows)
 
 
 def store_shares(shares: PersistenceShares, path: str) -> None:
@@ -451,10 +464,11 @@ def store_shares(shares: PersistenceShares, path: str) -> None:
 
     Falls back to the row index when the decomposition carries no dates.
     """
-    lines = ["date,j,share"]
     n, J = shares.shares.shape
-    for r in range(n):
-        key = str(shares.dates[r]) if shares.dates is not None else str(r)
-        for j in range(1, J + 1):
-            lines.append(f"{key},{j},{format_value(shares.shares[r, j - 1])}")
-    atomic_write(path, "\n".join(lines) + "\n")
+    keys = map(str, shares.dates if shares.dates is not None else range(n))
+    js = [str(j) for j in range(1, J + 1)]
+    rows = chain.from_iterable(
+        zip(repeat(key), js, map(format_value, row))
+        for key, row in zip(keys, shares.shares.tolist())
+    )
+    write_csv(path, ("date", "j", "share"), rows)

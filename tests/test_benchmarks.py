@@ -253,6 +253,8 @@ def test_model_spec_validation_and_display():
     spec = ModelSpec(name="TVEWD", label="TVEWD-J5")
     assert spec.display == "TVEWD-J5"
     assert ModelSpec(name="HAR").display == "HAR"
+    with pytest.raises(ValueError, match="no AR order for horizons \\[5\\]"):
+        ModelSpec(name="TVAR", p={"1": 2}).forecast_all(ar1_path(0.6, 400, seed=79), (1, 5))
 
 
 def test_model_spec_dispatch_matches_direct_calls():

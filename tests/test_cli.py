@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +388,18 @@ def test_forecast_fits_once_per_lag_and_matches_per_horizon_route(tmp_path, monk
     forecast.store_forecasts(points, str(expected))
     assert out.read_bytes() == expected.read_bytes()
 
+    # the library route: one spec with the per-horizon map, equal bit for bit
+    fits.clear()
+    mapped = ModelSpec(
+        name=model,
+        p={22: 6, 1: 2, 5: 6},
+        kernel=KernelSpec("epanechnikov", 0.3),
+        scales=MultiscaleConfig(J=7, N=4),
+    )
+    assert mapped.p == ((1, 2), (5, 6), (22, 6)) and hash(mapped) is not None
+    assert mapped.forecast_all(window, (5, 1, 22)) == {pt.horizon: pt.value for pt in points}
+    assert fits == ([6, 2] if model == "TVEWD" else [])
+
 
 def test_forecast_unknown_series_key(tmp_path, capsys):
     series_csv = tmp_path / "series.csv"
@@ -539,6 +552,58 @@ def test_evaluate_lag_mapping_groups_horizons(tmp_path):
     lines = out.read_text().splitlines()
     horizons = {line.split(",")[1] for line in lines[1:]}
     assert horizons == {"1", "5"}
+
+
+def evaluate_with_lags(tmp_path, name, lags, models, window, horizons):
+    """Run `tvewd evaluate` on the golden series with a lag map; returns
+    the report CSV text and the forecasts CSV lines."""
+    series_csv = tmp_path / "series.csv"
+    build_eval_series(series_csv)
+    fc_csv = tmp_path / f"{name}.fc.csv"
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps({"lags": lags, "forecasts_output": str(fc_csv)}))
+    out = tmp_path / f"{name}.report.csv"
+    argv = ["evaluate", "--input", str(series_csv), "--output", str(out), "--config", str(cfg),
+            "--models", models, "--benchmark", "HAR", "--window", str(window), "--horizon", horizons]
+    assert main(argv) == 0
+    return out.read_text(), fc_csv.read_text().splitlines()
+
+
+def test_evaluate_origin_count_does_not_depend_on_horizon_order(tmp_path, capsys):
+    """One rolling evaluation covers every AR order: the header counts the
+    origins of the shortest horizon however the horizons are listed."""
+    lags = {"1": 1, "5": 2, "22": 2}
+    report_a, records_a = evaluate_with_lags(tmp_path, "a", lags, "TVAR,HAR", 100, "1,5,22")
+    table_a = capsys.readouterr().out
+    report_b, records_b = evaluate_with_lags(tmp_path, "b", lags, "TVAR,HAR", 100, "22,5,1")
+    table_b = capsys.readouterr().out
+    assert "origins 60)" in table_a.splitlines()[0]
+    assert table_b.splitlines()[0] == table_a.splitlines()[0]
+    assert report_b == report_a
+    assert records_b == records_a
+    # rows by origin, then horizon ascending, then model name
+    keys = [(origin, int(h), model) for origin, _, h, model, _ in (r.split(",") for r in records_a[1:])]
+    assert keys == sorted(keys)
+
+
+def test_evaluate_isolates_failures_per_ar_order(tmp_path, capsys):
+    """A window too short for p = 6 costs only the horizons mapped to p = 6,
+    and counts once per origin that still has such a horizon."""
+    _, records = evaluate_with_lags(tmp_path, "w", {"1": 2, "5": 6}, "TVEWD,TVAR,HAR", 120, "1,5")
+    table = capsys.readouterr().out
+    counts = Counter((model, int(h)) for _, _, h, model, _ in (r.split(",") for r in records[1:]))
+    assert (counts["TVAR", 1], counts["TVAR", 5]) == (40, 0)
+    assert (counts["HAR", 1], counts["HAR", 5]) == (40, 36)
+    too_short = "EstimationError: series too short: 120 observations for p=6 (need more than 140)"
+    failures = [line.strip() for line in table.split("failures:\n")[1].split("\n\n")[0].splitlines()]
+    # the p = 6 group has no horizon at the last 4 of the 40 origins, so it
+    # is neither fitted nor counted there
+    assert failures == [
+        f"[36x] TVAR: {too_short}",
+        "[40x] TVEWD: EstimationError: only 0 usable rows for 7 scale weights; "
+        "window too short for the configured decomposition depth",
+        f"[36x] TVEWD: {too_short}",
+    ]
 
 
 def test_evaluate_rejects_unknown_model(tmp_path, capsys):

@@ -307,6 +307,10 @@ def test_harness_input_validation():
     short = make_series(90, seed=99)
     with pytest.raises(ValueError, match="cannot support"):
         rolling_evaluate(short, models, plan, benchmark="TVAR")
+    # a lag map without a planned horizon is a usage error, not a model failure
+    unmapped = [ModelSpec(name="TVAR", p={5: 1}, kernel=KERN)]
+    with pytest.raises(ValueError, match="no AR order"):
+        rolling_evaluate(series, unmapped, plan, benchmark="TVAR")
 
 
 def test_records_carry_realized_targets_and_horizon_filter():

@@ -1,7 +1,12 @@
 """Series container and CSV round-trip tests."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tvewd.series import (
     VolatilitySeries,
@@ -10,6 +15,7 @@ from tvewd.series import (
     format_value,
     load_series,
     store_series,
+    write_csv,
 )
 
 
@@ -106,3 +112,60 @@ def test_atomic_write_replaces_existing(tmp_path):
     with open(path) as fh:
         assert fh.read() == "b\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+MAX_DOUBLE = np.finfo(float).max
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(-5e-308, 5e-308, allow_subnormal=True),
+            st.floats(0.99 * MAX_DOUBLE, MAX_DOUBLE).flatmap(lambda x: st.sampled_from([x, -x])),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+@example([5e-324, -5e-324, 0.0, -0.0, MAX_DOUBLE, -MAX_DOUBLE, 2.2250738585072014e-308])
+def test_store_load_round_trips_every_finite_double(values):
+    """Subnormals, signed zeros and the largest doubles come back bit for bit,
+    one LF-terminated line per observation after the header."""
+    s = make_series(values)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.csv")
+        store_series(s, path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        back = load_series(path)
+    assert data.endswith(b"\n") and data.count(b"\n") == 1 + len(values)
+    assert data.split(b"\n", 1)[0] == b"date,value"
+    np.testing.assert_array_equal(back.values.view(np.int64), s.values.view(np.int64))
+    np.testing.assert_array_equal(back.dates, s.dates)
+
+
+CELL = st.text(st.characters(blacklist_characters=",\n\r", blacklist_categories=("Cs",)), max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda width: st.tuples(
+            st.lists(CELL, min_size=width, max_size=width),
+            st.lists(st.lists(CELL, min_size=width, max_size=width), max_size=20),
+        )
+    )
+)
+def test_write_csv_writes_the_header_then_one_lf_line_per_row(table):
+    header, rows = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        write_csv(path, header, iter(rows))
+        with open(path, "rb") as fh:
+            data = fh.read()
+        assert os.listdir(tmp) == ["t.csv"]
+    assert data.endswith(b"\n")
+    lines = data.decode("utf-8").split("\n")[:-1]
+    assert lines == [",".join(header)] + [",".join(row) for row in rows]

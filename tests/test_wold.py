@@ -203,6 +203,13 @@ def test_ar_to_ma_batch_matches_rows():
 def test_ar_to_ma_explosive_warning():
     with pytest.warns(ExplosiveWarning):
         ar_to_ma(np.array([1.5]), 256)
+    # overflow to inf - inf leaves NaN weights; they warn as well, and numpy
+    # adds no overflow warnings of its own
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        alpha = ar_to_ma(np.array([10.0, -30.0, 40.0]), 512)
+    assert np.isnan(alpha).any()
+    assert [w.category for w in caught] == [ExplosiveWarning]
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +501,11 @@ def test_overflowing_row_is_nan_and_left_out_of_weights():
     bad = cfg.H + 20
     clean = decompose(make_fit(phi1, eps), cfg)
     phi1[bad] = 5.0  # 5^h overflows to inf from h = 441, inside the 512 lags
-    with pytest.warns(ExplosiveWarning), np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         decomp = decompose(make_fit(phi1, eps), cfg)
+    # the ExplosiveWarning alone reports the row: no numpy overflow warnings
+    assert [w.category for w in caught] == [ExplosiveWarning]
     others = np.arange(G) != bad
     for comp, ok in zip(decomp.components, clean.components):
         assert np.isnan(comp[bad])
