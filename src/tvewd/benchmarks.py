@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forecast import (
-    ForecastConfig,
-    combine_forecast,
-    estimate_weights,
-    forecast_scale,
-    tvewd_forecast_window,
-)
+from .forecast import ForecastConfig, _multiscale_points, tvewd_forecast_window
 from .locreg import (
     EstimationError,
     KernelSpec,
@@ -170,8 +164,8 @@ def ewd_static_forecast(
     horizons: tuple[int, ...],
     weight_window: int | None = None,
 ) -> dict[int, float]:
-    """Static multiscale pipeline: OLS AR(p), then the same decomposition,
-    weight estimation and per-scale forecasting with time-invariant alpha.
+    """Static multiscale pipeline: OLS AR(p), then the decomposition with
+    time-invariant alpha and the multiscale chain TVEWD runs.
 
     The static analog of the local level is the global OLS straight line in
     rescaled time; centering and the trend forecast use that line.
@@ -182,20 +176,11 @@ def ewd_static_forecast(
     tau = np.arange(1, T + 1, dtype=float) / T
     line, _ = _checked_lstsq(np.column_stack([np.ones(T), tau]), values, "singular trend design")
     trend_curve = line[0] + line[1] * tau
-    trend = float(trend_curve[-1])
     decomp = decompose_static(coef[1:], residuals, scales)
-    centered_rows = values[p:] - trend_curve[p:]
-    weights = estimate_weights(centered_rows, decomp.components, weight_window)
-    out: dict[int, float] = {}
-    for h in horizons:
-        parts = np.array(
-            [
-                forecast_scale(decomp.betas[j - 1][-1], decomp.innovations[j - 1], j, h)
-                for j in range(1, scales.J + 1)
-            ]
-        )
-        out[h] = combine_forecast(trend, weights.weights, parts)
-    return out
+    points = _multiscale_points(
+        decomp, values[p:] - trend_curve[p:], float(trend_curve[-1]), horizons, weight_window
+    )
+    return {pt.horizon: pt.value for pt in points}
 
 
 @dataclass(frozen=True)

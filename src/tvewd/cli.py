@@ -10,6 +10,7 @@ a machine-readable JSON error record on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -155,7 +156,7 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
     if hasattr(args, "horizon") and args.horizon:
         overrides["horizons"] = [int(x) for x in args.horizon.split(",")]
     for key in ("model", "models", "window", "p", "bandwidth", "series", "scenario", "benchmark", "step"):
-        if hasattr(args, key.replace("-", "_")) and getattr(args, key) is not None:
+        if hasattr(args, key) and getattr(args, key) is not None:
             overrides[key] = getattr(args, key)
     if "models" in overrides and isinstance(overrides["models"], str):
         overrides["models"] = overrides["models"].split(",")
@@ -317,15 +318,7 @@ def cmd_simulate(cfg: dict) -> int:
     out = _require(cfg, "output", "simulate")
     scenario = sim.load_scenario(scenario_path)
     if cfg.get("seed") is not None:
-        scenario = sim.TvpArScenario(
-            p=scenario.p,
-            T=scenario.T,
-            coefficients=scenario.coefficients,
-            intercept=scenario.intercept,
-            sigma=scenario.sigma,
-            seed=int(cfg["seed"]),
-            label=scenario.label,
-        )
+        scenario = dataclasses.replace(scenario, seed=int(cfg["seed"]))
     result = sim.simulate(scenario)
     store_series(result.series, out)
     if cfg.get("truth_output"):

@@ -11,6 +11,7 @@ lag truncation h - 1.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -252,16 +253,13 @@ def rolling_evaluate(
 
     results: dict[int, dict[tuple[str, int], float]] = {}
     failures: dict[str, int] = {}
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with contextlib.ExitStack() as stack:
+        mapped = map(_forecast_one_origin, tasks)
+        if jobs > 1:
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
             chunk = max(1, len(tasks) // (8 * jobs))
-            for origin, out, fails in pool.map(_forecast_one_origin, tasks, chunksize=chunk):
-                results[origin] = out
-                for msg in fails:
-                    failures[msg] = failures.get(msg, 0) + 1
-    else:
-        for task in tasks:
-            origin, out, fails = _forecast_one_origin(task)
+            mapped = pool.map(_forecast_one_origin, tasks, chunksize=chunk)
+        for origin, out, fails in mapped:
             results[origin] = out
             for msg in fails:
                 failures[msg] = failures.get(msg, 0) + 1

@@ -20,10 +20,9 @@ from .locreg import (
     CenteredSeries,
     EstimationError,
     KernelSpec,
-    TvpArFit,
     _checked_lstsq,
-    center,
     fit_tvp_ar,
+    local_level,
 )
 from .series import VolatilitySeries, format_value, write_csv
 from .wold import MultiscaleConfig, MultiscaleDecomposition, decompose
@@ -153,55 +152,62 @@ def combine_forecast(trend: float, weights: np.ndarray, parts: np.ndarray) -> fl
     return trend + float(np.sum(weights * parts))
 
 
-@dataclass
-class _WindowState:
-    """Shared per-window state so several horizons reuse one fit."""
+def _multiscale_points(
+    decomp: MultiscaleDecomposition,
+    centered: np.ndarray,
+    trend: float,
+    horizons: tuple[int, ...],
+    weight_window: int | None,
+) -> list[ForecastPoint]:
+    """The multiscale chain shared by TVEWD and its time-invariant case EWD.
 
-    fit: TvpArFit
-    centered: CenteredSeries
-    decomp: MultiscaleDecomposition
-    weights: ScaleWeights
-    trend: float
-
-
-def _prepare_window(values: np.ndarray, cfg: ForecastConfig) -> _WindowState:
-    fit = fit_tvp_ar(values, cfg.p, cfg.kernel)
-    centered = center(fit)
-    # only rows with a full shock history enter the weights, and the forecast
-    # reads the boundary row, so the rows before them are not decomposed
-    decomp = decompose(fit, cfg.scales, start=cfg.scales.first_full_row(len(fit.residuals)))
-    rows = centered.values[cfg.p + decomp.start :]
-    weights = estimate_weights(rows, decomp.components, cfg.weight_window)
-    # the trend curve's last point sits at u = 1, i.e. the boundary level
-    trend = forecast_trend(centered)
-    return _WindowState(fit=fit, centered=centered, decomp=decomp, weights=weights, trend=trend)
+    `centered` holds the centred values of the decomposition's rows and
+    `trend` the level at u = 1.  The scale weights are estimated once; each
+    horizon forecasts every scale from its boundary betas and combines them
+    with the trend.
+    """
+    weights = estimate_weights(centered, decomp.components, weight_window)
+    points = []
+    for h in horizons:
+        parts = np.array(
+            [
+                forecast_scale(decomp.betas[j - 1][-1], decomp.innovations[j - 1], j, h)
+                for j in range(1, decomp.config.J + 1)
+            ]
+        )
+        points.append(
+            ForecastPoint(
+                horizon=h,
+                value=combine_forecast(trend, weights.weights, parts),
+                trend=trend,
+                scale_parts=parts,
+                weights=weights.weights.copy(),
+            )
+        )
+    return points
 
 
 def tvewd_forecast_window(
     values: np.ndarray, cfg: ForecastConfig, horizons: tuple[int, ...]
 ) -> list[ForecastPoint]:
-    """Forecast several horizons from one fitted window."""
-    state = _prepare_window(np.asarray(values, dtype=float), cfg)
-    J = cfg.scales.J
-    points = []
-    for h in horizons:
-        parts = np.array(
-            [
-                forecast_scale(state.decomp.betas[j - 1][-1], state.decomp.innovations[j - 1], j, h)
-                for j in range(1, J + 1)
-            ]
-        )
-        value = combine_forecast(state.trend, state.weights.weights, parts)
-        points.append(
-            ForecastPoint(
-                horizon=h,
-                value=value,
-                trend=state.trend,
-                scale_parts=parts,
-                weights=state.weights.weights.copy(),
-            )
-        )
-    return points
+    """Forecast several horizons from one fitted window.
+
+    Only the rows the forecast reads are decomposed and levelled: residual
+    rows from `first_full_row` on, the first with a full shock history, to
+    the boundary row.  A local level does not depend on which other points
+    are evaluated with it, so these levels equal the same rows of
+    `center(fit).trend` bit for bit, and the last of them sits at u = 1.
+    """
+    values = np.asarray(values, dtype=float)
+    fit = fit_tvp_ar(values, cfg.p, cfg.kernel)
+    start = cfg.scales.first_full_row(len(fit.residuals))
+    decomp = decompose(fit, cfg.scales, start=start)
+    T = len(values)
+    first = cfg.p + start  # the observation of residual row `start`
+    level = local_level(values, cfg.kernel, u=np.arange(first + 1, T + 1, dtype=float) / T)
+    return _multiscale_points(
+        decomp, values[first:] - level, float(level[-1]), horizons, cfg.weight_window
+    )
 
 
 def tvewd_forecast(series, cfg: ForecastConfig, horizon: int = 1) -> ForecastPoint:

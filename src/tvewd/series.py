@@ -25,6 +25,8 @@ __all__ = [
     "write_csv",
 ]
 
+SERIES_COLUMNS = ("date", "value")
+
 
 def format_value(x: float) -> str:
     """Render a float with full round-trip precision.
@@ -124,13 +126,13 @@ def _parse_rows(path: str, expected_header: tuple[str, ...]) -> list[list[str]]:
     return rows[1:]
 
 
-def load_series(path: str, label: str | None = None, value_column: str = "value") -> VolatilitySeries:
+def load_series(path: str, label: str | None = None) -> VolatilitySeries:
     """Load a `date,value` CSV into a VolatilitySeries.
 
     Malformed rows (bad date, non-numeric value, wrong arity) raise
     ValueError naming the 1-based data row number.
     """
-    rows = _parse_rows(path, ("date", value_column))
+    rows = _parse_rows(path, SERIES_COLUMNS)
     dates: list[str] = []
     values: list[float] = []
     for i, row in enumerate(rows, start=1):
@@ -150,10 +152,10 @@ def load_series(path: str, label: str | None = None, value_column: str = "value"
     return VolatilitySeries(np.array(dates, dtype="datetime64[D]"), np.array(values), name)
 
 
-def store_series(series: VolatilitySeries, path: str, value_column: str = "value") -> None:
+def store_series(series: VolatilitySeries, path: str) -> None:
     """Write a VolatilitySeries as a `date,value` CSV (atomic replace)."""
     rows = zip(series.dates.astype(str), map(format_value, series.values))
-    write_csv(path, ("date", value_column), rows)
+    write_csv(path, SERIES_COLUMNS, rows)
 
 
 def business_dates(start: str, n: int) -> np.ndarray:

@@ -154,16 +154,15 @@ def _haar_head(alpha: np.ndarray, config: MultiscaleConfig) -> np.ndarray:
     return alpha[..., :H]
 
 
-def extended_wold_beta(alpha: np.ndarray, config: MultiscaleConfig) -> list[np.ndarray]:
-    """Detail coefficients beta_j(k) for j = 1..J.
-
-    alpha may be (H',) or (G, H') with H' >= config.H; returns one array per
-    scale with trailing axis of length config.n_translates(j).
+def _haar_pyramid(
+    alpha: np.ndarray, config: MultiscaleConfig
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Detail coefficients beta_j for j = 1..J and the scaling gamma_J.
 
     One Haar pyramid of pairwise sums: s_0 = alpha, and at scale j the even
     and odd entries of s_{j-1} (the sums over the two halves of each 2^j
     block) give beta_j = 2^(-j/2) (even - odd) and s_j = even + odd, so a
-    row costs O(H) work over all scales.
+    row costs O(H) work over all scales; gamma_J = 2^(-J/2) s_J.
     """
     s = _haar_head(alpha, config)
     betas: list[np.ndarray] = []
@@ -172,7 +171,17 @@ def extended_wold_beta(alpha: np.ndarray, config: MultiscaleConfig) -> list[np.n
             even, odd = s[..., 0::2], s[..., 1::2]
             betas.append(_haar_factor(j) * (even - odd))
             s = even + odd
-    return betas
+    return betas, _haar_factor(config.J) * s
+
+
+def extended_wold_beta(alpha: np.ndarray, config: MultiscaleConfig) -> list[np.ndarray]:
+    """Detail coefficients beta_j(k) for j = 1..J.
+
+    alpha may be (H',) or (G, H') with H' >= config.H; returns one array per
+    scale with trailing axis of length config.n_translates(j), from the Haar
+    pyramid of `_haar_pyramid`.
+    """
+    return _haar_pyramid(alpha, config)[0]
 
 
 def scaling_gamma(alpha: np.ndarray, config: MultiscaleConfig) -> np.ndarray:
@@ -180,11 +189,7 @@ def scaling_gamma(alpha: np.ndarray, config: MultiscaleConfig) -> np.ndarray:
 
     The sums s_J of the same pyramid as `extended_wold_beta`, scaled by 2^(-J/2).
     """
-    s = _haar_head(alpha, config)
-    with np.errstate(**_EXPLOSIVE):
-        for _ in range(config.J):
-            s = s[..., 0::2] + s[..., 1::2]
-    return _haar_factor(config.J) * s
+    return _haar_pyramid(alpha, config)[1]
 
 
 def _window_sums(eps: np.ndarray, width: int) -> np.ndarray:
@@ -310,8 +315,7 @@ def _decompose_arrays(
     alpha holds MA weights per decomposed row (rows, H+1), or once for all
     rows (H+1,); innovations are built from every residual.
     """
-    betas = extended_wold_beta(alpha, config)
-    gamma = scaling_gamma(alpha, config)
+    betas, gamma = _haar_pyramid(alpha, config)
     if alpha.ndim == 1:
         rows = len(grid)
         alpha, gamma = (np.broadcast_to(a, (rows, len(a))) for a in (alpha, gamma))
@@ -367,25 +371,20 @@ def decompose(
 
 
 def decompose_static(
-    phi: np.ndarray,
-    residuals: np.ndarray,
-    config: MultiscaleConfig,
-    grid: np.ndarray | None = None,
-    dates: np.ndarray | None = None,
+    phi: np.ndarray, residuals: np.ndarray, config: MultiscaleConfig
 ) -> MultiscaleDecomposition:
     """Decompose with one time-invariant AR coefficient vector.
 
     The AR row is inverted and Haar-transformed once; alpha, betas and gamma
     are read-only broadcasts of that row across all residual rows, giving the
-    same machinery as `decompose` with constant surfaces.
+    same machinery as `decompose` with constant surfaces.  Residual row r
+    sits at rescaled time (r + 1)/G.
     """
-    phi = np.asarray(phi, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
     G = len(residuals)
-    if grid is None:
-        grid = np.arange(1, G + 1, dtype=float) / G
+    grid = np.arange(1, G + 1, dtype=float) / G
     alpha = ar_to_ma(phi, config.H)
-    return _decompose_arrays(alpha, residuals, np.asarray(grid, dtype=float), config, dates)
+    return _decompose_arrays(alpha, residuals, grid, config, None)
 
 
 @dataclass
@@ -436,8 +435,7 @@ def haar_energy_gap(alpha: np.ndarray, config: MultiscaleConfig) -> float:
     | sum beta^2 + sum gamma^2 - sum_{h<H} alpha(h)^2 | / sum_{h<H} alpha(h)^2
     """
     alpha = np.asarray(alpha, dtype=float)
-    betas = extended_wold_beta(alpha, config)
-    gamma = scaling_gamma(alpha, config)
+    betas, gamma = _haar_pyramid(alpha, config)
     energy = sum(float(np.sum(b * b)) for b in betas) + float(np.sum(gamma * gamma))
     target = float(np.sum(alpha[..., : config.H] ** 2))
     if target == 0.0:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tvewd.benchmarks import _ols_ar, ewd_static_forecast
 from tvewd.forecast import (
     ForecastConfig,
     combine_forecast,
@@ -699,6 +700,26 @@ def test_trailing_row_forecasts_equal_full_row_route(p, extra, weight_window, fa
         np.testing.assert_array_equal(tail.betas[j], full.betas[j][start:])
         np.testing.assert_array_equal(tail.components[j], full.components[j][start:])
         np.testing.assert_array_equal(tail.innovations[j], full.innovations[j])
+
+
+@pytest.mark.parametrize("p", [1, 2, 6])
+@pytest.mark.parametrize("weight_window", [None, 30])
+@settings(max_examples=4, deadline=None)
+@given(extra=st.integers(40, 200), seed=SEEDS)
+def test_ewd_forecasts_equal_the_static_chain(p, weight_window, extra, seed):
+    """EWD is the multiscale chain on the global OLS AR(p) fit, centred on the
+    OLS trend line; its forecasts equal that chain built step by step, bit for bit."""
+    scales = MultiscaleConfig(J=5, N=4)
+    values = simulated_window(seed, scales.H + p + extra)
+    T = len(values)
+    coef, residuals = _ols_ar(values, p)
+    tau = np.arange(1, T + 1, dtype=float) / T
+    line = np.linalg.lstsq(np.column_stack([np.ones(T), tau]), values, rcond=None)[0]
+    trend_curve = line[0] + line[1] * tau
+    decomp = decompose_static(coef[1:], residuals, scales)
+    weights = estimate_weights(values[p:] - trend_curve[p:], decomp.components, weight_window)
+    route = multiscale_forecasts(decomp, weights, float(trend_curve[-1]), HORIZONS)
+    assert ewd_static_forecast(values, p, scales, HORIZONS, weight_window) == route
 
 
 # ---------------------------------------------------------------------------
