@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NoReturn
+from warnings import catch_warnings, filterwarnings
 
 import numpy as np
 
@@ -67,36 +69,30 @@ class TradingCalendar:
     bins_per_day: int = 288
 
     def __post_init__(self):
-        self._cutoff_minutes = _parse_hhmm(self.session_cutoff)
+        # a session date is the calendar date of the clock moved forward by
+        # 24 h minus the cutoff (by nothing for a midnight cutoff)
+        self._shift = np.timedelta64(-_parse_hhmm(self.session_cutoff) % 1440 * 60, "s")
         if self.bins_per_day < 1:
             raise ValueError("bins_per_day must be >= 1")
         if self.open_offset_minutes < 0:
             raise ValueError("open_offset_minutes must be >= 0")
-        self._excluded = {np.datetime64(d, "D") for d in self.excluded_dates}
+        self._excluded = np.array(self.excluded_dates, dtype="datetime64[D]")
 
-    def is_excluded(self, day: np.datetime64) -> bool:
-        if day in self._excluded:
-            return True
-        ts = day.astype("datetime64[D]").astype(object)  # datetime.date
-        return (ts.month, ts.day) in FIXED_EXCLUSION_RULES
+    def is_excluded(self, days: np.ndarray) -> np.ndarray:
+        """Whether each date is in excluded_dates or on a fixed year-end day (a bool per date)."""
+        days = np.asarray(days, dtype="datetime64[D]")
+        months = days.astype("datetime64[M]")
+        month_day = (months.astype(np.int64) % 12 + 1) * 100 + (days - months).astype(np.int64) + 1
+        fixed = np.isin(month_day, [100 * m + d for m, d in FIXED_EXCLUSION_RULES])
+        return (fixed | np.isin(days, self._excluded))[()]  # [()] turns a 0-d result into a bool
 
     def session_date(self, timestamps: np.ndarray) -> np.ndarray:
         """Map tick timestamps to their session date."""
-        ts = timestamps.astype("datetime64[s]")
-        if self._cutoff_minutes == 0:
-            return ts.astype("datetime64[D]")
-        shifted = ts - np.timedelta64(self._cutoff_minutes * 60, "s")
-        return shifted.astype("datetime64[D]") + np.timedelta64(1, "D")
+        return (timestamps.astype("datetime64[s]") + self._shift).astype("datetime64[D]")
 
-    def session_open(self, day: np.datetime64) -> np.datetime64:
-        """Wall-clock open of the session labelled `day`."""
-        if self._cutoff_minutes == 0:
-            base = day.astype("datetime64[s]")
-        else:
-            base = (day - np.timedelta64(1, "D")).astype("datetime64[s]") + np.timedelta64(
-                self._cutoff_minutes * 60, "s"
-            )
-        return base + np.timedelta64(self.open_offset_minutes * 60, "s")
+    def session_open(self, day: np.ndarray) -> np.ndarray:
+        """Wall-clock open of the session labelled `day` (a date or an array of dates)."""
+        return day.astype("datetime64[s]") - self._shift + np.timedelta64(self.open_offset_minutes * 60, "s")
 
 
 @dataclass
@@ -109,48 +105,73 @@ class DayBars:
 
 
 def load_ticks(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Load a `timestamp,price` CSV.
+    """Load a `timestamp,price` CSV in one bulk read.
 
-    Returns timestamps (datetime64[s]) and prices.  Malformed rows,
-    non-positive prices and decreasing timestamps raise DataQualityError
-    naming the 1-based data row (ties in timestamps are allowed).
+    Returns timestamps (datetime64[s]) and prices.  Malformed rows, empty or
+    NaT timestamps, non-finite or non-positive prices and decreasing
+    timestamps raise DataQualityError naming the 1-based data row (ties in
+    timestamps are allowed).
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
+    with open(path, "r", encoding="utf-8") as fh:  # universal newlines, as np.loadtxt reads it
+        header = next(csv.reader(fh), None)
+        n_rows = sum(1 for _ in fh)
+    if header is None:
         raise DataQualityError(f"{path}: empty file")
-    header = tuple(h.strip() for h in rows[0])
+    header = tuple(h.strip() for h in header)
     if header != ("timestamp", "price"):
         raise DataQualityError(f"{path}: expected header 'timestamp,price', got {','.join(header)!r}")
-    stamps = []
-    prices = []
-    for i, row in enumerate(rows[1:], start=1):
-        if len(row) != 2:
-            raise DataQualityError(f"{path}: row {i}: expected 2 fields, got {len(row)}")
-        raw_ts, raw_p = row[0].strip(), row[1].strip()
-        try:
-            stamps.append(np.datetime64(raw_ts.replace(" ", "T"), "s"))
-        except ValueError as exc:
-            raise DataQualityError(f"{path}: row {i}: bad timestamp {raw_ts!r}") from exc
-        try:
-            p = float(raw_p)
-        except ValueError as exc:
-            raise DataQualityError(f"{path}: row {i}: bad price {raw_p!r}") from exc
-        if not math.isfinite(p) or p <= 0:
-            raise DataQualityError(f"{path}: row {i}: non-positive price {raw_p!r}")
-        prices.append(p)
-    ts = np.array(stamps, dtype="datetime64[s]")
-    px = np.array(prices, dtype=float)
-    if len(ts) > 1:
-        steps = np.diff(ts).astype(int)
-        if np.any(steps < 0):
-            bad = int(np.argmax(steps < 0))
-            raise DataQualityError(
-                f"{path}: row {bad + 2}: timestamps must be non-decreasing "
-                f"({ts[bad]} followed by {ts[bad + 1]})"
+    try:
+        with catch_warnings():
+            # numpy warns of a file with no rows, and of a timezone after a
+            # stamp followed by spaces (which it still parses right)
+            filterwarnings("ignore", "loadtxt: input contained no data|no explicit representation of timezones")
+            table = np.loadtxt(
+                path, dtype=[("t", "datetime64[s]"), ("p", "f8")], delimiter=",", skiprows=1,
+                comments=None, quotechar='"', ndmin=1, encoding="utf-8",
             )
+    except ValueError as exc:
+        _raise_first_bad_row(path, str(exc))
+    ts, px = table["t"].copy(), table["p"].copy()
+    # np.loadtxt skips empty lines, which are rows of no fields here
+    if len(table) != n_rows or np.any(np.isnat(ts)) or not np.all(np.isfinite(px) & (px > 0)):
+        _raise_first_bad_row(path, f"{len(table)} of {n_rows} rows read")
+    steps = np.diff(ts.view(np.int64))
+    if np.any(steps < 0):
+        bad = int(np.argmax(steps < 0))
+        raise DataQualityError(
+            f"{path}: row {bad + 2}: timestamps must be non-decreasing "
+            f"({ts[bad]} followed by {ts[bad + 1]})"
+        )
     return ts, px
+
+
+def _raise_first_bad_row(path: str, reason: str) -> NoReturn:
+    """Raise DataQualityError naming the first bad data row of a file the bulk read refused.
+
+    A file whose rows all pass (a price with digit-group underscores, say) is refused with `reason`.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        for i, row in enumerate(rows, start=1):
+            if len(row) != 2:
+                raise DataQualityError(f"{path}: row {i}: expected 2 fields, got {len(row)}")
+            raw_ts, raw_p = row[0].strip(), row[1].strip()
+            try:
+                bad_ts = np.isnat(np.datetime64(raw_ts.replace(" ", "T"), "s"))
+            except ValueError:
+                bad_ts = True
+            if bad_ts:
+                raise DataQualityError(f"{path}: row {i}: bad timestamp {raw_ts!r}")
+            try:
+                p = float(raw_p)
+            except ValueError as exc:
+                raise DataQualityError(f"{path}: row {i}: bad price {raw_p!r}") from exc
+            if not math.isfinite(p):
+                raise DataQualityError(f"{path}: row {i}: non-finite price {raw_p!r}")
+            if p <= 0:
+                raise DataQualityError(f"{path}: row {i}: non-positive price {raw_p!r}")
+    raise DataQualityError(f"{path}: unreadable tick rows ({reason})")
 
 
 def sample_five_minute(
@@ -161,36 +182,33 @@ def sample_five_minute(
     Each bin takes the last tick price at or before its end time; bins with
     no new tick carry the previous bin's price forward.  Leading bins before
     the day's first tick have no previous price and are dropped (recorded in
-    dropped_leading).  Excluded dates are skipped entirely.
+    dropped_leading).  Excluded dates are skipped entirely.  Sessions are
+    runs of the sorted ticks, so one search over all ticks places every bin end.
     """
     if len(timestamps) != len(prices):
         raise ValueError("timestamps and prices must have equal length")
-    if len(timestamps) == 0:
-        return []
     ts = timestamps.astype("datetime64[s]")
-    if len(ts) > 1 and np.any(np.diff(ts).astype(int) < 0):
-        bad = int(np.argmax(np.diff(ts).astype(int) < 0))
-        raise DataQualityError(
-            f"tick timestamps must be non-decreasing (violated at index {bad + 1})"
+    if np.any(np.isnat(ts)):
+        raise DataQualityError("tick timestamps must not be NaT")
+    steps = np.diff(ts.view(np.int64))
+    if np.any(steps < 0):
+        bad = int(np.argmax(steps < 0))
+        raise DataQualityError(f"tick timestamps must be non-decreasing (violated at index {bad + 1})")
+    days, starts, sizes = np.unique(calendar.session_date(ts), return_index=True, return_counts=True)
+    bin_ends = np.arange(1, calendar.bins_per_day + 1) * (BIN_MINUTES * 60)
+    ends = calendar.session_open(days).view(np.int64)[:, None] + bin_ends
+    # number of ticks at or before each bin end, counted from the session's first tick
+    counts = np.searchsorted(ts.view(np.int64), ends, side="right")
+    counts = np.clip(counts - starts[:, None], 0, sizes[:, None])
+    # counts never fall along a row, so the empty leading bins are its zeros
+    dropped = np.count_nonzero(counts == 0, axis=1)
+    return [
+        DayBars(date=day, prices=prices[start + row[first:] - 1], dropped_leading=first)
+        for day, start, first, row, excluded in zip(
+            days, starts, dropped.tolist(), counts, calendar.is_excluded(days)
         )
-    sessions = calendar.session_date(ts)
-    out: list[DayBars] = []
-    for day in np.unique(sessions):
-        if calendar.is_excluded(day):
-            continue
-        mask = sessions == day
-        day_ts = ts[mask].astype("int64")
-        day_px = prices[mask]
-        open_s = calendar.session_open(day).astype("int64")
-        ends = open_s + (np.arange(1, calendar.bins_per_day + 1)) * BIN_MINUTES * 60
-        # index of last tick with timestamp <= bin end
-        idx = np.searchsorted(day_ts, ends, side="right") - 1
-        first = int(np.argmax(idx >= 0)) if np.any(idx >= 0) else calendar.bins_per_day
-        kept = idx[first:]
-        if len(kept) == 0:
-            continue
-        out.append(DayBars(date=day, prices=day_px[kept], dropped_leading=first))
-    return out
+        if first < calendar.bins_per_day and not excluded
+    ]
 
 
 def realized_variance(days: list[DayBars]) -> tuple[np.ndarray, np.ndarray, list[str]]:

@@ -12,6 +12,7 @@ import csv
 import os
 import tempfile
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,13 +39,18 @@ def format_value(x: float) -> str:
     return repr(float(x))
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Write text to path atomically (temp file + rename)."""
+def atomic_write(path: str, text: str | Iterable[str]) -> None:
+    """Write text, or an iterable of text blocks, to path atomically (temp file + rename).
+
+    The whole file is written before this returns.  If the blocks raise
+    partway, the temporary file is removed and any previous file at path
+    is left as it was.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -52,16 +58,20 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
+CSV_BLOCK_LINES = 4096
+
+
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Iterable[str]]) -> None:
     """Write a CSV atomically: the header line, then one line per row.
 
     Cells are already formatted text without commas or line breaks; they
     are joined by commas and every line, the last included, ends in LF.
+    Lines are joined and written in blocks of CSV_BLOCK_LINES, so memory
+    stays bounded however many rows there are.
     """
-    lines = [",".join(header)]
-    lines.extend(map(",".join, rows))
-    lines.append("")
-    atomic_write(path, "\n".join(lines))
+    lines = map(",".join, chain([header], rows))
+    blocks = iter(lambda: list(islice(lines, CSV_BLOCK_LINES)), [])
+    atomic_write(path, ("\n".join(block) + "\n" for block in blocks))
 
 
 @dataclass

@@ -1,11 +1,23 @@
-"""Tick-to-volatility pipeline tests with hand-derived fixtures."""
+"""Tick-to-volatility pipeline tests with hand-derived fixtures.
 
+The bulk tick reader and the one-pass sampler are checked against the
+row-by-row loader and the per-session mask loop they replaced, kept here as
+oracles (`loop_load_ticks`, `loop_sample_five_minute`).
+"""
+
+import csv
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tvewd.rv import (
+    BIN_MINUTES,
+    FIXED_EXCLUSION_RULES,
     DataQualityError,
     DayBars,
     TradingCalendar,
@@ -213,3 +225,249 @@ def test_load_ticks_rejects_bad_rows(tmp_path):
     )
     with pytest.raises(DataQualityError, match="row 2"):
         load_ticks(path)
+
+
+def test_load_ticks_rejects_missing_timestamps_and_non_finite_prices(tmp_path):
+    path = str(tmp_path / "ticks.csv")
+    atomic_write(path, "timestamp,price\nNaT,100.0\n")
+    with pytest.raises(DataQualityError, match="row 1: bad timestamp 'NaT'"):
+        load_ticks(path)
+    atomic_write(path, "timestamp,price\n,100.0\n2021-03-02T09:01:00,100.0\n")
+    with pytest.raises(DataQualityError, match="row 1: bad timestamp ''"):
+        load_ticks(path)
+    atomic_write(path, "timestamp,price\n2021-03-02T09:01:00,10\n2021-03-02T09:02:00,nan\n")
+    with pytest.raises(DataQualityError, match="row 2: non-finite price 'nan'"):
+        load_ticks(path)
+    atomic_write(path, "timestamp,price\n2021-03-02T09:01:00,-inf\n")
+    with pytest.raises(DataQualityError, match="row 1: non-finite price '-inf'"):
+        load_ticks(path)
+
+
+def test_sample_rejects_nat_timestamps():
+    ts = np.array(["2021-03-02T09:01:00", "NaT"], dtype="datetime64[s]")
+    with pytest.raises(DataQualityError, match="NaT"):
+        sample_five_minute(ts, np.array([10.0, 11.0]), MORNING)
+
+
+# ---------------------------------------------------------------------------
+# the bulk tick reader against the row-by-row loader
+# ---------------------------------------------------------------------------
+
+def loop_load_ticks(path):
+    """One csv row at a time: one np.datetime64 and one float per row."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise DataQualityError(f"{path}: empty file")
+    header = tuple(h.strip() for h in rows[0])
+    if header != ("timestamp", "price"):
+        raise DataQualityError(f"{path}: expected header 'timestamp,price', got {','.join(header)!r}")
+    stamps = []
+    prices = []
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) != 2:
+            raise DataQualityError(f"{path}: row {i}: expected 2 fields, got {len(row)}")
+        raw_ts, raw_p = row[0].strip(), row[1].strip()
+        try:
+            stamp = np.datetime64(raw_ts.replace(" ", "T"), "s")
+        except ValueError as exc:
+            raise DataQualityError(f"{path}: row {i}: bad timestamp {raw_ts!r}") from exc
+        if np.isnat(stamp):
+            raise DataQualityError(f"{path}: row {i}: bad timestamp {raw_ts!r}")
+        stamps.append(stamp)
+        try:
+            p = float(raw_p)
+        except ValueError as exc:
+            raise DataQualityError(f"{path}: row {i}: bad price {raw_p!r}") from exc
+        if not math.isfinite(p):
+            raise DataQualityError(f"{path}: row {i}: non-finite price {raw_p!r}")
+        if p <= 0:
+            raise DataQualityError(f"{path}: row {i}: non-positive price {raw_p!r}")
+        prices.append(p)
+    ts = np.array(stamps, dtype="datetime64[s]")
+    px = np.array(prices, dtype=float)
+    if len(ts) > 1:
+        steps = np.diff(ts).astype(int)
+        if np.any(steps < 0):
+            bad = int(np.argmax(steps < 0))
+            raise DataQualityError(
+                f"{path}: row {bad + 2}: timestamps must be non-decreasing "
+                f"({ts[bad]} followed by {ts[bad + 1]})"
+            )
+    return ts, px
+
+
+TICK_FAULTS = {
+    "blank line": lambda row: None,
+    "1 field": lambda row: [row[0]],
+    "3 fields": lambda row: [row[0], row[1], "1"],
+    "bad stamp": lambda row: ["whenever", row[1]],
+    "month 13": lambda row: ["2021-13-02T09:00:00", row[1]],
+    "empty stamp": lambda row: ["", row[1]],
+    "NaT": lambda row: ["NaT", row[1]],
+    "bad price": lambda row: [row[0], "1.2.3"],
+    "empty price": lambda row: [row[0], ""],
+    "zero price": lambda row: [row[0], "0.0"],
+    "negative price": lambda row: [row[0], "-12.5"],
+    "nan price": lambda row: [row[0], "nan"],
+    "inf price": lambda row: [row[0], "inf"],
+    "decreasing stamp": lambda row: ["2020-01-01T00:00:00", row[1]],
+}
+
+
+@st.composite
+def tick_files(draw):
+    """A tick file as text: valid rows in varied layouts, then injected faults."""
+    n = draw(st.integers(0, 30))
+    base = np.datetime64("2021-03-01T17:30:00", "s")
+    offsets = np.cumsum(draw(st.lists(st.sampled_from([0, 1, 59, 300, 3600, 86399]), min_size=n, max_size=n)))
+    stamps = np.datetime_as_string(base + offsets.astype(np.int64), unit="s").tolist()
+    prices = draw(st.lists(
+        st.floats(1e-3, 1e4).map(repr) | st.sampled_from(["10", "5.", ".5", "+7.25", "1e2"]),
+        min_size=n, max_size=n,
+    ))
+    clean = [[t.replace("T", " ") if draw(st.booleans()) else t, p] for t, p in zip(stamps, prices)]
+    rows = list(clean)
+    for kind in draw(st.lists(st.sampled_from(sorted(TICK_FAULTS)), max_size=2)):
+        if rows:
+            at = draw(st.integers(0, len(rows) - 1))
+            rows[at] = TICK_FAULTS[kind](clean[at])
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    quote = draw(st.booleans())
+
+    def field(text):
+        if quote and draw(st.booleans()):
+            text = f'"{text}"'
+        # pad only after a quoted field: a space before the opening quote makes the quote literal text
+        return f"{text}{draw(pad)}" if text.startswith('"') else f"{draw(pad)}{text}{draw(pad)}"
+
+    lines = ["timestamp,price"] + ["" if row is None else ",".join(map(field, row)) for row in rows]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines)
+    return text + newline if draw(st.booleans()) else text
+
+
+@settings(max_examples=400, deadline=None)
+@given(tick_files())
+@example("timestamp,price\nNaT,100.0\n")
+@example(",price\n")
+@example("timestamp,price")
+@example("timestamp,price\n\n")
+@example("timestamp,price\n2021-03-02T09:01:00,10\n\n")
+@example(" timestamp , price \r\n 2021-03-02 09:01:00 , 10 \r\n")
+@example('timestamp,price\n"2021-03-02T09:01:00" ,"10"\n')
+@example('timestamp,price\n "2021-03-02T09:01:00",10\n')
+def test_load_ticks_matches_the_row_loop(text):
+    """Bitwise-equal arrays, or the loop's exact DataQualityError message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ticks.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        try:
+            want = loop_load_ticks(path)
+        except DataQualityError as exc:
+            with pytest.raises(DataQualityError) as got:
+                load_ticks(path)
+            assert str(got.value) == str(exc)
+            return
+        ts, px = load_ticks(path)
+    assert ts.dtype == want[0].dtype and px.dtype == want[1].dtype
+    np.testing.assert_array_equal(ts.view(np.int64), want[0].view(np.int64))
+    np.testing.assert_array_equal(px.view(np.int64), want[1].view(np.int64))
+
+
+def test_load_ticks_refuses_what_the_bulk_read_cannot_convert(tmp_path):
+    path = str(tmp_path / "ticks.csv")
+    atomic_write(path, "timestamp,price\n2021-03-02T09:01:00,1_000\n")
+    with pytest.raises(DataQualityError, match="unreadable tick rows"):
+        load_ticks(path)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass sampler against the per-session mask loop
+# ---------------------------------------------------------------------------
+
+def loop_sample_five_minute(timestamps, prices, calendar):
+    """One boolean mask over all ticks per session, with the calendar's rules
+    written out per date."""
+    hh, mm = map(int, calendar.session_cutoff.split(":"))
+    cutoff = hh * 60 + mm
+    excluded = {np.datetime64(d, "D") for d in calendar.excluded_dates}
+    ts = timestamps.astype("datetime64[s]")
+    if cutoff == 0:
+        sessions = ts.astype("datetime64[D]")
+    else:
+        sessions = (ts - np.timedelta64(cutoff * 60, "s")).astype("datetime64[D]") + np.timedelta64(1, "D")
+    out = []
+    for day in np.unique(sessions):
+        date = day.astype(object)
+        if day in excluded or (date.month, date.day) in FIXED_EXCLUSION_RULES:
+            continue
+        mask = sessions == day
+        day_ts = ts[mask].astype("int64")
+        day_px = prices[mask]
+        if cutoff == 0:
+            open_s = day.astype("datetime64[s]")
+        else:
+            open_s = (day - np.timedelta64(1, "D")).astype("datetime64[s]") + np.timedelta64(cutoff * 60, "s")
+        open_s = (open_s + np.timedelta64(calendar.open_offset_minutes * 60, "s")).astype("int64")
+        ends = open_s + np.arange(1, calendar.bins_per_day + 1) * BIN_MINUTES * 60
+        idx = np.searchsorted(day_ts, ends, side="right") - 1
+        first = int(np.argmax(idx >= 0)) if np.any(idx >= 0) else calendar.bins_per_day
+        kept = idx[first:]
+        if len(kept) == 0:
+            continue
+        out.append(DayBars(date=day, prices=day_px[kept], dropped_leading=first))
+    return out
+
+
+@st.composite
+def sampled_ticks(draw):
+    cutoff = draw(st.sampled_from(["00:00", "18:00"]) | st.builds(
+        "{:02d}:{:02d}".format, st.integers(0, 23), st.integers(0, 59)))
+    bins = draw(st.integers(1, 300))
+    offset = draw(st.integers(0, 24 * 60))
+    # the fixed year-end days fall in this span
+    start = np.datetime64("2020-12-21T00:00:00", "s") + draw(st.integers(0, 86399))
+    n = draw(st.integers(1, 120))
+    # few distinct step sizes, so tied stamps are common
+    steps = draw(st.lists(st.sampled_from([0, 0, 7, 299, 300, 301, 3600, 5 * 3600, 86400]), min_size=n, max_size=n))
+    ts = start + np.cumsum(steps).astype(np.int64)
+    prices = np.array(draw(st.lists(st.floats(1.0, 500.0), min_size=n, max_size=n)))
+    dates = np.unique(ts.astype("datetime64[D]")).astype(str).tolist()
+    excluded = tuple(draw(st.lists(st.sampled_from(dates), max_size=3, unique=True)))
+    calendar = TradingCalendar(
+        excluded_dates=excluded, session_cutoff=cutoff, open_offset_minutes=offset, bins_per_day=bins
+    )
+    return ts, prices, calendar
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampled_ticks())
+@example((  # every tick after the last bin end of its session
+    np.array(["2021-03-02T23:00:00", "2021-03-02T23:30:00"], dtype="datetime64[s]"),
+    np.array([10.0, 11.0]),
+    TradingCalendar(bins_per_day=3, open_offset_minutes=60),
+))
+@example((  # every tick before the first bin end, and a tie
+    np.array(["2021-03-02T00:10:00", "2021-03-02T00:10:00", "2021-03-03T18:00:00"], dtype="datetime64[s]"),
+    np.array([10.0, 11.0, 12.0]),
+    TradingCalendar(bins_per_day=1, open_offset_minutes=30, session_cutoff="18:00"),
+))
+def test_sample_five_minute_matches_the_session_loop(case):
+    ts, prices, calendar = case
+    got = sample_five_minute(ts, prices, calendar)
+    want = loop_sample_five_minute(ts, prices, calendar)
+    assert [d.date for d in got] == [d.date for d in want]
+    assert [type(d.dropped_leading) for d in got] == [int] * len(got)
+    assert [d.dropped_leading for d in got] == [d.dropped_leading for d in want]
+    for g, w in zip(got, want):
+        assert g.date.dtype == w.date.dtype
+        np.testing.assert_array_equal(g.prices.view(np.int64), w.prices.view(np.int64))
+
+
+def test_is_excluded_takes_an_array_of_dates():
+    cal = TradingCalendar(excluded_dates=("2021-07-05",))
+    days = np.array(["2020-12-24", "2021-07-05", "2021-07-06", "2021-01-02", "2021-01-03"], dtype="datetime64[D]")
+    assert cal.is_excluded(days).tolist() == [True, True, False, True, False]
+    assert [bool(cal.is_excluded(d)) for d in days] == [True, True, False, True, False]

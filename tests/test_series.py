@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tvewd.series import (
+    CSV_BLOCK_LINES,
     VolatilitySeries,
     atomic_write,
     business_dates,
@@ -169,3 +170,29 @@ def test_write_csv_writes_the_header_then_one_lf_line_per_row(table):
     assert data.endswith(b"\n")
     lines = data.decode("utf-8").split("\n")[:-1]
     assert lines == [",".join(header)] + [",".join(row) for row in rows]
+
+
+def test_write_csv_streams_blocks_with_the_bytes_of_one_join(tmp_path):
+    rows = [(str(i), format_value(i / 7.0)) for i in range(2 * CSV_BLOCK_LINES + 5)]
+    path = str(tmp_path / "t.csv")
+    write_csv(path, ("i", "x"), iter(rows))
+    one_join = "\n".join(["i,x"] + [",".join(row) for row in rows] + [""])
+    with open(path, "rb") as fh:
+        assert fh.read() == one_join.encode("utf-8")
+
+
+def test_write_csv_failing_partway_keeps_the_previous_file(tmp_path):
+    path = str(tmp_path / "t.csv")
+    write_csv(path, ("a",), [("old",)])
+
+    def rows():
+        for i in range(3 * CSV_BLOCK_LINES):
+            if i == 2 * CSV_BLOCK_LINES + 1:  # two blocks are already in the temporary file
+                raise RuntimeError("row source failed")
+            yield (str(i),)
+
+    with pytest.raises(RuntimeError, match="row source failed"):
+        write_csv(path, ("a",), rows())
+    with open(path, "rb") as fh:
+        assert fh.read() == b"a\nold\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]

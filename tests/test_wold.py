@@ -550,15 +550,39 @@ def exact_alpha(phi, H):
 SEEDS = st.integers(0, 2**32 - 1)
 
 
+def recursion_error_bound(phi, alpha):
+    """Running forward-error bound of the float recursion, one per lag.
+
+    Lag h sums m = min(h, p) products in order, so its own rounding is at
+    most gamma_m * sum_i |phi_i| |alpha(h-i)| (Higham, "Accuracy and
+    Stability of Numerical Algorithms", 2nd ed., sections 3.1 and 4.2), and
+    the errors of earlier lags carry forward through |phi|:
+    E(h) = sum_i |phi_i| E(h-i) + gamma * sum_i |phi_i| |alpha(h-i)|, E(0) = 0.
+    gamma_{p+1} stands in for gamma_m; its extra unit roundoff covers the
+    rounding of this float evaluation of E.
+    """
+    p = len(phi)
+    u = 2.0**-53
+    gamma = (p + 1) * u / (1 - (p + 1) * u)
+    a, m = np.abs(phi), np.abs(alpha)
+    bound = np.zeros(len(alpha))
+    for h in range(1, len(alpha)):
+        k = min(h, p)
+        prev = slice(h - 1, h - k - 1 if h > k else None, -1)  # lags h-1, ..., h-k
+        bound[h] = a[:k] @ bound[prev] + gamma * (a[:k] @ m[prev])
+    return bound
+
+
 @settings(max_examples=40, deadline=None)
 @given(p=st.integers(1, 12), modulus=st.floats(0.05, 0.99), seed=SEEDS)
+@example(p=11, modulus=0.9375, seed=49201)  # near the unit circle: 8.3e-10 off, within its bound
 def test_ar_to_ma_matches_exact_rational_recursion(p, modulus, seed):
     phi = stable_phi(np.random.default_rng(seed), p, modulus)
     H = 128
     exact = exact_alpha(phi, H)
     alpha = ar_to_ma(phi, H)
-    gap = max(abs(Fraction(float(x)) - a) for x, a in zip(alpha, exact))
-    assert float(gap) <= 1e-12 * float(max(abs(a) for a in exact))
+    gaps = [float(abs(Fraction(float(x)) - a)) for x, a in zip(alpha, exact)]
+    assert np.all(np.array(gaps) <= recursion_error_bound(phi, alpha))
 
 
 @settings(max_examples=40, deadline=None)
