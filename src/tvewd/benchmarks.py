@@ -24,8 +24,10 @@ from .forecast import ForecastConfig, _multiscale_points, tvewd_forecast_window
 from .locreg import (
     EstimationError,
     KernelSpec,
+    _attempt,
     _checked_lstsq,
     _design,
+    _single,
     boundary_fit,
     local_level,
     local_linear,
@@ -223,30 +225,48 @@ class ModelSpec:
             groups.setdefault(orders[h], []).append(h)
         return {p: tuple(hs) for p, hs in groups.items()}
 
-    def forecast_all(self, values: np.ndarray, horizons: tuple[int, ...]) -> dict[int, float]:
+    def forecast_all(self, values: np.ndarray, horizons: tuple[int, ...]) -> dict[int, float] | list:
         """Point forecasts for every horizon from one in-sample window.
 
         The window is fitted once per distinct AR order among the requested
         horizons; an order with no requested horizon is not fitted.
+
+        `values` may also be a (B, n) stack of windows of one length.  The
+        result then holds, per window, its forecasts or the model failure
+        (EstimationError, LinAlgError, FloatingPointError or ValueError) of
+        its first failing order: bit for bit what a one-window call returns
+        or raises.  Other exceptions propagate.  TVEWD fits and levels the
+        stack together (`tvewd_forecast_window`); the other models run
+        window by window.
         """
         values = np.asarray(values, dtype=float)
-        out: dict[int, float] = {}
+        windows = values.reshape(-1, values.shape[-1])  # one window is a stack of one
+        out: list = [{} for _ in windows]
         for p, hs in self.horizon_groups(horizons).items():
-            out.update(self._forecast_order(values, p, hs))
-        return out
+            alive = [i for i, fc in enumerate(out) if isinstance(fc, dict)]
+            results = self._forecast_order(windows[alive], p, hs) if alive else []
+            for i, fc in zip(alive, results):
+                out[i] = fc if isinstance(fc, Exception) else {**out[i], **fc}
+        return out if values.ndim == 2 else _single(out)
 
-    def _forecast_order(self, values: np.ndarray, p: int, horizons: tuple[int, ...]) -> dict:
-        """Forecasts for horizons that share the AR order p."""
+    def _forecast_order(self, windows: np.ndarray, p: int, horizons: tuple[int, ...]) -> list:
+        """Per window: forecasts for horizons that share the AR order p, or the model failure."""
+        if self.name == "TVEWD":
+            cfg = ForecastConfig(
+                p=p, scales=self.scales, kernel=self.kernel, weight_window=self.weight_window
+            )
+            return [
+                points if isinstance(points, Exception) else {pt.horizon: pt.value for pt in points}
+                for points in tvewd_forecast_window(windows, cfg, horizons)
+            ]
+        return [_attempt(self._forecast_window, values, p, horizons) for values in windows]
+
+    def _forecast_window(self, values: np.ndarray, p: int, horizons: tuple[int, ...]) -> dict:
+        """HAR, TVHAR, TVAR or EWD forecasts from one window for horizons that share the AR order p."""
         if self.name == "HAR":
             return {h: har_fit_forecast(values, h)[0] for h in horizons}
         if self.name == "TVHAR":
             return {h: tvhar_fit_forecast(values, h, self.kernel)[0] for h in horizons}
         if self.name == "TVAR":
             return tvar_forecast(values, p, horizons, self.kernel)
-        if self.name == "EWD":
-            return ewd_static_forecast(values, p, self.scales, horizons, self.weight_window)
-        cfg = ForecastConfig(
-            p=p, scales=self.scales, kernel=self.kernel, weight_window=self.weight_window
-        )
-        points = tvewd_forecast_window(values, cfg, horizons)
-        return {pt.horizon: pt.value for pt in points}
+        return ewd_static_forecast(values, p, self.scales, horizons, self.weight_window)

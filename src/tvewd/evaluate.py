@@ -16,10 +16,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .benchmarks import ModelSpec
 from .forecast import FORECAST_COLUMNS
-from .locreg import EstimationError
+from .locreg import _attempt
 from .series import VolatilitySeries, format_value, write_csv
 
 __all__ = [
@@ -40,10 +41,9 @@ __all__ = [
 
 MIN_DM_OBS = 30
 P_THRESHOLDS = (0.10, 0.05, 0.01)
-# What a model may raise on a window it cannot fit: singular or too-short
-# windows, and the numerical and precondition errors of the solvers.  Any
-# other exception is a bug and propagates out of rolling_evaluate.
-_MODEL_FAILURES = (EstimationError, np.linalg.LinAlgError, FloatingPointError, ValueError)
+# Most consecutive origins scored as one block, whose windows a ModelSpec
+# receives as one stack.
+BLOCK_ORIGINS = 32
 
 
 def rmse(errors: np.ndarray) -> float:
@@ -185,24 +185,39 @@ def _origin_list(T: int, plan: RollingPlan) -> list[int]:
     return origins
 
 
-def _forecast_one_origin(args) -> tuple[int, dict[tuple[str, int], float], list[str]]:
-    origin, window_values, models, horizons = args
-    out: dict[tuple[str, int], float] = {}
+def _origin_blocks(T: int, plan: RollingPlan) -> list[tuple[list[int], tuple[int, ...]]]:
+    """Runs of at most BLOCK_ORIGINS consecutive origins that keep the same horizons."""
+    blocks: list[tuple[list[int], tuple[int, ...]]] = []
+    for T0 in _origin_list(T, plan):
+        horizons = tuple(h for h in plan.horizons if T0 + h <= T)
+        if blocks and blocks[-1][1] == horizons and len(blocks[-1][0]) < BLOCK_ORIGINS:
+            blocks[-1][0].append(T0)
+        else:
+            blocks.append(([T0], horizons))
+    return blocks
+
+
+def _forecast_block(args) -> tuple[list[int], list[dict[tuple[str, int], float]], list[str]]:
+    origins, span, window, step, models, horizons = args
+    windows = sliding_window_view(span, window)[::step]  # one row per origin
+    outs: list[dict[tuple[str, int], float]] = [{} for _ in origins]
     failures: list[str] = []
     for model in models:
-        # a ModelSpec fails or succeeds per AR order; other models as a whole
-        groups = (horizons,)
+        # a ModelSpec fails or succeeds per AR order and takes the block as
+        # one stack; other models fail as a whole, one window at a time
         if isinstance(model, ModelSpec):
             groups = model.horizon_groups(horizons).values()
-        for hs in groups:
-            try:
-                fc = model.forecast_all(window_values, hs)
-            except _MODEL_FAILURES as exc:  # failures become missing values
-                failures.append(f"{model.display}: {type(exc).__name__}: {exc}")
-                continue
-            for h, value in fc.items():
-                out[(model.display, h)] = value
-    return origin, out, failures
+            stacks = [model.forecast_all(windows, hs) for hs in groups]
+        else:
+            stacks = [[_attempt(model.forecast_all, values, horizons) for values in windows]]
+        for results in stacks:
+            for out, fc in zip(outs, results):
+                if isinstance(fc, Exception):  # failures become missing values
+                    failures.append(f"{model.display}: {type(fc).__name__}: {fc}")
+                    continue
+                for h, value in fc.items():
+                    out[(model.display, h)] = value
+    return origins, outs, failures
 
 
 def rolling_evaluate(
@@ -221,8 +236,15 @@ def rolling_evaluate(
             benchmark.
         plan: window length, step, horizons, optional origin cap.
         benchmark: display name of the ratio/DM reference model.
-        jobs: origins are independent; jobs > 1 evaluates them in parallel
-            processes with a deterministic, order-independent reduction.
+        jobs: origins are independent; jobs > 1 evaluates blocks of them
+            in parallel processes with a deterministic, order-independent
+            reduction.
+
+    Origins are scored in blocks of up to BLOCK_ORIGINS consecutive origins
+    with the same horizons; the blocks do not depend on `jobs`.  A ModelSpec
+    receives a block's windows as one strided stack of the series
+    (`ModelSpec.forecast_all`), and every window's forecasts are bit for
+    bit those of a one-window call.
 
     Model failures at an origin (EstimationError, LinAlgError,
     FloatingPointError or ValueError) are recorded and the affected
@@ -246,21 +268,21 @@ def rolling_evaluate(
         )
     origins = _origin_list(T, plan)
     values = series.values
-    tasks = []
-    for T0 in origins:
-        horizons = tuple(h for h in plan.horizons if T0 + h <= T)
-        tasks.append((T0, values[T0 - plan.window : T0].copy(), tuple(models), horizons))
+    tasks = [
+        (block, values[block[0] - plan.window : block[-1]].copy(), plan.window, plan.step,
+         tuple(models), horizons)
+        for block, horizons in _origin_blocks(T, plan)
+    ]
 
     results: dict[int, dict[tuple[str, int], float]] = {}
     failures: dict[str, int] = {}
     with contextlib.ExitStack() as stack:
-        mapped = map(_forecast_one_origin, tasks)
+        mapped = map(_forecast_block, tasks)
         if jobs > 1:
             pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
-            chunk = max(1, len(tasks) // (8 * jobs))
-            mapped = pool.map(_forecast_one_origin, tasks, chunksize=chunk)
-        for origin, out, fails in mapped:
-            results[origin] = out
+            mapped = pool.map(_forecast_block, tasks)
+        for block, outs, fails in mapped:
+            results.update(zip(block, outs))
             for msg in fails:
                 failures[msg] = failures.get(msg, 0) + 1
 

@@ -17,10 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .locreg import (
+    _MODEL_FAILURES,
     CenteredSeries,
     EstimationError,
     KernelSpec,
+    _attempt,
     _checked_lstsq,
+    _single,
     fit_tvp_ar,
     local_level,
 )
@@ -187,9 +190,7 @@ def _multiscale_points(
     return points
 
 
-def tvewd_forecast_window(
-    values: np.ndarray, cfg: ForecastConfig, horizons: tuple[int, ...]
-) -> list[ForecastPoint]:
+def tvewd_forecast_window(values: np.ndarray, cfg: ForecastConfig, horizons: tuple[int, ...]) -> list:
     """Forecast several horizons from one fitted window.
 
     Only the rows the forecast reads are decomposed and levelled: residual
@@ -197,17 +198,36 @@ def tvewd_forecast_window(
     the boundary row.  A local level does not depend on which other points
     are evaluated with it, so these levels equal the same rows of
     `center(fit).trend` bit for bit, and the last of them sits at u = 1.
+
+    `values` may also be a (B, n) stack of windows of one length.  The
+    stack is fitted and levelled in one call each, which builds the kernel
+    weights once for all windows; each window is then decomposed and
+    weighted on its own.  The result holds, per window, its list of points
+    or the model failure that window raised, bit for bit what a one-window
+    call returns or raises.
     """
     values = np.asarray(values, dtype=float)
-    fit = fit_tvp_ar(values, cfg.p, cfg.kernel)
-    start = cfg.scales.first_full_row(len(fit.residuals))
-    decomp = decompose(fit, cfg.scales, start=start)
-    T = len(values)
+    stack = values.reshape(-1, values.shape[-1])  # one window is a stack of one
+    T = stack.shape[1]
+    start = cfg.scales.first_full_row(T - cfg.p)
     first = cfg.p + start  # the observation of residual row `start`
-    level = local_level(values, cfg.kernel, u=np.arange(first + 1, T + 1, dtype=float) / T)
-    return _multiscale_points(
-        decomp, values[first:] - level, float(level[-1]), horizons, cfg.weight_window
-    )
+    try:
+        fits = fit_tvp_ar(stack, cfg.p, cfg.kernel)
+        levels = local_level(stack, cfg.kernel, u=np.arange(first + 1, T + 1, dtype=float) / T)
+    except _MODEL_FAILURES as exc:  # preconditions on n, which fail every window
+        fits = levels = [exc] * len(stack)
+
+    def points(window, fit, level):
+        decomp = decompose(fit, cfg.scales, start=start)
+        return _multiscale_points(
+            decomp, window[first:] - level, float(level[-1]), horizons, cfg.weight_window
+        )
+
+    results = [
+        fit if isinstance(fit, Exception) else _attempt(points, window, fit, level)
+        for window, fit, level in zip(stack, fits, levels)
+    ]
+    return results if values.ndim == 2 else _single(results)
 
 
 def tvewd_forecast(series, cfg: ForecastConfig, horizon: int = 1) -> ForecastPoint:

@@ -46,10 +46,28 @@ KERNEL_FAMILIES = ("epanechnikov", "gaussian", "uniform")
 GRID_CHUNK = 64
 COLUMN_BLOCK = 128
 FALLBACK_COND = 1e6
+# Most bytes of per-observation moments one solve builds for a stack of
+# windows; a larger stack is solved in slices of windows under this size,
+# so the solver's memory stays bounded whatever the AR order.
+STACK_BYTES = 4 << 20
 
 
 class EstimationError(RuntimeError):
     """Raised when a local system is singular or a precondition fails."""
+
+
+# What a model may raise on a window it cannot fit: singular or too-short
+# windows, and the numerical and precondition errors of the solvers.  Any
+# other exception is a bug and propagates.
+_MODEL_FAILURES = (EstimationError, np.linalg.LinAlgError, FloatingPointError, ValueError)
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the model failure it raised."""
+    try:
+        return fn(*args)
+    except _MODEL_FAILURES as exc:
+        return exc
 
 
 @dataclass(frozen=True)
@@ -68,12 +86,25 @@ class KernelSpec:
 
 def kernel_weights(x: np.ndarray, family: str) -> np.ndarray:
     """Evaluate the kernel at standardized offsets x = (t/T - u)/b."""
+    x = np.asarray(x, dtype=float)
+    return _kernel_weights(x, family, np.empty(x.shape))
+
+
+def _kernel_weights(x: np.ndarray, family: str, out: np.ndarray) -> np.ndarray:
+    """`kernel_weights(x, family)` written into out; the default kernel makes no temporaries."""
     if family == "epanechnikov":
-        return np.where(np.abs(x) <= 1.0, 0.75 * (1.0 - x * x), 0.0)
+        # 0.75 (1 - x^2), which is negative exactly where |x| > 1; fmax sets
+        # that, and NaN, to 0
+        np.multiply(x, x, out=out)
+        np.subtract(1.0, out, out=out)
+        out *= 0.75
+        return np.fmax(out, 0.0, out=out)
     if family == "gaussian":
-        return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+        out[...] = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+        return out
     if family == "uniform":
-        return np.where(np.abs(x) <= 1.0, 0.5, 0.0)
+        out[...] = np.where(np.abs(x) <= 1.0, 0.5, 0.0)
+        return out
     raise ValueError(f"unknown kernel family {family!r}")
 
 
@@ -141,42 +172,65 @@ def _local_linear_grid(
     tau: np.ndarray,
     ugrid: np.ndarray,
     kernel: KernelSpec,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`local_linear` at every point of ugrid, as batched normal equations.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[EstimationError | None]]:
+    """`local_linear` at every point of ugrid, for a stack of windows, as batched normal equations.
 
-    X[:, 0] must be the intercept column and tau must be ascending.  The
-    other columns are centred on their mean and the offsets scaled to
-    d = (tau - u)/b, so each chunk of grid points needs the kernel moments
-    sum_t K(d) d^k x_t x_t' (k = 0, 1, 2) and sum_t K(d) d^k x_t y_t
-    (k = 0, 1): one GEMM of the stacked moment weights against the
-    flattened outer products per block of observations, then one batched
-    solve.  cond is sqrt(lmax/lmin) of the uncentred Gram matrix Z'WZ,
-    i.e. the cond(Z) that `local_linear` bounds.  Rows with fewer than 2m
-    active observations or a cond estimate above FALLBACK_COND are
-    re-solved by `local_linear`, so a singular window raises the
-    EstimationError of a loop over `local_linear`, at the same first
-    failing point.
+    y is (B, n) and X is (B, n, m): B windows of one geometry, which share
+    tau, ugrid and the kernel.  X[..., 0] must be the intercept column and
+    tau must be ascending.  Each window's other columns are centred on
+    their mean and the offsets scaled to d = (tau - u)/b, so each chunk of
+    grid points needs the kernel moments sum_t K(d) d^k x_t x_t' (k = 0, 1,
+    2) and sum_t K(d) d^k x_t y_t (k = 0, 1).  The stacked moment weights
+    and the active counts depend only on the geometry, so they are built
+    once per chunk and block of observations and applied to every window
+    by one GEMM each; the B x GRID_CHUNK systems of a chunk are then
+    checked and solved in one batched call.  cond is sqrt(lmax/lmin) of the
+    uncentred Gram matrix Z'WZ, i.e. the cond(Z) that `local_linear`
+    bounds.  Rows with fewer than 2m active observations or a cond estimate
+    above FALLBACK_COND are re-solved by `local_linear`, window by window
+    in grid order.  A window whose re-solve raises gets that
+    EstimationError, the one a loop over `local_linear` raises at the same
+    first failing point, in `errors`, and its rows are left unspecified;
+    the other windows are unaffected.  A window's bits do not depend on
+    the other windows of its stack, so a stack whose moments would pass
+    STACK_BYTES is solved in slices of windows.  Returns (levels, slopes,
+    cond, errors), the first three with a leading axis of B.
     """
-    n, m = X.shape
+    nb, n, m = X.shape
+    per_window = 8 * n * (m * m + m)
+    if nb > 1 and nb * per_window > STACK_BYTES:
+        size = max(1, STACK_BYTES // per_window)
+        parts = [
+            _local_linear_grid(y[i : i + size], X[i : i + size], tau, ugrid, kernel)
+            for i in range(0, nb, size)
+        ]
+        stacked = [np.concatenate([part[j] for part in parts]) for j in range(3)]
+        return (*stacked, [error for part in parts for error in part[3]])
     b = kernel.bandwidth
-    mu = X.mean(axis=0)
-    mu[0] = 0.0
-    Xc = X - mu
+    mu = X.mean(axis=1)
+    mu[:, 0] = 0.0
+    Xc = X - mu[:, None, :]
     # per observation: vec(xc xc') then xc * y
-    outer = (Xc[:, :, None] * Xc[:, None, :]).reshape(n, m * m)
-    Q = np.concatenate([outer, Xc * y[:, None]], axis=1)
-    # uncentred design [x, (tau - u) x] = [xc, d xc] @ B
-    M = np.eye(m)
-    M[0] = mu + M[0]
-    B = np.zeros((2 * m, 2 * m))
-    B[:m, :m] = M
-    B[m:, m:] = b * M
+    Q = np.empty((nb, n, m * m + m))
+    np.multiply(Xc[..., :, None], Xc[..., None, :], out=Q[..., : m * m].reshape(nb, n, m, m))
+    np.multiply(Xc, y[..., None], out=Q[..., m * m :])
+    # uncentred design [x, (tau - u) x] = [xc, d xc] @ P
+    M = np.tile(np.eye(m), (nb, 1, 1))
+    M[:, 0] += mu
+    P = np.zeros((nb, 2 * m, 2 * m))
+    P[:, :m, :m] = M
+    P[:, m:, m:] = b * M
+    Pt = np.swapaxes(P, 1, 2)[:, None]
+    P = P[:, None]
     compact = kernel.family != "gaussian"
     C = GRID_CHUNK
     G = len(ugrid)
-    levels = np.empty((G, m))
-    slopes = np.empty((G, m))
-    cond = np.empty(G)
+    levels = np.empty((nb, G, m))
+    slopes = np.empty((nb, G, m))
+    cond = np.empty((nb, G))
+    errors: list[EstimationError | None] = [None] * nb
+    # K(d), K(d) d and K(d) d^2 of one chunk against one block of observations
+    weights = np.empty((3, C, COLUMN_BLOCK))
     for start in range(0, G, C):
         u = ugrid[start : start + C]
         k = len(u)
@@ -186,39 +240,48 @@ def _local_linear_grid(
         if compact:  # a 1% margin keeps every point whose rounded |d| is <= 1
             lo = int(np.searchsorted(tau, u.min() - 1.01 * b, side="left"))
             hi = int(np.searchsorted(tau, u.max() + 1.01 * b, side="right"))
-        moments = np.zeros((3 * C, Q.shape[1]))
+        moments = np.zeros((nb, 3 * C, Q.shape[2]))
         active = np.zeros(C, dtype=np.int64)
         for s in range(lo - lo % COLUMN_BLOCK, hi, COLUMN_BLOCK):
             e = min(s + COLUMN_BLOCK, n)
-            d = (tau[s:e] - u[:, None]) / b
-            w = kernel_weights(d, kernel.family)
-            wd = w * d
-            moments += np.concatenate([w, wd, wd * d]) @ Q[s:e]
+            stack = weights[:, :, : e - s]
+            w, wd, d = stack  # d = (tau - u)/b until wd d overwrites it
+            np.subtract(tau[s:e], u[:, None], out=d)
+            d /= b
+            _kernel_weights(d, kernel.family, w)
+            np.multiply(w, d, out=wd)
+            np.multiply(wd, d, out=d)
+            moments += stack.reshape(3 * C, e - s) @ Q[:, s:e]
             active += np.count_nonzero(w > 0.0, axis=1)
-        S0, S1, S2 = moments[:, : m * m].reshape(3, C, m, m)
-        gram = np.empty((C, 2 * m, 2 * m))
-        gram[:, :m, :m] = S0
-        gram[:, :m, m:] = S1
-        gram[:, m:, :m] = S1
-        gram[:, m:, m:] = S2
-        rhs = np.concatenate([moments[:C, m * m :], moments[C : 2 * C, m * m :]], axis=1)
-        lam = np.linalg.eigvalsh(B.T @ gram @ B)
+        S0, S1, S2 = np.swapaxes(moments[..., : m * m].reshape(nb, 3, C, m, m), 0, 1)
+        gram = np.empty((nb, C, 2 * m, 2 * m))
+        gram[..., :m, :m] = S0
+        gram[..., :m, m:] = S1
+        gram[..., m:, :m] = S1
+        gram[..., m:, m:] = S2
+        rhs = np.concatenate([moments[:, :C, m * m :], moments[:, C : 2 * C, m * m :]], axis=2)
+        lam = np.linalg.eigvalsh((Pt @ gram @ P).reshape(nb * C, 2 * m, 2 * m)).reshape(nb, C, 2 * m)
         with np.errstate(divide="ignore", invalid="ignore"):
-            est = np.where(lam[:, 0] > 0.0, np.sqrt(lam[:, -1] / lam[:, 0]), np.inf)
+            est = np.where(lam[..., 0] > 0.0, np.sqrt(lam[..., -1] / lam[..., 0]), np.inf)
         flagged = (active < 2 * m) | ~(est <= FALLBACK_COND)
         gram[flagged] = np.eye(2 * m)
-        theta = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
-        theta[:, 0] -= theta[:, 1:m] @ mu[1:]
-        theta[:, m] -= theta[:, m + 1 :] @ mu[1:]
+        theta = np.linalg.solve(gram.reshape(nb * C, 2 * m, 2 * m), rhs.reshape(nb * C, 2 * m, 1))
+        theta = theta.reshape(nb, C, 2 * m)
+        theta[..., 0] -= (theta[..., 1:m] @ mu[:, 1:, None])[..., 0]
+        theta[..., m] -= (theta[..., m + 1 :] @ mu[:, 1:, None])[..., 0]
         rows = slice(start, start + k)
-        levels[rows] = theta[:k, :m]
-        slopes[rows] = theta[:k, m:] / b
-        cond[rows] = est[:k]
-        for i in np.flatnonzero(flagged[:k]):
-            levels[start + i], slopes[start + i], cond[start + i] = local_linear(
-                y, X, tau, float(u[i]), kernel
-            )
-    return levels, slopes, cond
+        levels[:, rows] = theta[:, :k, :m]
+        slopes[:, rows] = theta[:, :k, m:] / b
+        cond[:, rows] = est[:, :k]
+        for i, r in zip(*np.nonzero(flagged[:, :k])):
+            if errors[i] is None:
+                try:
+                    levels[i, start + r], slopes[i, start + r], cond[i, start + r] = local_linear(
+                        y[i], X[i], tau, float(u[r]), kernel
+                    )
+                except EstimationError as exc:
+                    errors[i] = exc
+    return levels, slopes, cond, errors
 
 
 @dataclass
@@ -261,13 +324,14 @@ class CenteredSeries:
 
 
 def _design(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lagged design for observations t = p+1..T (0-based rows p..T-1)."""
-    T = len(values)
-    y = values[p:]
-    X = np.empty((T - p, p + 1))
-    X[:, 0] = 1.0
+    """Lagged design for observations t = p+1..T (0-based rows p..T-1) of
+    one window, or of each window of a (B, T) stack."""
+    T = values.shape[-1]
+    y = values[..., p:]
+    X = np.empty(values.shape[:-1] + (T - p, p + 1))
+    X[..., 0] = 1.0
     for i in range(1, p + 1):
-        X[:, i] = values[p - i : T - i]
+        X[..., i] = values[..., p - i : T - i]
     tau = np.arange(p + 1, T + 1, dtype=float) / T
     return y, X, tau
 
@@ -286,11 +350,20 @@ def _check_preconditions(T: int, p: int, kernel: KernelSpec) -> None:
         )
 
 
-def fit_tvp_ar(series, p: int, kernel: KernelSpec, grid: np.ndarray | None = None) -> TvpArFit:
+def _single(results: list):
+    """The result of a one-window stack: the value, or the error it holds raised."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def fit_tvp_ar(series, p: int, kernel: KernelSpec, grid: np.ndarray | None = None) -> TvpArFit | list:
     """Fit a TVP-AR(p) by local linear kernel regression.
 
     Args:
-        series: VolatilitySeries or 1-d array of observations.
+        series: VolatilitySeries or 1-d array of observations, or a (B, T)
+            stack of windows of one length.
         p: autoregressive order (>= 1).
         kernel: kernel family and bandwidth.
         grid: evaluation points in (0, 1]; defaults to every observation
@@ -299,7 +372,10 @@ def fit_tvp_ar(series, p: int, kernel: KernelSpec, grid: np.ndarray | None = Non
 
     Returns:
         TvpArFit with coefficient curves, local slopes, condition numbers
-        and residuals.
+        and residuals.  For a stack, a list with one entry per window: its
+        TvpArFit, or the EstimationError its own fit raises.  The
+        precondition checks depend on T alone and raise for the whole
+        stack.
 
     All grid points are solved together: chunks of GRID_CHUNK points form
     their weighted normal equations from kernel-moment GEMMs and solve them
@@ -311,7 +387,9 @@ def fit_tvp_ar(series, p: int, kernel: KernelSpec, grid: np.ndarray | None = Non
     COND_THRESHOLD guard and its EstimationError are exactly those of a
     loop over `local_linear`.  Elsewhere the two agree to about machine
     epsilon times the squared condition number of the centred design:
-    1e-10 relative or better on the property-tested series.
+    1e-10 relative or better on the property-tested series.  The windows
+    of a stack share the kernel weights of every chunk, and each window's
+    fit equals its one-window fit bit for bit.
 
     A uniform kernel at bandwidth 1 weights every observation equally at
     every u, so the curves are exactly linear in u: phi(u) = c + u d and
@@ -322,31 +400,35 @@ def fit_tvp_ar(series, p: int, kernel: KernelSpec, grid: np.ndarray | None = Non
     pins this.
     """
     values = _as_values(series)
-    T = len(values)
+    stack = values.reshape(-1, values.shape[-1])  # one window is a stack of one
+    T = stack.shape[1]
     _check_preconditions(T, p, kernel)
-    y, X, tau = _design(values, p)
+    y, X, tau = _design(stack, p)
     default_grid = grid is None
     ugrid = tau.copy() if default_grid else np.asarray(grid, dtype=float)
-    phi, slopes, cond = _local_linear_grid(y, X, tau, ugrid, kernel)
-    if default_grid:
-        fitted = np.sum(X * phi, axis=1)
-    else:
+    phi, slopes, cond, errors = _local_linear_grid(y, X, tau, ugrid, kernel)
+    phi_at_obs = phi
+    if not default_grid:
         # interpolate coefficient curves onto each observation's own u
-        phi_at_obs = np.column_stack(
-            [np.interp(tau, ugrid, phi[:, i]) for i in range(p + 1)]
+        phi_at_obs = np.stack(
+            [np.column_stack([np.interp(tau, ugrid, curve) for curve in rows.T]) for rows in phi]
         )
-        fitted = np.sum(X * phi_at_obs, axis=1)
-    residuals = y - fitted
-    return TvpArFit(
-        grid=ugrid,
-        phi=phi,
-        slopes=slopes,
-        cond=cond,
-        residuals=residuals,
-        values=values,
-        p=p,
-        kernel=kernel,
-    )
+    residuals = y - np.sum(X * phi_at_obs, axis=2)
+    fits = [
+        error
+        or TvpArFit(
+            grid=ugrid,
+            phi=phi[i],
+            slopes=slopes[i],
+            cond=cond[i],
+            residuals=residuals[i],
+            values=stack[i],
+            p=p,
+            kernel=kernel,
+        )
+        for i, error in enumerate(errors)
+    ]
+    return fits if values.ndim == 2 else _single(fits)
 
 
 def boundary_fit(series, p: int, kernel: KernelSpec, at_end: bool = True) -> tuple[np.ndarray, np.ndarray, float]:
@@ -362,8 +444,10 @@ def boundary_fit(series, p: int, kernel: KernelSpec, at_end: bool = True) -> tup
     _check_preconditions(T, p, kernel)
     y, X, tau = _design(values, p)
     u = 1.0 if at_end else float(tau[0])
-    levels, slopes, cond = _local_linear_grid(y, X, tau, np.array([u]), kernel)
-    return levels[0], slopes[0], float(cond[0])
+    levels, slopes, cond, errors = _local_linear_grid(y[None], X[None], tau, np.array([u]), kernel)
+    if errors[0] is not None:
+        raise errors[0]
+    return levels[0, 0], slopes[0, 0], float(cond[0, 0])
 
 
 def local_level(series, kernel: KernelSpec, u: float | np.ndarray | None = None):
@@ -373,23 +457,31 @@ def local_level(series, kernel: KernelSpec, u: float | np.ndarray | None = None)
     reports its height there.  With u=None the curve is evaluated at every
     observation's own time point (an array of len(series)); a scalar u
     returns a float.  At u = 1 the kernel support is one-sided, so the
-    boundary level uses no future observations.
+    boundary level uses no future observations.  A (B, T) stack of windows
+    of one length gives one row of levels (one value for a scalar u) per
+    window, each equal to its one-window level bit for bit.
 
     The evaluation points are solved together by the batched normal
     equations of `fit_tvp_ar` with X = 1; points whose cond(Z) estimate
     exceeds FALLBACK_COND are re-solved by `local_linear`, which applies
     COND_THRESHOLD exactly.  A level does not depend on which other points
     are evaluated with it, so local_level(s, k, u=tau[-p:]) equals
-    local_level(s, k)[-p:] bit for bit.
+    local_level(s, k)[-p:] bit for bit.  The design [1, t/T - u] does not
+    depend on the values, so the fallback raises for every window of a
+    stack or for none.
     """
     values = _as_values(series)
-    T = len(values)
+    T = values.shape[-1]
     tau = np.arange(1, T + 1, dtype=float) / T
-    scalar = u is not None and np.ndim(u) == 0
     grid = tau if u is None else np.atleast_1d(np.asarray(u, dtype=float))
-    levels, _, _ = _local_linear_grid(values, np.ones((T, 1)), tau, grid, kernel)
-    out = levels[:, 0]
-    return float(out[0]) if scalar else out
+    stack = values.reshape(-1, T)
+    levels, _, _, errors = _local_linear_grid(stack, np.ones(stack.shape + (1,)), tau, grid, kernel)
+    if errors[0] is not None:
+        raise errors[0]
+    out = levels[..., 0].reshape(values.shape[:-1] + grid.shape)
+    if u is not None and np.ndim(u) == 0:
+        out = out[..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
 def center(fit: TvpArFit) -> CenteredSeries:

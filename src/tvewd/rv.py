@@ -114,7 +114,13 @@ def load_ticks(path: str) -> tuple[np.ndarray, np.ndarray]:
     """
     with open(path, "r", encoding="utf-8") as fh:  # universal newlines, as np.loadtxt reads it
         header = next(csv.reader(fh), None)
-        n_rows = sum(1 for _ in fh)
+        # the lines after the header, counted in blocks of text: one per
+        # line end, plus an unterminated last line
+        n_rows, last = 0, "\n"
+        while block := fh.read(1 << 20):
+            n_rows += block.count("\n")
+            last = block[-1]
+        n_rows += last != "\n"
     if header is None:
         raise DataQualityError(f"{path}: empty file")
     header = tuple(h.strip() for h in header)

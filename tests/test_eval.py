@@ -1,12 +1,16 @@
 """Rolling evaluation harness tests: losses, DM inference, pairing, parallelism."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tvewd.benchmarks import ModelSpec
+from tvewd.benchmarks import MODEL_NAMES, ModelSpec
 from tvewd.evaluate import (
+    BLOCK_ORIGINS,
     DMResult,
     RollingPlan,
     dm_test,
@@ -21,6 +25,7 @@ from tvewd.evaluate import (
 )
 from tvewd.locreg import EstimationError, KernelSpec
 from tvewd.series import VolatilitySeries, business_dates
+from tvewd.wold import MultiscaleConfig
 
 KERN = KernelSpec("epanechnikov", 0.3)
 
@@ -263,6 +268,84 @@ def test_forecasts_ignore_future_values():
         # origins stop at 109 and targets at index 113, before the mutation
         assert ra.forecast == rb.forecast
         assert ra.realized == rb.realized
+
+
+# all five models at a scale depth a window of 100 supports
+FIVE_MODELS = [ModelSpec(name=m, p=1, kernel=KERN, scales=MultiscaleConfig(J=3, N=2)) for m in MODEL_NAMES]
+
+
+def forecast_bits(report, last_origin=None):
+    """(origin, horizon, model) -> the forecast's exact bits, for origins up to last_origin."""
+    return {
+        (r.origin, r.horizon, r.model): float(r.forecast).hex()
+        for r in report.records
+        if last_origin is None or r.origin <= last_origin
+    }
+
+
+@settings(max_examples=8, deadline=None)
+@given(T=st.integers(101, 100 + 2 * BLOCK_ORIGINS + 12), cut=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_rolling_forecasts_ignore_values_after_their_origin(T, cut, seed):
+    """Changing every value after a random origin T0 leaves every forecast
+    made at an origin <= T0 bitwise unchanged, for all five models, however
+    the series length splits the origins into blocks."""
+    series = make_series(T, seed=seed % 1000)
+    T0 = 100 + int(cut * (T - 100))
+    values = series.values.copy()
+    values[T0:] += 1.0 + np.random.default_rng(seed).standard_normal(T - T0)
+    changed = VolatilitySeries(series.dates, values, label=series.label)
+    plan = RollingPlan(window=100, horizons=(1, 5))
+    base = rolling_evaluate(series, FIVE_MODELS, plan, benchmark="HAR", jobs=1)
+    after = rolling_evaluate(changed, FIVE_MODELS, plan, benchmark="HAR", jobs=1)
+    kept = forecast_bits(base, T0)
+    assert kept == forecast_bits(after, T0)
+    assert {model for _, _, model in kept} == set(MODEL_NAMES)
+
+
+def per_window_loop(series, models, plan):
+    """Forecast bits and failure counts of one `forecast_all` call per window and AR order."""
+    T = len(series)
+    bits: dict = {}
+    failures: Counter = Counter()
+    for T0 in range(plan.window, T - min(plan.horizons) + 1, plan.step):
+        window = series.values[T0 - plan.window : T0].copy()
+        horizons = tuple(h for h in plan.horizons if T0 + h <= T)
+        for model in models:
+            for hs in model.horizon_groups(horizons).values():
+                try:
+                    out = model.forecast_all(window, hs)
+                except EstimationError as exc:
+                    failures[f"{model.display}: EstimationError: {exc}"] += 1
+                    continue
+                bits.update({(T0, h, model.display): float(v).hex() for h, v in out.items()})
+    return bits, dict(failures)
+
+
+@pytest.mark.filterwarnings("ignore::tvewd.wold.ExplosiveWarning")
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failing_window_costs_only_its_own_forecasts(jobs):
+    """Windows ending in a constant stretch make the fallback of their
+    local fits raise.  Those windows lose their forecasts with the message
+    and count of a per-window loop, and every other window of their block
+    keeps that loop's forecasts bit for bit.  The last origins lose h = 5,
+    so the origins split into blocks of both horizons and of h = 1 alone."""
+    series = make_series(100 + BLOCK_ORIGINS + 13, seed=108)
+    values = series.values.copy()
+    values[95:127] = values[95]
+    series = VolatilitySeries(series.dates, values, label=series.label)
+    plan = RollingPlan(window=100, horizons=(1, 5))
+    report = rolling_evaluate(series, FIVE_MODELS, plan, benchmark="HAR", jobs=jobs)
+    bits, failures = per_window_loop(series, FIVE_MODELS, plan)
+    assert forecast_bits(report) == bits
+    assert report.failures == failures
+    singular = [msg for msg in failures if msg.startswith("TVEWD") and "singular local system" in msg]
+    assert singular, failures
+    # failing and forecasting TVEWD windows share the first block
+    first_block = set(range(100, 100 + BLOCK_ORIGINS))
+    tvewd_origins = {origin for origin, _, model in bits if model == "TVEWD"}
+    assert first_block - tvewd_origins and first_block & tvewd_origins
+    last = len(series) - 1
+    assert (last, 1, "TVEWD") in bits and (last, 5, "TVEWD") not in bits
 
 
 def test_parallel_jobs_match_serial():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+from tvewd import locreg
 from tvewd.locreg import (
     GRID_CHUNK,
     KERNEL_FAMILIES,
@@ -371,3 +373,67 @@ def test_constant_series_raises_the_oracle_error(p):
     assert isinstance(oracle, EstimationError)
     assert_same_outcome(lambda: fit_tvp_ar(v, p, EPA), oracle)
     assert_same_outcome(lambda: boundary_fit(v, p, EPA), oracle_grid(y, X, tau, [1.0], EPA))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    p=st.integers(1, 6),
+    n=st.integers(100, 3 * GRID_CHUNK + 10),
+    B=st.integers(1, 10),
+    step=st.integers(1, 3),
+    family=st.sampled_from(KERNEL_FAMILIES),
+    bandwidth=st.floats(0.1, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    flat=st.integers(0, 9),
+)
+@example(p=1, n=120, B=6, step=1, family="epanechnikov", bandwidth=0.3, seed=4, flat=2)
+def test_stacked_windows_fit_as_one_window_each(p, n, B, step, family, bandwidth, seed, flat):
+    """A (B, n) stack of overlapping windows gives every window its
+    one-window fit and level bit for bit.  Window `flat` ends in a constant
+    stretch of half its length; where that makes its fit singular, the
+    window fails alone, with its one-window error."""
+    kernel = KernelSpec(family, bandwidth)
+    windows = sliding_window_view(persistent_series(n + (B - 1) * step, seed), n)[::step].copy()
+    if flat < B:
+        windows[flat, n // 2 :] = windows[flat, n // 2]
+    if n <= 10 * (2 * p + 2) or bandwidth * n < 2 * p + 2:
+        with pytest.raises(EstimationError):
+            fit_tvp_ar(windows, p, kernel)
+        return
+    custom = np.random.default_rng(seed).uniform(0.0, 1.0, 7)
+    for grid in (None, custom):
+        fits = fit_tvp_ar(windows, p, kernel, grid=grid)
+        assert len(fits) == B
+        for window, fit in zip(windows, fits):
+            try:
+                one = fit_tvp_ar(window.copy(), p, kernel, grid=grid)
+            except EstimationError as exc:
+                assert isinstance(fit, EstimationError) and str(fit) == str(exc)
+                continue
+            for name in ("grid", "phi", "slopes", "cond", "residuals", "values"):
+                np.testing.assert_array_equal(getattr(fit, name), getattr(one, name))
+    for u in (None, custom, 1.0):
+        levels = local_level(windows, kernel, u=u)
+        for window, level in zip(windows, levels):
+            np.testing.assert_array_equal(level, local_level(window.copy(), kernel, u=u))
+
+
+@pytest.mark.parametrize("slice_windows", [None, 1, 2])
+def test_a_singular_window_fails_alone_in_its_stack(slice_windows, monkeypatch):
+    """Also when STACK_BYTES makes the solver take the stack in slices."""
+    v = ar1_path(0.6, 160, seed=41, intercept=4.0)
+    windows = sliding_window_view(v, 120)[::8].copy()
+    windows[2, 60:] = 7.5
+    if slice_windows is not None:  # moments of one window: 119 rows of 6 doubles
+        monkeypatch.setattr(locreg, "STACK_BYTES", slice_windows * 8 * 119 * 6)
+    fits = fit_tvp_ar(windows, 1, EPA)
+    levels = local_level(windows, EPA)
+    with pytest.raises(EstimationError, match="singular local system") as raised:
+        fit_tvp_ar(windows[2].copy(), 1, EPA)
+    assert isinstance(fits[2], EstimationError) and str(fits[2]) == str(raised.value)
+    for i in (0, 1, 3, 4):
+        one = fit_tvp_ar(windows[i].copy(), 1, EPA)
+        for name in ("phi", "slopes", "cond", "residuals"):
+            np.testing.assert_array_equal(getattr(fits[i], name), getattr(one, name))
+    for window, level in zip(windows, levels):
+        np.testing.assert_array_equal(level, local_level(window.copy(), EPA))

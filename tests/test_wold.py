@@ -551,26 +551,32 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 
 def recursion_error_bound(phi, alpha):
-    """Running forward-error bound of the float recursion, one per lag.
+    """Running error bound on the computed alpha, one per lag (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2nd ed., section 3.3).
 
-    Lag h sums m = min(h, p) products in order, so its own rounding is at
-    most gamma_m * sum_i |phi_i| |alpha(h-i)| (Higham, "Accuracy and
-    Stability of Numerical Algorithms", 2nd ed., sections 3.1 and 4.2), and
-    the errors of earlier lags carry forward through |phi|:
-    E(h) = sum_i |phi_i| E(h-i) + gamma * sum_i |phi_i| |alpha(h-i)|, E(0) = 0.
-    gamma_{p+1} stands in for gamma_m; its extra unit roundoff covers the
-    rounding of this float evaluation of E.
+    Lag h forms m = min(h, p) products z_i = fl(phi_i alpha(h-i)) and adds
+    them in order into s_1 = z_1, s_k = fl(s_(k-1) + z_k).  Each rounding
+    errs by at most u times its computed result, so the local error
+    d(h) = alpha(h) - sum_i phi_i alpha(h-i) of the computed weights obeys
+    |d(h)| <= mu(h) = u (sum_i |z_i| + sum_(k>=2) |s_k|), plus 2^-1074 per
+    operation in case of underflow.  The error e = alpha - exact follows
+    e(h) = sum_i phi_i e(h-i) + d(h), whose impulse response is the exact
+    alpha itself, so |e(h)| <= sum_k |exact(h-k)| mu(k) with |exact(j)| <=
+    |alpha(j)| + E(j):  E(h) = sum_(k=1..h) (|alpha(h-k)| + E(h-k)) mu(k).
+    The factor 2 covers the rounding of this float evaluation of E.
     """
     p = len(phi)
     u = 2.0**-53
-    gamma = (p + 1) * u / (1 - (p + 1) * u)
-    a, m = np.abs(phi), np.abs(alpha)
+    a = np.abs(alpha)
+    mu = np.zeros(len(alpha))
+    for h in range(1, len(alpha)):
+        z = phi[: min(h, p)] * alpha[h - 1 :: -1][: min(h, p)]
+        s = np.cumsum(z)
+        mu[h] = u * (np.sum(np.abs(z)) + np.sum(np.abs(s[1:]))) + 2 * len(z) * 2.0**-1074
     bound = np.zeros(len(alpha))
     for h in range(1, len(alpha)):
-        k = min(h, p)
-        prev = slice(h - 1, h - k - 1 if h > k else None, -1)  # lags h-1, ..., h-k
-        bound[h] = a[:k] @ bound[prev] + gamma * (a[:k] @ m[prev])
-    return bound
+        bound[h] = (a[h - 1 :: -1] + bound[h - 1 :: -1]) @ mu[1 : h + 1]
+    return 2.0 * bound
 
 
 @settings(max_examples=40, deadline=None)
