@@ -2,9 +2,10 @@
 
 Subcommands: rv, decompose, forecast, evaluate, simulate.  Options resolve
 in precedence order: built-in defaults < --preset bundle < --config JSON
-file < explicit command-line flags.  Unknown config keys are rejected by
-name.  All file outputs are written atomically; failures exit non-zero with
-a machine-readable JSON error record on stderr.
+file < explicit command-line flags; each option is declared once, in
+OPTIONS.  Unknown config keys are rejected by name.  All file outputs are
+written atomically; failures exit non-zero with a machine-readable JSON
+error record on stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import argparse
 import dataclasses
 import json
 import sys
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -57,65 +60,69 @@ PRESETS: dict[str, dict] = {
     },
 }
 
-COMMON_KEYS = {"input", "output", "seed", "jobs"}
-COMMAND_KEYS: dict[str, set[str]] = {
-    "rv": COMMON_KEYS
-    | {"rv_output", "label", "session_cutoff", "bins_per_day", "open_offset_minutes", "excluded_dates"},
-    "decompose": COMMON_KEYS
-    | {
-        "p",
-        "kernel",
-        "bandwidth",
-        "J",
-        "N",
-        "share_mode",
-        "share_k",
-        "shares_output",
-        "curves_output",
-    },
-    "forecast": COMMON_KEYS
-    | {"model", "p", "kernel", "bandwidth", "J", "N", "weight_window", "horizons", "lags", "series", "series_lags", "window"},
-    "evaluate": COMMON_KEYS
-    | {
-        "models",
-        "benchmark",
-        "window",
-        "step",
-        "horizons",
-        "max_origins",
-        "p",
-        "lags",
-        "series",
-        "series_lags",
-        "kernel",
-        "bandwidth",
-        "J",
-        "N",
-        "weight_window",
-        "forecasts_output",
-        "table_output",
-    },
-    "simulate": COMMON_KEYS | {"scenario", "truth_output"},
-}
+@dataclass(frozen=True)
+class Option:
+    """One config key: the commands that accept it and its built-in default
+    (None when it has none).
 
-DEFAULTS: dict = {
-    "kernel": "epanechnikov",
-    "bandwidth": 0.3,
-    "p": 1,
-    "J": 7,
-    "N": 4,
-    "window": 700,
-    "step": 1,
-    "horizons": [1, 5, 22],
-    "models": ["TVEWD", "TVHAR", "TVAR", "HAR", "EWD"],
-    "benchmark": "TVHAR",
-    "share_mode": "absolute",
-    "share_k": 0,
-    "jobs": 1,
-    "session_cutoff": "00:00",
-    "bins_per_day": 288,
-    "open_offset_minutes": 0,
-    "excluded_dates": [],
+    A key with a flag also names the commands that offer the flag, its
+    argparse keywords, its name when that is not --<key>, and how the flag's
+    text becomes the value (a None result leaves the key unset).
+    """
+
+    commands: tuple[str, ...]
+    default: Any = None
+    flag_for: tuple[str, ...] = ()
+    flag: dict = field(default_factory=dict)
+    name: str | None = None
+    parse: Callable[[str], Any] | None = None
+
+
+ALL = ("rv", "decompose", "forecast", "evaluate", "simulate")
+FIT = ("decompose", "forecast", "evaluate")
+PREDICT = ("forecast", "evaluate")
+
+# Every option of every command.  Table order is the flags' order in --help.
+OPTIONS: dict[str, Option] = {
+    "input": Option(ALL, flag_for=ALL, flag={"help": "input CSV path"}),
+    "output": Option(ALL, flag_for=ALL, flag={"help": "output path"}),
+    "seed": Option(ALL, flag_for=ALL, flag={"type": int, "help": "seed override"}),
+    "jobs": Option(ALL, 1, flag_for=ALL, flag={"type": int, "help": "parallel workers for rolling origins"}),
+    "horizons": Option(
+        PREDICT, [1, 5, 22], flag_for=PREDICT, name="--horizon",
+        flag={"metavar": "HORIZON", "help": "comma-separated horizons, e.g. 1,5,22"},
+        parse=lambda text: [int(h) for h in text.split(",")] if text else None,
+    ),
+    "window": Option(PREDICT, 700, flag_for=PREDICT, flag={"type": int, "help": "in-sample window length"}),
+    "p": Option(FIT, 1, flag_for=PREDICT, flag={"type": int, "help": "autoregressive order"}),
+    "kernel": Option(FIT, "epanechnikov"),
+    "bandwidth": Option(
+        FIT, 0.3, flag_for=PREDICT, flag={"type": float, "help": "kernel bandwidth in rescaled time"}
+    ),
+    "J": Option(FIT, 7),
+    "N": Option(FIT, 4),
+    "series": Option(PREDICT, flag_for=PREDICT, flag={"help": "series key for preset lag mappings (e.g. CL)"}),
+    **dict.fromkeys(("lags", "series_lags", "weight_window"), Option(PREDICT)),
+    "model": Option(("forecast",), "TVEWD", flag_for=("forecast",), flag={"help": "model name (default TVEWD)"}),
+    "models": Option(
+        ("evaluate",), ["TVEWD", "TVHAR", "TVAR", "HAR", "EWD"], flag_for=("evaluate",),
+        flag={"help": "comma-separated model names"}, parse=lambda text: text.split(","),
+    ),
+    "benchmark": Option(
+        ("evaluate",), "TVHAR", flag_for=("evaluate",), flag={"help": "benchmark model name (default TVHAR)"}
+    ),
+    "step": Option(("evaluate",), 1, flag_for=("evaluate",), flag={"type": int, "help": "origin step"}),
+    **dict.fromkeys(("max_origins", "forecasts_output", "table_output"), Option(("evaluate",))),
+    "share_mode": Option(("decompose",), "absolute"),
+    "share_k": Option(("decompose",), 0),
+    **dict.fromkeys(("shares_output", "curves_output"), Option(("decompose",))),
+    **dict.fromkeys(("rv_output", "label"), Option(("rv",))),
+    "session_cutoff": Option(("rv",), "00:00"),
+    "bins_per_day": Option(("rv",), 288),
+    "open_offset_minutes": Option(("rv",), 0),
+    "excluded_dates": Option(("rv",), []),
+    "scenario": Option(("simulate",), flag_for=("simulate",), flag={"help": "scenario JSON path"}),
+    "truth_output": Option(("simulate",)),
 }
 
 
@@ -133,38 +140,25 @@ def _load_config_file(path: str) -> dict:
 
 
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
-    allowed = COMMAND_KEYS[command]
-    cfg = {k: v for k, v in DEFAULTS.items() if k in allowed}
+    options = {k: opt for k, opt in OPTIONS.items() if command in opt.commands}
+    cfg = {k: opt.default for k, opt in options.items() if opt.default is not None}
     if args.preset:
         if args.preset not in PRESETS:
             raise ConfigError(f"unknown preset {args.preset!r}, expected one of {sorted(PRESETS)}")
-        for k, v in PRESETS[args.preset].items():
-            if k in allowed:
-                cfg[k] = v
+        cfg.update((k, v) for k, v in PRESETS[args.preset].items() if k in options)
     if args.config:
         file_cfg = _load_config_file(args.config)
-        unknown = sorted(set(file_cfg) - allowed)
+        unknown = sorted(set(file_cfg) - set(options))
         if unknown:
             raise ConfigError(f"unknown config key {unknown[0]!r} for command {command!r}")
         cfg.update(file_cfg)
-    overrides = {
-        "input": args.input,
-        "output": args.output,
-        "seed": args.seed,
-        "jobs": args.jobs,
-    }
-    if hasattr(args, "horizon") and args.horizon:
-        overrides["horizons"] = [int(x) for x in args.horizon.split(",")]
-    for key in ("model", "models", "window", "p", "bandwidth", "series", "scenario", "benchmark", "step"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            overrides[key] = getattr(args, key)
-    if "models" in overrides and isinstance(overrides["models"], str):
-        overrides["models"] = overrides["models"].split(",")
-    for k, v in overrides.items():
-        if v is not None:
-            if k not in allowed:
-                raise ConfigError(f"option {k!r} does not apply to command {command!r}")
-            cfg[k] = v
+    for key, opt in options.items():
+        if command in opt.flag_for:
+            value = getattr(args, key)
+            if value is not None and opt.parse:
+                value = opt.parse(value)
+            if value is not None:
+                cfg[key] = value
     return cfg
 
 
@@ -193,6 +187,17 @@ def _lags(cfg: dict, horizons: tuple[int, ...]) -> dict[int, int]:
         if str(h) not in lags:
             raise ConfigError(f"lag mapping has no entry for horizon {h}")
     return {h: int(lags[str(h)]) for h in horizons}
+
+
+def _model_specs(cfg: dict, names: list[str], horizons: tuple[int, ...]) -> list[benchmarks.ModelSpec]:
+    """One ModelSpec per name, sharing the configured lags, kernel and scales."""
+    lags, kernel, scales = _lags(cfg, horizons), _kernel(cfg), _scales(cfg)
+    return [
+        benchmarks.ModelSpec(
+            name=n, p=lags, kernel=kernel, scales=scales, weight_window=cfg.get("weight_window")
+        )
+        for n in names
+    ]
 
 
 def _require(cfg: dict, key: str, command: str) -> str:
@@ -246,18 +251,12 @@ def cmd_forecast(cfg: dict) -> int:
     path = _require(cfg, "input", "forecast")
     out = _require(cfg, "output", "forecast")
     series = load_series(path)
-    name = cfg.get("model", "TVEWD")
+    name = cfg["model"]
     horizons = tuple(int(h) for h in cfg["horizons"])
-    window = int(cfg.get("window") or len(series))
+    window = int(cfg["window"] or len(series))
     if window > len(series):
         raise ConfigError(f"window {window} exceeds series length {len(series)}")
-    spec = benchmarks.ModelSpec(
-        name=name,
-        p=_lags(cfg, horizons),
-        kernel=_kernel(cfg),
-        scales=_scales(cfg),
-        weight_window=cfg.get("weight_window"),
-    )
+    (spec,) = _model_specs(cfg, [name], horizons)
     values_by_h = spec.forecast_all(series.values[-window:], horizons)
     points = [
         forecast.ForecastPoint(
@@ -287,13 +286,7 @@ def cmd_evaluate(cfg: dict) -> int:
     for name in names:
         if name not in benchmarks.MODEL_NAMES:
             raise ConfigError(f"unknown model {name!r}, expected one of {benchmarks.MODEL_NAMES}")
-    lags, kernel, scales = _lags(cfg, horizons), _kernel(cfg), _scales(cfg)
-    models = [
-        benchmarks.ModelSpec(
-            name=n, p=lags, kernel=kernel, scales=scales, weight_window=cfg.get("weight_window")
-        )
-        for n in names
-    ]
+    models = _model_specs(cfg, names, horizons)
     plan = evaluate.RollingPlan(
         window=int(cfg["window"]),
         step=int(cfg["step"]),
@@ -357,25 +350,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=desc, description=desc)
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--preset", help=f"named option bundle: {', '.join(sorted(PRESETS))}")
-        sp.add_argument("--input", help="input CSV path")
-        sp.add_argument("--output", help="output path")
-        sp.add_argument("--seed", type=int, help="seed override")
-        sp.add_argument("--jobs", type=int, help="parallel workers for rolling origins")
+        for key, opt in OPTIONS.items():
+            if name in opt.flag_for:
+                sp.add_argument(opt.name or f"--{key}", dest=key, **opt.flag)
         sp.add_argument("--print-config", action="store_true", help="print resolved config and exit")
-        if name in ("forecast", "evaluate"):
-            sp.add_argument("--horizon", help="comma-separated horizons, e.g. 1,5,22")
-            sp.add_argument("--window", type=int, help="in-sample window length")
-            sp.add_argument("--p", type=int, help="autoregressive order")
-            sp.add_argument("--bandwidth", type=float, help="kernel bandwidth in rescaled time")
-            sp.add_argument("--series", help="series key for preset lag mappings (e.g. CL)")
-        if name == "forecast":
-            sp.add_argument("--model", help="model name (default TVEWD)")
-        if name == "evaluate":
-            sp.add_argument("--models", help="comma-separated model names")
-            sp.add_argument("--benchmark", help="benchmark model name (default TVHAR)")
-            sp.add_argument("--step", type=int, help="origin step")
-        if name == "simulate":
-            sp.add_argument("--scenario", help="scenario JSON path")
     return parser
 
 

@@ -134,6 +134,8 @@ class RollingPlan:
             raise ValueError("window must be >= 100")
         if self.step < 1:
             raise ValueError("step must be >= 1")
+        if self.max_origins is not None and self.max_origins < 1:
+            raise ValueError("max_origins must be >= 1")
         if not self.horizons or any(h < 1 for h in self.horizons):
             raise ValueError("horizons must be positive")
 
@@ -252,7 +254,8 @@ def rolling_evaluate(
     order of its horizons (`ModelSpec.horizon_groups`), so a failing order
     costs only its own horizons and counts once; an order with no horizon
     left at an origin is not called.  Ratio and DM columns pair each model
-    with the benchmark on origins where both produced a forecast.  Any other
+    with the benchmark on origins where both produced a forecast; with no
+    such origin the ratios are NaN and no DM test is run.  Any other
     exception propagates.
     """
     names = [m.display for m in models]
@@ -324,8 +327,13 @@ def rolling_evaluate(
             paired = sorted(set(cell) & set(bench_cell))
             e_model = np.array([cell[T0][0] - cell[T0][1] for T0 in paired])
             e_bench = np.array([bench_cell[T0][0] - bench_cell[T0][1] for T0 in paired])
-            r_model, m_model = rmse(e_model), mae(e_model)
-            r_bench, m_bench = rmse(e_bench), mae(e_bench)
+            rmse_ratio = mae_ratio = float("nan")
+            if paired:
+                r_bench, m_bench = rmse(e_bench), mae(e_bench)
+                if r_bench > 0:
+                    rmse_ratio = rmse(e_model) / r_bench
+                if m_bench > 0:
+                    mae_ratio = mae(e_model) / m_bench
             dm_sq = dm_abs = None
             marks_sq = marks_abs = ""
             if len(paired) >= MIN_DM_OBS:
@@ -340,8 +348,8 @@ def rolling_evaluate(
                 n_paired=len(paired),
                 rmse=rmse(own_err),
                 mae=mae(own_err),
-                rmse_ratio=r_model / r_bench if r_bench > 0 else float("nan"),
-                mae_ratio=m_model / m_bench if m_bench > 0 else float("nan"),
+                rmse_ratio=rmse_ratio,
+                mae_ratio=mae_ratio,
                 dm_sq=dm_sq,
                 dm_abs=dm_abs,
                 marks_sq=marks_sq,
@@ -440,23 +448,24 @@ def grid_search(
     plan: RollingPlan,
     horizon: int,
     loss: str = "rmse",
-    benchmark_spec: ModelSpec | None = None,
     jobs: int = 1,
 ) -> list[dict]:
     """Score candidate configurations by rolling out-of-sample loss.
 
-    Each candidate must carry a unique label.  Returns one dict per
-    candidate sorted by the requested loss at the requested horizon.
+    Each candidate must carry a unique label.  All candidates run in one
+    rolling evaluation; a candidate's loss and count come from its own
+    cell, so they do not depend on the other candidates.  Returns one dict
+    per candidate sorted by the requested loss at the requested horizon.
     """
     if loss not in ("rmse", "mae"):
         raise ValueError("loss must be 'rmse' or 'mae'")
     if horizon not in plan.horizons:
         raise ValueError(f"horizon {horizon} not in plan horizons {plan.horizons}")
+    if not candidates:
+        return []
+    report = rolling_evaluate(series, candidates, plan, benchmark=candidates[0].display, jobs=jobs)
     results = []
     for cand in candidates:
-        models = [cand] if benchmark_spec is None else [cand, benchmark_spec]
-        bench = cand.display if benchmark_spec is None else benchmark_spec.display
-        report = rolling_evaluate(series, models, plan, benchmark=bench, jobs=jobs)
         entry = report.entries.get((cand.display, horizon))
         results.append(
             {

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import VolatilitySeries, atomic_write, business_dates, format_value
+from .series import VolatilitySeries, atomic_write, business_dates
 
 __all__ = [
     "Curve",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
@@ -414,6 +414,8 @@ def persistence_shares(
     """
     if mode not in ("absolute", "signed"):
         raise ValueError(f"mode must be 'absolute' or 'signed', got {mode!r}")
+    if k_index < 0:
+        raise ValueError(f"k_index must be >= 0, got {k_index}")
     for j, b in enumerate(decomp.betas, start=1):
         if k_index >= b.shape[1]:
             raise ValueError(f"k_index {k_index} out of range for scale {j}")

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: config precedence, every subcommand, errors."""
 
+import argparse
 import json
 import math
 from collections import Counter
@@ -10,6 +11,7 @@ import pytest
 
 from tvewd import rv
 from tvewd.benchmarks import ModelSpec
+from tvewd import cli
 from tvewd.cli import main
 from tvewd.locreg import KernelSpec
 from tvewd.series import VolatilitySeries, business_dates, load_series, store_series
@@ -18,6 +20,7 @@ from tvewd.wold import MultiscaleConfig
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_REPORT = DATA_DIR / "golden_report.csv"
+PRINT_CONFIG = DATA_DIR / "print_config.json"
 
 
 def write_series(path, values, start="2010-01-04", label="test"):
@@ -103,6 +106,111 @@ def test_print_config_precedence(tmp_path, capsys):
     assert resolved["J"] == 7  # preset beats defaults
     assert resolved["horizons"] == [1, 5, 22]
     assert resolved["series_lags"]["CL"] == {"1": 2, "5": 6, "22": 6}
+
+
+COMMON_KEYS = {"input", "output", "seed", "jobs"}
+FIT_KEYS = {"p", "kernel", "bandwidth", "J", "N"}
+PREDICT_KEYS = FIT_KEYS | {"weight_window", "horizons", "lags", "series", "series_lags", "window"}
+ACCEPTED_KEYS = {
+    "rv": COMMON_KEYS
+    | {"rv_output", "label", "session_cutoff", "bins_per_day", "open_offset_minutes", "excluded_dates"},
+    "decompose": COMMON_KEYS | FIT_KEYS | {"share_mode", "share_k", "shares_output", "curves_output"},
+    "forecast": COMMON_KEYS | PREDICT_KEYS | {"model"},
+    "evaluate": COMMON_KEYS
+    | PREDICT_KEYS
+    | {"models", "benchmark", "step", "max_origins", "forecasts_output", "table_output"},
+    "simulate": COMMON_KEYS | {"scenario", "truth_output"},
+}
+
+COMMON_FLAGS = {"-h", "--help", "--config", "--preset", "--print-config", "--input", "--output", "--seed", "--jobs"}
+PREDICT_FLAGS = {"--horizon", "--window", "--p", "--bandwidth", "--series"}
+OFFERED_FLAGS = {
+    "rv": COMMON_FLAGS,
+    "decompose": COMMON_FLAGS,
+    "forecast": COMMON_FLAGS | PREDICT_FLAGS | {"--model"},
+    "evaluate": COMMON_FLAGS | PREDICT_FLAGS | {"--models", "--benchmark", "--step"},
+    "simulate": COMMON_FLAGS | {"--scenario"},
+}
+
+# every flag a command offers, set away from its default
+FLAG_HEAVY = {
+    "rv": ["--preset", "period-2010"],
+    "decompose": ["--preset", "period-1993"],
+    "forecast": ["--preset", "period-1993", "--horizon", "22,1", "--window", "300", "--p", "2",
+                 "--bandwidth", "0.25", "--series", "HU", "--model", "EWD"],
+    "evaluate": ["--preset", "period-2010", "--horizon", "5", "--window", "200", "--p", "3",
+                 "--bandwidth", "0.2", "--series", "RB", "--models", "TVAR,HAR", "--benchmark", "HAR",
+                 "--step", "2"],
+    "simulate": ["--preset", "period-2010", "--scenario", "scen.json"],
+}
+
+
+def print_config_cases(command, config_path):
+    """The `--print-config` calls pinned by tests/data/print_config.json.
+
+    The flag-heavy call also reads a config file that sets every key the
+    command accepts, so the output shows the accepted keys and that flags
+    beat the config file.
+    """
+    series = "--series" in OFFERED_FLAGS[command]
+    return {
+        f"{command} plain": [command],
+        f"{command} period-2010": [command, "--preset", "period-2010"] + (["--series", "CL"] if series else []),
+        f"{command} period-1993": [command, "--preset", "period-1993"] + (["--series", "NG"] if series else []),
+        f"{command} flags": [command, "--config", str(config_path), "--input", "in.csv", "--output", "out.csv",
+                             "--seed", "7", "--jobs", "3", *FLAG_HEAVY[command]],
+    }
+
+
+def write_every_key_config(path, command):
+    path.write_text(json.dumps({key: f"<{key}>" for key in sorted(ACCEPTED_KEYS[command])}))
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTED_KEYS))
+def test_print_config_matches_the_pinned_output(tmp_path, capsys, command):
+    """The resolved configuration of each command, preset and flag mix is
+    byte-identical to the output pinned before the option table existed.
+    The one difference: `forecast` now also prints its default model."""
+    pinned = json.loads(PRINT_CONFIG.read_text())
+    config_path = tmp_path / "cfg.json"
+    write_every_key_config(config_path, command)
+    for case, argv in print_config_cases(command, config_path).items():
+        assert main(argv + ["--print-config"]) == 0, case
+        expected = pinned[case]
+        if command == "forecast":
+            resolved = json.loads(expected)
+            resolved.setdefault("model", "TVEWD")
+            expected = json.dumps(resolved, indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr().out == expected, case
+
+
+def test_list_flags_split_on_commas_and_an_empty_horizon_is_unset(capsys):
+    argv = ["evaluate", "--preset", "period-2010", "--models", "HAR,TVAR", "--print-config"]
+    assert main(argv + ["--horizon", "22,5"]) == 0
+    resolved = json.loads(capsys.readouterr().out)
+    assert (resolved["horizons"], resolved["models"]) == ([22, 5], ["HAR", "TVAR"])
+    assert main(argv + ["--horizon", ""]) == 0
+    assert json.loads(capsys.readouterr().out)["horizons"] == [1, 5, 22]
+
+
+def test_each_command_offers_exactly_its_flags():
+    parser = cli._build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    offered = {
+        name: {flag for action in sp._actions for flag in action.option_strings}
+        for name, sp in sub.choices.items()
+    }
+    assert offered == OFFERED_FLAGS
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTED_KEYS))
+def test_config_keys_of_other_commands_rejected(tmp_path, capsys, command):
+    cfg_path = tmp_path / "cfg.json"
+    for key in sorted(set().union(*ACCEPTED_KEYS.values()) - ACCEPTED_KEYS[command]):
+        cfg_path.write_text(json.dumps({key: 1}))
+        assert main([command, "--config", str(cfg_path), "--print-config"]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record == {"error": "config", "message": f"unknown config key {key!r} for command {command!r}"}
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -604,6 +712,21 @@ def test_evaluate_isolates_failures_per_ar_order(tmp_path, capsys):
         "window too short for the configured decomposition depth",
         f"[36x] TVEWD: {too_short}",
     ]
+
+
+@pytest.mark.parametrize("max_origins", [0, -3])
+def test_evaluate_rejects_origin_caps_below_one(tmp_path, capsys, max_origins):
+    series_csv = tmp_path / "series.csv"
+    write_series(series_csv, ar1_values(150, seed=49))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_origins": max_origins}))
+    out = tmp_path / "o.csv"
+    argv = ["evaluate", "--input", str(series_csv), "--output", str(out), "--config", str(cfg),
+            "--models", "HAR", "--benchmark", "HAR", "--window", "100", "--horizon", "1"]
+    assert main(argv) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": "ValueError", "message": "max_origins must be >= 1"}
+    assert not out.exists()
 
 
 def test_evaluate_rejects_unknown_model(tmp_path, capsys):

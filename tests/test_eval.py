@@ -189,6 +189,15 @@ def test_rolling_plan_validation():
         RollingPlan(window=100, horizons=(0,))
 
 
+@pytest.mark.parametrize("max_origins", [0, -3])
+def test_rolling_plan_rejects_origin_caps_below_one(max_origins):
+    """A cap below one used to slice the origin list: -3 silently dropped
+    the last three origins and 0 returned an empty report."""
+    with pytest.raises(ValueError, match="max_origins must be >= 1"):
+        RollingPlan(window=100, max_origins=max_origins)
+    assert RollingPlan(window=100, max_origins=1).max_origins == 1
+
+
 def test_identical_models_tie_exactly():
     series = make_series(145, seed=93)
     models = [
@@ -506,6 +515,65 @@ def test_grid_search_orders_by_loss():
     assert results[0]["rmse"] <= results[1]["rmse"]
     assert {r["label"] for r in results} == {"tvar-p1", "tvar-p2"}
     assert all(r["n"] > 0 for r in results)
+
+
+@pytest.mark.parametrize("failing_at", [0, 1])
+def test_grid_search_scores_every_candidate_as_its_own_evaluation_does(failing_at):
+    """One rolling evaluation over all candidates gives each candidate the
+    loss and count of a rolling evaluation of that candidate alone, bit for
+    bit; a candidate that fails at every origin scores NaN and sorts last,
+    also when it is listed first and so is the ratio reference."""
+    series = make_series(150, seed=108)
+    plan = RollingPlan(window=100, horizons=(1, 5))
+    candidates = [
+        ModelSpec(name="TVAR", p=1, kernel=KERN, label="tvar-p1"),
+        ModelSpec(name="HAR", label="har"),
+        ModelSpec(name="TVEWD", p={1: 1, 5: 2}, kernel=KERN, scales=MultiscaleConfig(J=3, N=2), label="tvewd"),
+    ]
+    # too short a window for p = 6: fails at every origin
+    candidates.insert(failing_at, ModelSpec(name="TVAR", p=6, kernel=KERN, label="tvar-p6"))
+    for loss in ("rmse", "mae"):
+        results = grid_search(series, candidates, plan, horizon=5, loss=loss)
+        assert [r["label"] for r in results][-1] == "tvar-p6"
+        for r in results:
+            alone = rolling_evaluate(series, [r["spec"]], plan, benchmark=r["label"])
+            entry = alone.entries.get((r["label"], 5))
+            if entry is None:
+                assert math.isnan(r["rmse"]) and math.isnan(r["mae"]) and r["n"] == 0
+            else:
+                assert (r["rmse"], r["mae"], r["n"]) == (entry.rmse, entry.mae, entry.n)
+        scored = [r[loss] for r in results[:-1]]
+        assert scored == sorted(scored)
+
+
+def test_benchmark_without_forecasts_gives_nan_ratios():
+    """A model scored at a horizon where the benchmark never forecast has no
+    paired origins: its ratios are NaN and no DM test is run, while its own
+    losses stay those of its evaluation alone."""
+    series = make_series(150, seed=110)
+    plan = RollingPlan(window=100, horizons=(1, 5))
+    failing = ModelSpec(name="TVAR", p=6, kernel=KERN, label="tvar-p6")
+    har = ModelSpec(name="HAR", label="har")
+    report = rolling_evaluate(series, [failing, har], plan, benchmark="tvar-p6")
+    alone = rolling_evaluate(series, [har], plan, benchmark="har")
+    assert not any(name == "tvar-p6" for name, _ in report.entries)
+    for h in plan.horizons:
+        entry, own = report.entries[("har", h)], alone.entries[("har", h)]
+        assert entry.n_paired == 0 and entry.n == own.n > 0
+        assert (entry.rmse, entry.mae) == (own.rmse, own.mae)
+        assert math.isnan(entry.rmse_ratio) and math.isnan(entry.mae_ratio)
+        assert entry.dm_sq is None and entry.dm_abs is None
+        assert entry.marks_sq == entry.marks_abs == ""
+    assert "nan" in format_report(report)
+
+
+def test_grid_search_empty_and_duplicate_candidates():
+    series = make_series(150, seed=109)
+    plan = RollingPlan(window=100, horizons=(1,))
+    assert grid_search(series, [], plan, horizon=1) == []
+    twins = [ModelSpec(name="HAR", label="a"), ModelSpec(name="TVHAR", label="a")]
+    with pytest.raises(ValueError, match="duplicate"):
+        grid_search(series, twins, plan, horizon=1)
 
 
 def test_grid_search_validation():

@@ -843,6 +843,10 @@ def test_share_options_validated():
         persistence_shares(decomp, mode="squared")
     with pytest.raises(ValueError, match="k_index"):
         persistence_shares(decomp, k_index=10)
+    # a negative index would read each scale's last translate, whose lag
+    # differs from scale to scale
+    with pytest.raises(ValueError, match="k_index must be >= 0, got -1"):
+        persistence_shares(decomp, k_index=-1)
 
 
 # ---------------------------------------------------------------------------
