@@ -37,7 +37,6 @@ from .forecast import (
     ScaleWeights,
     estimate_weights,
     forecast_scale,
-    forecast_trend,
     tvewd_forecast,
 )
 from .locreg import (
@@ -45,7 +44,6 @@ from .locreg import (
     KernelSpec,
     TvpArFit,
     boundary_fit,
-    center,
     fit_tvp_ar,
     local_level,
 )

@@ -128,8 +128,8 @@ def tvar_forecast(
     centered values with the boundary (u = 1) coefficients of `boundary_fit`
     and future shocks set to zero, and the boundary level is added back.
     Only those p levels and one boundary solve are computed; they equal the
-    matching entries of a full `fit_tvp_ar` and `center` bit for bit.  p = 0
-    degenerates to the local level (trend-only) forecast.
+    matching entries of a full `fit_tvp_ar` and `local_level` bit for bit.
+    p = 0 degenerates to the local level (trend-only) forecast.
     """
     values = np.asarray(values, dtype=float)
     if p == 0:

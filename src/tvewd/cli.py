@@ -86,8 +86,10 @@ PREDICT = ("forecast", "evaluate")
 OPTIONS: dict[str, Option] = {
     "input": Option(ALL, flag_for=ALL, flag={"help": "input CSV path"}),
     "output": Option(ALL, flag_for=ALL, flag={"help": "output path"}),
-    "seed": Option(ALL, flag_for=ALL, flag={"type": int, "help": "seed override"}),
-    "jobs": Option(ALL, 1, flag_for=ALL, flag={"type": int, "help": "parallel workers for rolling origins"}),
+    "seed": Option(("simulate",), flag_for=("simulate",), flag={"type": int, "help": "scenario seed override"}),
+    "jobs": Option(
+        ("evaluate",), 1, flag_for=("evaluate",), flag={"type": int, "help": "parallel workers for rolling origins"}
+    ),
     "horizons": Option(
         PREDICT, [1, 5, 22], flag_for=PREDICT, name="--horizon",
         flag={"metavar": "HORIZON", "help": "comma-separated horizons, e.g. 1,5,22"},
@@ -172,7 +174,7 @@ def _scales(cfg: dict) -> MultiscaleConfig:
 
 def _lags(cfg: dict, horizons: tuple[int, ...]) -> dict[int, int]:
     """Per-horizon AR orders: explicit lags map > preset series map > flat p."""
-    lags = cfg.get("lags")
+    lags, source = cfg.get("lags"), "lags"
     if lags is None and cfg.get("series") is not None:
         series_lags = cfg.get("series_lags", {})
         key = cfg["series"]
@@ -180,9 +182,11 @@ def _lags(cfg: dict, horizons: tuple[int, ...]) -> dict[int, int]:
             raise ConfigError(
                 f"series {key!r} has no lag mapping; available: {sorted(series_lags)}"
             )
-        lags = series_lags[key]
+        lags, source = series_lags[key], f"series_lags[{key!r}]"
     if lags is None:
         return {h: int(cfg["p"]) for h in horizons}
+    if not isinstance(lags, dict):
+        raise ConfigError(f"{source} must map horizons to AR orders, got {lags!r}")
     for h in horizons:
         if str(h) not in lags:
             raise ConfigError(f"lag mapping has no entry for horizon {h}")
@@ -191,6 +195,9 @@ def _lags(cfg: dict, horizons: tuple[int, ...]) -> dict[int, int]:
 
 def _model_specs(cfg: dict, names: list[str], horizons: tuple[int, ...]) -> list[benchmarks.ModelSpec]:
     """One ModelSpec per name, sharing the configured lags, kernel and scales."""
+    for name in names:
+        if name not in benchmarks.MODEL_NAMES:
+            raise ConfigError(f"unknown model {name!r}, expected one of {benchmarks.MODEL_NAMES}")
     lags, kernel, scales = _lags(cfg, horizons), _kernel(cfg), _scales(cfg)
     return [
         benchmarks.ModelSpec(
@@ -198,6 +205,18 @@ def _model_specs(cfg: dict, names: list[str], horizons: tuple[int, ...]) -> list
         )
         for n in names
     ]
+
+
+def _plan(cfg: dict, window: Any, step: Any = 1, max_origins: Any = None) -> evaluate.RollingPlan:
+    """The configured horizons and the given layout as a rolling plan; a
+    value the plan refuses, or one that is not a number, is a config error."""
+    try:
+        horizons = tuple(int(h) for h in cfg["horizons"])
+        return evaluate.RollingPlan(
+            window=int(window), step=int(step), horizons=horizons, max_origins=max_origins
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _require(cfg: dict, key: str, command: str) -> str:
@@ -252,28 +271,19 @@ def cmd_forecast(cfg: dict) -> int:
     out = _require(cfg, "output", "forecast")
     series = load_series(path)
     name = cfg["model"]
-    horizons = tuple(int(h) for h in cfg["horizons"])
-    window = int(cfg["window"] or len(series))
-    if window > len(series):
-        raise ConfigError(f"window {window} exceeds series length {len(series)}")
-    (spec,) = _model_specs(cfg, [name], horizons)
-    values_by_h = spec.forecast_all(series.values[-window:], horizons)
-    points = [
-        forecast.ForecastPoint(
-            horizon=h,
-            value=values_by_h[h],
-            trend=float("nan"),
-            scale_parts=np.array([]),
-            weights=np.array([]),
-            model=name,
-            origin_date=str(series.dates[-1]),
-            target_date=str(np.busday_offset(series.dates[-1], h, roll="forward")),
-        )
-        for h in horizons
+    plan = _plan(cfg, len(series) if cfg["window"] is None else cfg["window"])
+    if plan.window > len(series):
+        raise ConfigError(f"window {plan.window} exceeds series length {len(series)}")
+    (spec,) = _model_specs(cfg, [name], plan.horizons)
+    values_by_h = spec.forecast_all(series.values[-plan.window:], plan.horizons)
+    origin = series.dates[-1]
+    rows = [
+        (str(origin), str(np.busday_offset(origin, h, roll="forward")), h, name, values_by_h[h])
+        for h in plan.horizons
     ]
-    forecast.store_forecasts(points, out)
-    for pt in points:
-        print(f"{name} h={pt.horizon}: {pt.value:.6f}")
+    forecast.store_forecasts(rows, out)
+    for h in plan.horizons:
+        print(f"{name} h={h}: {values_by_h[h]:.6f}")
     return 0
 
 
@@ -281,18 +291,8 @@ def cmd_evaluate(cfg: dict) -> int:
     path = _require(cfg, "input", "evaluate")
     out = _require(cfg, "output", "evaluate")
     series = load_series(path)
-    horizons = tuple(int(h) for h in cfg["horizons"])
-    names = list(cfg["models"])
-    for name in names:
-        if name not in benchmarks.MODEL_NAMES:
-            raise ConfigError(f"unknown model {name!r}, expected one of {benchmarks.MODEL_NAMES}")
-    models = _model_specs(cfg, names, horizons)
-    plan = evaluate.RollingPlan(
-        window=int(cfg["window"]),
-        step=int(cfg["step"]),
-        horizons=horizons,
-        max_origins=cfg.get("max_origins"),
-    )
+    plan = _plan(cfg, cfg["window"], cfg["step"], cfg.get("max_origins"))
+    models = _model_specs(cfg, list(cfg["models"]), plan.horizons)
     report = evaluate.rolling_evaluate(
         series, models, plan, benchmark=cfg["benchmark"], jobs=int(cfg["jobs"])
     )

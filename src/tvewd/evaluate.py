@@ -138,6 +138,8 @@ class RollingPlan:
             raise ValueError("max_origins must be >= 1")
         if not self.horizons or any(h < 1 for h in self.horizons):
             raise ValueError("horizons must be positive")
+        if len(set(self.horizons)) != len(self.horizons):
+            raise ValueError("horizons must be distinct")
 
 
 @dataclass

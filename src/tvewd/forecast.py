@@ -18,7 +18,6 @@ import numpy as np
 
 from .locreg import (
     _MODEL_FAILURES,
-    CenteredSeries,
     EstimationError,
     KernelSpec,
     _attempt,
@@ -36,7 +35,6 @@ __all__ = [
     "ForecastPoint",
     "estimate_weights",
     "forecast_scale",
-    "forecast_trend",
     "combine_forecast",
     "tvewd_forecast",
     "tvewd_forecast_window",
@@ -80,7 +78,6 @@ class ForecastPoint:
     trend: float
     scale_parts: np.ndarray
     weights: np.ndarray
-    model: str = "TVEWD"
     origin_date: str | None = None
     target_date: str | None = None
 
@@ -145,11 +142,6 @@ def forecast_scale(
     return float(np.dot(np.asarray(beta_boundary, dtype=float)[k[observed]], e[observed]))
 
 
-def forecast_trend(centered: CenteredSeries) -> float:
-    """Trend part: the local level at the boundary u = 1, constant across horizons."""
-    return float(centered.trend[-1])
-
-
 def combine_forecast(trend: float, weights: np.ndarray, parts: np.ndarray) -> float:
     """The exact combination used everywhere: trend + sum(weights * parts)."""
     return trend + float(np.sum(weights * parts))
@@ -197,7 +189,8 @@ def tvewd_forecast_window(values: np.ndarray, cfg: ForecastConfig, horizons: tup
     rows from `first_full_row` on, the first with a full shock history, to
     the boundary row.  A local level does not depend on which other points
     are evaluated with it, so these levels equal the same rows of
-    `center(fit).trend` bit for bit, and the last of them sits at u = 1.
+    `local_level(values, cfg.kernel)` bit for bit, and the last of them
+    sits at u = 1.
 
     `values` may also be a (B, n) stack of windows of one length.  The
     stack is fitted and levelled in one call each, which builds the kernel
@@ -246,11 +239,8 @@ def tvewd_forecast(series, cfg: ForecastConfig, horizon: int = 1) -> ForecastPoi
     return point
 
 
-def store_forecasts(points: list[ForecastPoint], path: str) -> None:
-    """Write forecasts as an `origin_date,target_date,h,model,forecast` CSV."""
-    rows = (
-        (pt.origin_date or "", pt.target_date or "", str(pt.horizon), pt.model,
-         format_value(pt.value))
-        for pt in points
-    )
-    write_csv(path, FORECAST_COLUMNS, rows)
+def store_forecasts(rows: list[tuple[str, str, int, str, float]], path: str) -> None:
+    """Write `(origin_date, target_date, h, model, value)` rows as an
+    `origin_date,target_date,h,model,forecast` CSV."""
+    cells = ((origin, target, str(h), model, format_value(v)) for origin, target, h, model, v in rows)
+    write_csv(path, FORECAST_COLUMNS, cells)

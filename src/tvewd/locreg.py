@@ -24,13 +24,11 @@ __all__ = [
     "EstimationError",
     "KernelSpec",
     "TvpArFit",
-    "CenteredSeries",
     "kernel_weights",
     "local_linear",
     "local_level",
     "fit_tvp_ar",
     "boundary_fit",
-    "center",
     "export_curves",
 ]
 
@@ -312,17 +310,6 @@ class TvpArFit:
         return len(self.values)
 
 
-@dataclass
-class CenteredSeries:
-    """A series minus its estimated local level (trend) curve."""
-
-    values: np.ndarray
-    trend: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def _design(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lagged design for observations t = p+1..T (0-based rows p..T-1) of
     one window, or of each window of a (B, T) stack."""
@@ -461,6 +448,11 @@ def local_level(series, kernel: KernelSpec, u: float | np.ndarray | None = None)
     of one length gives one row of levels (one value for a scalar u) per
     window, each equal to its one-window level bit for bit.
 
+    The series minus its level is locally mean-zero, which is what the
+    scale-weight regression and the forecast combination assume; the AR
+    intercept curve phi_0 does not play that role once lag terms are in
+    the fit.
+
     The evaluation points are solved together by the batched normal
     equations of `fit_tvp_ar` with X = 1; points whose cond(Z) estimate
     exceeds FALLBACK_COND are re-solved by `local_linear`, which applies
@@ -482,21 +474,6 @@ def local_level(series, kernel: KernelSpec, u: float | np.ndarray | None = None)
     if u is not None and np.ndim(u) == 0:
         out = out[..., 0]
     return float(out) if out.ndim == 0 else out
-
-
-def center(fit: TvpArFit) -> CenteredSeries:
-    """Subtract the estimated local level (trend) curve from the window.
-
-    The level at each observation is a local linear fit of the series on
-    rescaled time alone, using the same kernel as the coefficient fit
-    (one-sided at the boundaries).  Centering by the local level makes the
-    centered series locally mean-zero, which is what the scale-component
-    weight regression and the forecast combination assume; the
-    autoregressive intercept curve phi_0 does not play that role once lag
-    terms are in the fit.
-    """
-    trend = local_level(fit.values, fit.kernel)
-    return CenteredSeries(values=fit.values - trend, trend=trend)
 
 
 def export_curves(fit: TvpArFit, path: str) -> None:

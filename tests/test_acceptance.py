@@ -25,7 +25,7 @@ from tvewd.forecast import (
     forecast_scale,
     tvewd_forecast_window,
 )
-from tvewd.locreg import KernelSpec, TvpArFit, center, fit_tvp_ar
+from tvewd.locreg import KernelSpec, TvpArFit, fit_tvp_ar, local_level
 from tvewd.rv import TradingCalendar, annualize, realized_variance, sample_five_minute
 from tvewd.sim import Curve, TvpArScenario, constant, simulate
 from tvewd.wold import (
@@ -285,7 +285,7 @@ def test_criterion_07_nesting_checks():
         ("TVP-AR slopes == d from the time-augmented solve",
          _gap(fit.slopes, np.broadcast_to(theta[2:], fit.slopes.shape)), 1e-8),
         ("local level == global straight line in tau",
-         _gap(center(fit).trend, trend_line), 1e-8),
+         _gap(local_level(fit.values, fit.kernel), trend_line), 1e-8),
         ("TVEWD forecasts == pipeline on the linear-in-u fit",
          _gap([pt.value for pt in points], on_linear), 1e-6),
         ("EWD forecasts == pipeline on the global OLS AR(1)",

@@ -15,7 +15,7 @@ from tvewd.benchmarks import (
     tvhar_fit_forecast,
 )
 from tvewd.forecast import ForecastConfig, tvewd_forecast_window
-from tvewd.locreg import EstimationError, KernelSpec, center, fit_tvp_ar, local_level
+from tvewd.locreg import EstimationError, KernelSpec, fit_tvp_ar, local_level
 from tvewd.wold import MultiscaleConfig
 
 KERN = KernelSpec("epanechnikov", 0.3)
@@ -140,25 +140,24 @@ def test_tvhar_tracks_drifting_level():
 def test_tvar_closed_form_ar1():
     v = ar1_path(0.5, 400, seed=75, level=10.0)
     fit = fit_tvp_ar(v, 1, KERN)
-    centered = center(fit)
+    trend = local_level(fit.values, fit.kernel)
     phi1 = fit.phi[-1, 1]
-    trend = centered.trend[-1]
     out = tvar_forecast(v, 1, (1, 2, 5, 22), KERN)
     for h in (1, 2, 5, 22):
-        assert out[h] == pytest.approx(trend + phi1**h * centered.values[-1], rel=1e-12)
+        assert out[h] == pytest.approx(trend[-1] + phi1**h * (fit.values[-1] - trend[-1]), rel=1e-12)
 
 
 def test_tvar_manual_recursion_oracle_p2():
     v = ar1_path(0.5, 500, seed=76, level=8.0)
     fit = fit_tvp_ar(v, 2, KERN)
-    centered = center(fit)
+    trend = local_level(fit.values, fit.kernel)
     c1, c2 = fit.phi[-1, 1], fit.phi[-1, 2]
-    x_prev, x_cur = centered.values[-2], centered.values[-1]
+    x_prev, x_cur = fit.values[-2:] - trend[-2:]
     expected = {}
     for h in range(1, 6):
         nxt = c1 * x_cur + c2 * x_prev
         x_prev, x_cur = x_cur, nxt
-        expected[h] = centered.trend[-1] + nxt
+        expected[h] = trend[-1] + nxt
     out = tvar_forecast(v, 2, (1, 3, 5), KERN)
     for h in (1, 3, 5):
         assert out[h] == pytest.approx(expected[h], rel=1e-12)
@@ -167,14 +166,14 @@ def test_tvar_manual_recursion_oracle_p2():
 def full_fit_tvar(values, p, horizons, kernel):
     """TVAR through a full per-observation fit and a full centring."""
     fit = fit_tvp_ar(values, p, kernel)
-    centered = center(fit)
+    trend = local_level(fit.values, fit.kernel)
     coefs = fit.phi[-1, 1:]
-    buf = list(centered.values[-p:])
+    buf = list((fit.values - trend)[-p:])
     out = {}
     for step in range(1, max(horizons) + 1):
         buf.append(float(np.dot(coefs, buf[::-1][:p])))
         if step in horizons:
-            out[step] = float(centered.trend[-1]) + buf[-1]
+            out[step] = float(trend[-1]) + buf[-1]
     return out
 
 
@@ -204,11 +203,11 @@ def test_tvar_order_zero_is_boundary_level():
 def test_tvar_forecast_decays_to_trend():
     v = ar1_path(0.7, 500, seed=78, level=10.0)
     fit = fit_tvp_ar(v, 1, KERN)
-    centered = center(fit)
+    level = local_level(fit.values, fit.kernel)[-1]
     out = tvar_forecast(v, 1, (1, 50), KERN)
     # with |phi| < 1 the centered part dies out at long horizons
-    assert abs(out[50] - centered.trend[-1]) < abs(out[1] - centered.trend[-1]) + 1e-9
-    assert out[50] == pytest.approx(centered.trend[-1], abs=0.05)
+    assert abs(out[50] - level) < abs(out[1] - level) + 1e-9
+    assert out[50] == pytest.approx(level, abs=0.05)
 
 
 # ---------------------------------------------------------------------------

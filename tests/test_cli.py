@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tvewd import rv
-from tvewd.benchmarks import ModelSpec
+from tvewd.benchmarks import MODEL_NAMES, ModelSpec
 from tvewd import cli
 from tvewd.cli import main
 from tvewd.locreg import KernelSpec
@@ -108,7 +108,7 @@ def test_print_config_precedence(tmp_path, capsys):
     assert resolved["series_lags"]["CL"] == {"1": 2, "5": 6, "22": 6}
 
 
-COMMON_KEYS = {"input", "output", "seed", "jobs"}
+COMMON_KEYS = {"input", "output"}
 FIT_KEYS = {"p", "kernel", "bandwidth", "J", "N"}
 PREDICT_KEYS = FIT_KEYS | {"weight_window", "horizons", "lags", "series", "series_lags", "window"}
 ACCEPTED_KEYS = {
@@ -118,18 +118,18 @@ ACCEPTED_KEYS = {
     "forecast": COMMON_KEYS | PREDICT_KEYS | {"model"},
     "evaluate": COMMON_KEYS
     | PREDICT_KEYS
-    | {"models", "benchmark", "step", "max_origins", "forecasts_output", "table_output"},
-    "simulate": COMMON_KEYS | {"scenario", "truth_output"},
+    | {"jobs", "models", "benchmark", "step", "max_origins", "forecasts_output", "table_output"},
+    "simulate": COMMON_KEYS | {"seed", "scenario", "truth_output"},
 }
 
-COMMON_FLAGS = {"-h", "--help", "--config", "--preset", "--print-config", "--input", "--output", "--seed", "--jobs"}
+COMMON_FLAGS = {"-h", "--help", "--config", "--preset", "--print-config", "--input", "--output"}
 PREDICT_FLAGS = {"--horizon", "--window", "--p", "--bandwidth", "--series"}
 OFFERED_FLAGS = {
     "rv": COMMON_FLAGS,
     "decompose": COMMON_FLAGS,
     "forecast": COMMON_FLAGS | PREDICT_FLAGS | {"--model"},
-    "evaluate": COMMON_FLAGS | PREDICT_FLAGS | {"--models", "--benchmark", "--step"},
-    "simulate": COMMON_FLAGS | {"--scenario"},
+    "evaluate": COMMON_FLAGS | PREDICT_FLAGS | {"--jobs", "--models", "--benchmark", "--step"},
+    "simulate": COMMON_FLAGS | {"--seed", "--scenario"},
 }
 
 # every flag a command offers, set away from its default
@@ -153,12 +153,14 @@ def print_config_cases(command, config_path):
     beat the config file.
     """
     series = "--series" in OFFERED_FLAGS[command]
+    seed = ["--seed", "7"] if "--seed" in OFFERED_FLAGS[command] else []
+    jobs = ["--jobs", "3"] if "--jobs" in OFFERED_FLAGS[command] else []
     return {
         f"{command} plain": [command],
         f"{command} period-2010": [command, "--preset", "period-2010"] + (["--series", "CL"] if series else []),
         f"{command} period-1993": [command, "--preset", "period-1993"] + (["--series", "NG"] if series else []),
         f"{command} flags": [command, "--config", str(config_path), "--input", "in.csv", "--output", "out.csv",
-                             "--seed", "7", "--jobs", "3", *FLAG_HEAVY[command]],
+                             *seed, *jobs, *FLAG_HEAVY[command]],
     }
 
 
@@ -169,18 +171,20 @@ def write_every_key_config(path, command):
 @pytest.mark.parametrize("command", sorted(ACCEPTED_KEYS))
 def test_print_config_matches_the_pinned_output(tmp_path, capsys, command):
     """The resolved configuration of each command, preset and flag mix is
-    byte-identical to the output pinned before the option table existed.
-    The one difference: `forecast` now also prints its default model."""
+    byte-identical to the output pinned before the option table existed,
+    but for two differences: `forecast` now also prints its default model,
+    and `seed` and `jobs` are keys only of the commands that read them."""
     pinned = json.loads(PRINT_CONFIG.read_text())
     config_path = tmp_path / "cfg.json"
     write_every_key_config(config_path, command)
     for case, argv in print_config_cases(command, config_path).items():
         assert main(argv + ["--print-config"]) == 0, case
-        expected = pinned[case]
+        resolved = json.loads(pinned[case])
         if command == "forecast":
-            resolved = json.loads(expected)
             resolved.setdefault("model", "TVEWD")
-            expected = json.dumps(resolved, indent=2, sort_keys=True) + "\n"
+        for key in {"seed", "jobs"} - ACCEPTED_KEYS[command]:
+            resolved.pop(key, None)
+        expected = json.dumps(resolved, indent=2, sort_keys=True) + "\n"
         assert capsys.readouterr().out == expected, case
 
 
@@ -472,7 +476,7 @@ def test_forecast_fits_once_per_lag_and_matches_per_horizon_route(tmp_path, monk
     assert fits == ([6, 2] if model == "TVEWD" else [])
 
     window = series.values[-700:]
-    points = []
+    rows = []
     for h, p in ((5, 6), (1, 2), (22, 6)):
         spec = ModelSpec(
             name=model,
@@ -480,20 +484,10 @@ def test_forecast_fits_once_per_lag_and_matches_per_horizon_route(tmp_path, monk
             kernel=KernelSpec("epanechnikov", 0.3),
             scales=MultiscaleConfig(J=7, N=4),
         )
-        points.append(
-            forecast.ForecastPoint(
-                horizon=h,
-                value=spec.forecast_all(window, (h,))[h],
-                trend=float("nan"),
-                scale_parts=np.array([]),
-                weights=np.array([]),
-                model=model,
-                origin_date=str(series.dates[-1]),
-                target_date=str(np.busday_offset(series.dates[-1], h, roll="forward")),
-            )
-        )
+        target = str(np.busday_offset(series.dates[-1], h, roll="forward"))
+        rows.append((str(series.dates[-1]), target, h, model, spec.forecast_all(window, (h,))[h]))
     expected = tmp_path / "per_horizon.csv"
-    forecast.store_forecasts(points, str(expected))
+    forecast.store_forecasts(rows, str(expected))
     assert out.read_bytes() == expected.read_bytes()
 
     # the library route: one spec with the per-horizon map, equal bit for bit
@@ -505,7 +499,7 @@ def test_forecast_fits_once_per_lag_and_matches_per_horizon_route(tmp_path, monk
         scales=MultiscaleConfig(J=7, N=4),
     )
     assert mapped.p == ((1, 2), (5, 6), (22, 6)) and hash(mapped) is not None
-    assert mapped.forecast_all(window, (5, 1, 22)) == {pt.horizon: pt.value for pt in points}
+    assert mapped.forecast_all(window, (5, 1, 22)) == {h: value for _, _, h, _, value in rows}
     assert fits == ([6, 2] if model == "TVEWD" else [])
 
 
@@ -547,6 +541,20 @@ def test_forecast_window_exceeds_series(tmp_path, capsys):
     )
     assert code == 2
     assert "exceeds" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_forecast_null_window_is_the_whole_series(tmp_path):
+    series_csv = tmp_path / "series.csv"
+    write_series(series_csv, ar1_values(400, seed=50))
+    outputs = []
+    for name, window_cfg, flags in (("null", {"window": None}, []), ("full", {}, ["--window", "400"])):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"J": 5, **window_cfg}))
+        out = tmp_path / f"{name}.csv"
+        argv = ["forecast", "--input", str(series_csv), "--output", str(out), "--config", str(cfg)]
+        assert main(argv + flags) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -723,9 +731,9 @@ def test_evaluate_rejects_origin_caps_below_one(tmp_path, capsys, max_origins):
     out = tmp_path / "o.csv"
     argv = ["evaluate", "--input", str(series_csv), "--output", str(out), "--config", str(cfg),
             "--models", "HAR", "--benchmark", "HAR", "--window", "100", "--horizon", "1"]
-    assert main(argv) == 1
+    assert main(argv) == 2
     record = json.loads(capsys.readouterr().err)
-    assert record == {"error": "ValueError", "message": "max_origins must be >= 1"}
+    assert record == {"error": "config", "message": "max_origins must be >= 1"}
     assert not out.exists()
 
 
@@ -749,3 +757,46 @@ def test_evaluate_rejects_unknown_model(tmp_path, capsys):
     )
     assert code == 2
     assert "XGB" in json.loads(capsys.readouterr().err)["message"]
+
+
+# ---------------------------------------------------------------------------
+# plan and configuration errors of forecast and evaluate
+# ---------------------------------------------------------------------------
+
+# (flags, config file, message); "--model" reads "--models" for evaluate
+PLAN_ERRORS = {
+    "negative window": (["--window", "-5"], None, "window must be >= 100"),
+    "zero window": (["--window", "0"], None, "window must be >= 100"),
+    "zero window in config": ([], {"window": 0}, "window must be >= 100"),
+    "short TVAR window": (["--window", "50", "--model", "TVAR"], None, "window must be >= 100"),
+    "zero horizon HAR": (["--horizon", "0", "--model", "HAR"], None, "horizons must be positive"),
+    "zero horizon TVAR": (["--horizon", "0", "--model", "TVAR"], None, "horizons must be positive"),
+    "repeated horizon": (["--horizon", "1,1"], None, "horizons must be distinct"),
+    "scalar lags": ([], {"lags": 2}, "lags must map horizons to AR orders, got 2"),
+    "scalar series lags": (
+        [], {"series": "CL", "series_lags": {"CL": 3}}, "series_lags['CL'] must map horizons to AR orders, got 3"
+    ),
+    "scalar horizons": ([], {"horizons": 5}, "'int' object is not iterable"),
+    "text window": ([], {"window": "abc"}, "invalid literal for int() with base 10: 'abc'"),
+    "unknown model": (["--model", "XGB"], None, f"unknown model 'XGB', expected one of {MODEL_NAMES}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLAN_ERRORS))
+@pytest.mark.parametrize("command", ["forecast", "evaluate"])
+def test_plan_errors_are_config_errors_and_write_nothing(tmp_path, capsys, command, case):
+    """Both commands build one rolling plan: a window, horizon, lag map or
+    model that plan or config refuses exits 2 with a config record, before
+    any output is written."""
+    flags, config, message = PLAN_ERRORS[case]
+    series_csv = tmp_path / "series.csv"
+    write_series(series_csv, ar1_values(830, seed=51))
+    argv = [command, "--input", str(series_csv), "--output", str(tmp_path / "out.csv")]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    model_flag = "--model" if command == "forecast" else "--models"
+    argv += [model_flag if flag == "--model" else flag for flag in flags]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "config", "message": message}
+    assert [p.name for p in tmp_path.iterdir() if p.name != "cfg.json"] == ["series.csv"]

@@ -187,6 +187,8 @@ def test_rolling_plan_validation():
         RollingPlan(window=100, horizons=())
     with pytest.raises(ValueError, match="horizons"):
         RollingPlan(window=100, horizons=(0,))
+    with pytest.raises(ValueError, match="horizons must be distinct"):
+        RollingPlan(window=100, horizons=(1, 5, 1))
 
 
 @pytest.mark.parametrize("max_origins", [0, -3])

@@ -12,12 +12,11 @@ from tvewd.forecast import (
     estimate_weights,
     combine_forecast,
     forecast_scale,
-    forecast_trend,
     store_forecasts,
     tvewd_forecast,
     tvewd_forecast_window,
 )
-from tvewd.locreg import EstimationError, KernelSpec, center, fit_tvp_ar
+from tvewd.locreg import EstimationError, KernelSpec, fit_tvp_ar, local_level
 from tvewd.series import VolatilitySeries, business_dates
 from tvewd.wold import MultiscaleConfig, decompose_static
 
@@ -202,9 +201,9 @@ def test_forecast_scale_horizon_validated():
 def test_trend_is_boundary_level():
     v, _ = ar1_path(0.5, 500, seed=60, level=12.0)
     fit = fit_tvp_ar(v, 1, CFG.kernel)
-    centered = center(fit)
-    assert forecast_trend(centered) == centered.trend[-1]
-    assert forecast_trend(centered) == pytest.approx(12.0, abs=1.5)
+    level = local_level(fit.values, fit.kernel)[-1]
+    assert tvewd_forecast(v, CFG).trend == level
+    assert level == pytest.approx(12.0, abs=1.5)
 
 
 def test_combine_forecast_is_exact_bookkeeping():
@@ -304,7 +303,7 @@ def test_store_forecasts(tmp_path):
     series = VolatilitySeries(business_dates("2015-01-05", 400), v, label="X")
     points = [tvewd_forecast(series, CFG, horizon=h) for h in (1, 5)]
     path = str(tmp_path / "fc.csv")
-    store_forecasts(points, path)
+    store_forecasts([(pt.origin_date, pt.target_date, pt.horizon, "TVEWD", pt.value) for pt in points], path)
     with open(path) as fh:
         lines = fh.read().splitlines()
     assert lines[0] == "origin_date,target_date,h,model,forecast"

@@ -1,4 +1,5 @@
-"""Lint: every module of the package uses what it imports.
+"""Lint: every module of the package uses what it imports and defines
+what it exports.
 
 No linter ships with the test dependencies, so this reads each module with
 the standard-library `ast`.  Package `__init__.py` files only re-export, and
@@ -6,6 +7,7 @@ a name listed in a module's `__all__` counts as used.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -44,3 +46,12 @@ def test_the_check_finds_an_unused_import():
 )
 def test_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("__"))
+)
+def test_module_defines_every_exported_name(module):
+    """A stale `__all__` entry breaks `from tvewd.<module> import *` only."""
+    mod = importlib.import_module(f"tvewd.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

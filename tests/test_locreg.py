@@ -16,7 +16,6 @@ from tvewd.locreg import (
     KernelSpec,
     _design,
     boundary_fit,
-    center,
     export_curves,
     fit_tvp_ar,
     kernel_weights,
@@ -224,12 +223,11 @@ def test_center_zero_mean_and_length():
     )
     res = simulate(scen)
     fit = fit_tvp_ar(res.series.values, 1, EPA)
-    centered = center(fit)
+    trend = local_level(fit.values, fit.kernel)
+    centered = fit.values - trend
     assert len(centered) == len(res.series.values)
-    assert abs(float(np.mean(centered.values))) < 0.05 * float(np.std(res.series.values))
-    np.testing.assert_allclose(
-        centered.values, res.series.values - centered.trend, rtol=0, atol=0
-    )
+    assert abs(float(np.mean(centered))) < 0.05 * float(np.std(res.series.values))
+    np.testing.assert_allclose(centered, res.series.values - trend, rtol=0, atol=0)
 
 
 def test_center_recovers_local_mean_of_persistent_series():
@@ -237,7 +235,7 @@ def test_center_recovers_local_mean_of_persistent_series():
     # regression intercept: AR(1) with intercept 2, phi 0.9 has mean 20
     v = ar1_path(0.9, 3000, seed=22, intercept=2.0)
     fit = fit_tvp_ar(v, 1, EPA)
-    trend = center(fit).trend
+    trend = local_level(fit.values, fit.kernel)
     assert abs(float(np.mean(trend)) - 20.0) < 2.0
 
 

@@ -20,10 +20,9 @@ from tvewd.forecast import (
     combine_forecast,
     estimate_weights,
     forecast_scale,
-    forecast_trend,
     tvewd_forecast_window,
 )
-from tvewd.locreg import KernelSpec, TvpArFit, center, fit_tvp_ar
+from tvewd.locreg import KernelSpec, TvpArFit, fit_tvp_ar, local_level
 from tvewd.wold import (
     ExplosiveWarning,
     MultiscaleConfig,
@@ -715,10 +714,10 @@ def test_trailing_row_forecasts_equal_full_row_route(p, extra, weight_window, fa
     )
     points = tvewd_forecast_window(values, cfg, HORIZONS)
     fit = fit_tvp_ar(values, p, cfg.kernel)
-    centered = center(fit)
+    trend = local_level(fit.values, fit.kernel)
     full = decompose(fit, scales)
-    weights = estimate_weights(centered.values[p:], full.components, weight_window)
-    route = multiscale_forecasts(full, weights, forecast_trend(centered), HORIZONS)
+    weights = estimate_weights((fit.values - trend)[p:], full.components, weight_window)
+    route = multiscale_forecasts(full, weights, float(trend[-1]), HORIZONS)
     assert {pt.horizon: pt.value for pt in points} == route
 
     start = scales.first_full_row(len(fit.residuals))
