@@ -32,7 +32,6 @@ from .evaluate import (
     significance_marks,
 )
 from .forecast import (
-    ForecastConfig,
     ForecastPoint,
     ScaleWeights,
     estimate_weights,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forecast import ForecastConfig, _multiscale_points, tvewd_forecast_window
+from .forecast import _multiscale_points, tvewd_forecast_window
 from .locreg import (
     EstimationError,
     KernelSpec,
@@ -129,11 +129,8 @@ def tvar_forecast(
     and future shocks set to zero, and the boundary level is added back.
     Only those p levels and one boundary solve are computed; they equal the
     matching entries of a full `fit_tvp_ar` and `local_level` bit for bit.
-    p = 0 degenerates to the local level (trend-only) forecast.
     """
     values = np.asarray(values, dtype=float)
-    if p == 0:
-        return {h: local_level(values, kernel, u=1.0) for h in horizons}
     levels, _, _ = boundary_fit(values, p, kernel)
     T = len(values)
     trend_tail = local_level(values, kernel, u=np.arange(T - p + 1, T + 1, dtype=float) / T)
@@ -160,11 +157,7 @@ def _ols_ar(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ewd_static_forecast(
-    values: np.ndarray,
-    p: int,
-    scales: MultiscaleConfig,
-    horizons: tuple[int, ...],
-    weight_window: int | None = None,
+    values: np.ndarray, p: int, scales: MultiscaleConfig, horizons: tuple[int, ...]
 ) -> dict[int, float]:
     """Static multiscale pipeline: OLS AR(p), then the decomposition with
     time-invariant alpha and the multiscale chain TVEWD runs.
@@ -179,9 +172,7 @@ def ewd_static_forecast(
     line, _ = _checked_lstsq(np.column_stack([np.ones(T), tau]), values, "singular trend design")
     trend_curve = line[0] + line[1] * tau
     decomp = decompose_static(coef[1:], residuals, scales)
-    points = _multiscale_points(
-        decomp, values[p:] - trend_curve[p:], float(trend_curve[-1]), horizons, weight_window
-    )
+    points = _multiscale_points(decomp, values[p:] - trend_curve[p:], float(trend_curve[-1]), horizons)
     return {pt.horizon: pt.value for pt in points}
 
 
@@ -193,14 +184,14 @@ class ModelSpec:
     or a per-horizon map {h: p}, which is stored as (h, p) pairs sorted by h
     so that the spec stays hashable.  Horizons that share an order share one
     window fit.  HAR and TVHAR do not read p but group their horizons the
-    same way, so that every model counts a failure once per order.
+    same way, so that every model counts a failure once per order.  Every
+    order must be at least 1.
     """
 
     name: str
     p: int | tuple[tuple[int, int], ...] = 1
     kernel: KernelSpec = field(default_factory=KernelSpec)
     scales: MultiscaleConfig = field(default_factory=MultiscaleConfig)
-    weight_window: int | None = None
     label: str | None = None
 
     def __post_init__(self):
@@ -209,6 +200,9 @@ class ModelSpec:
         if isinstance(self.p, Mapping):
             pairs = tuple(sorted((int(h), int(p)) for h, p in self.p.items()))
             object.__setattr__(self, "p", pairs)
+        orders = [p for _, p in self.p] if isinstance(self.p, tuple) else [self.p]
+        if any(p < 1 for p in orders):
+            raise ValueError(f"AR order must be >= 1, got {min(orders)}")
 
     @property
     def display(self) -> str:
@@ -252,12 +246,9 @@ class ModelSpec:
     def _forecast_order(self, windows: np.ndarray, p: int, horizons: tuple[int, ...]) -> list:
         """Per window: forecasts for horizons that share the AR order p, or the model failure."""
         if self.name == "TVEWD":
-            cfg = ForecastConfig(
-                p=p, scales=self.scales, kernel=self.kernel, weight_window=self.weight_window
-            )
             return [
                 points if isinstance(points, Exception) else {pt.horizon: pt.value for pt in points}
-                for points in tvewd_forecast_window(windows, cfg, horizons)
+                for points in tvewd_forecast_window(windows, p, self.kernel, self.scales, horizons)
             ]
         return [_attempt(self._forecast_window, values, p, horizons) for values in windows]
 
@@ -269,4 +260,4 @@ class ModelSpec:
             return {h: tvhar_fit_forecast(values, h, self.kernel)[0] for h in horizons}
         if self.name == "TVAR":
             return tvar_forecast(values, p, horizons, self.kernel)
-        return ewd_static_forecast(values, p, self.scales, horizons, self.weight_window)
+        return ewd_static_forecast(values, p, self.scales, horizons)

@@ -11,6 +11,7 @@ error record on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -104,7 +105,7 @@ OPTIONS: dict[str, Option] = {
     "J": Option(FIT, 7),
     "N": Option(FIT, 4),
     "series": Option(PREDICT, flag_for=PREDICT, flag={"help": "series key for preset lag mappings (e.g. CL)"}),
-    **dict.fromkeys(("lags", "series_lags", "weight_window"), Option(PREDICT)),
+    **dict.fromkeys(("lags", "series_lags"), Option(PREDICT)),
     "model": Option(("forecast",), "TVEWD", flag_for=("forecast",), flag={"help": "model name (default TVEWD)"}),
     "models": Option(
         ("evaluate",), ["TVEWD", "TVHAR", "TVAR", "HAR", "EWD"], flag_for=("evaluate",),
@@ -164,6 +165,17 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
     return cfg
 
 
+@contextlib.contextmanager
+def _config_values():
+    """A TypeError or ValueError raised in the block, from a configured
+    value the library refuses or cannot convert, becomes a ConfigError
+    with the same message."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _kernel(cfg: dict) -> KernelSpec:
     return KernelSpec(family=cfg["kernel"], bandwidth=float(cfg["bandwidth"]))
 
@@ -194,29 +206,21 @@ def _lags(cfg: dict, horizons: tuple[int, ...]) -> dict[int, int]:
 
 
 def _model_specs(cfg: dict, names: list[str], horizons: tuple[int, ...]) -> list[benchmarks.ModelSpec]:
-    """One ModelSpec per name, sharing the configured lags, kernel and scales."""
-    for name in names:
-        if name not in benchmarks.MODEL_NAMES:
-            raise ConfigError(f"unknown model {name!r}, expected one of {benchmarks.MODEL_NAMES}")
-    lags, kernel, scales = _lags(cfg, horizons), _kernel(cfg), _scales(cfg)
-    return [
-        benchmarks.ModelSpec(
-            name=n, p=lags, kernel=kernel, scales=scales, weight_window=cfg.get("weight_window")
-        )
-        for n in names
-    ]
+    """One ModelSpec per name, sharing the configured lags, kernel and scales;
+    a value they refuse is a config error."""
+    with _config_values():
+        lags, kernel, scales = _lags(cfg, horizons), _kernel(cfg), _scales(cfg)
+        return [benchmarks.ModelSpec(name=n, p=lags, kernel=kernel, scales=scales) for n in names]
 
 
 def _plan(cfg: dict, window: Any, step: Any = 1, max_origins: Any = None) -> evaluate.RollingPlan:
     """The configured horizons and the given layout as a rolling plan; a
     value the plan refuses, or one that is not a number, is a config error."""
-    try:
+    with _config_values():
         horizons = tuple(int(h) for h in cfg["horizons"])
         return evaluate.RollingPlan(
             window=int(window), step=int(step), horizons=horizons, max_origins=max_origins
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _require(cfg: dict, key: str, command: str) -> str:
@@ -250,11 +254,13 @@ def cmd_decompose(cfg: dict) -> int:
     path = _require(cfg, "input", "decompose")
     out = _require(cfg, "output", "decompose")
     series = load_series(path)
-    p = int(cfg["p"])
-    fit = locreg.fit_tvp_ar(series, p, _kernel(cfg))
-    decomp = wold.decompose(fit, _scales(cfg), dates=series.dates[p:])
+    with _config_values():
+        p, kernel, scales = int(cfg["p"]), _kernel(cfg), _scales(cfg)
+    fit = locreg.fit_tvp_ar(series, p, kernel)
+    decomp = wold.decompose(fit, scales, dates=series.dates[p:])
+    with _config_values():  # persistence_shares raises ValueError only for its mode and k_index
+        shares = wold.persistence_shares(decomp, mode=cfg["share_mode"], k_index=int(cfg["share_k"]))
     wold.store_beta_surface(decomp, out)
-    shares = wold.persistence_shares(decomp, mode=cfg["share_mode"], k_index=int(cfg["share_k"]))
     if cfg.get("shares_output"):
         wold.store_shares(shares, cfg["shares_output"])
     if cfg.get("curves_output"):
@@ -293,6 +299,8 @@ def cmd_evaluate(cfg: dict) -> int:
     series = load_series(path)
     plan = _plan(cfg, cfg["window"], cfg["step"], cfg.get("max_origins"))
     models = _model_specs(cfg, list(cfg["models"]), plan.horizons)
+    with _config_values():
+        evaluate.check_evaluation(len(series), models, plan, cfg["benchmark"])
     report = evaluate.rolling_evaluate(
         series, models, plan, benchmark=cfg["benchmark"], jobs=int(cfg["jobs"])
     )

@@ -32,6 +32,7 @@ __all__ = [
     "mae",
     "dm_test",
     "significance_marks",
+    "check_evaluation",
     "rolling_evaluate",
     "format_report",
     "store_report",
@@ -224,6 +225,22 @@ def _forecast_block(args) -> tuple[list[int], list[dict[tuple[str, int], float]]
     return origins, outs, failures
 
 
+def check_evaluation(n_obs: int, models: list[ModelSpec], plan: RollingPlan, benchmark: str) -> None:
+    """Raise ValueError unless the models' display names are distinct and
+    include the benchmark, and a series of n_obs observations holds the
+    plan's window plus its shortest horizon."""
+    names = [m.display for m in models]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate model names: {names}")
+    if benchmark not in names:
+        raise ValueError(f"benchmark {benchmark!r} not among models {names}")
+    if n_obs < plan.window + min(plan.horizons):
+        raise ValueError(
+            f"series of {n_obs} observations cannot support window {plan.window} "
+            f"with horizons {plan.horizons}"
+        )
+
+
 def rolling_evaluate(
     series: VolatilitySeries,
     models: list[ModelSpec],
@@ -260,17 +277,9 @@ def rolling_evaluate(
     such origin the ratios are NaN and no DM test is run.  Any other
     exception propagates.
     """
-    names = [m.display for m in models]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate model names: {names}")
-    if benchmark not in names:
-        raise ValueError(f"benchmark {benchmark!r} not among models {names}")
     T = len(series)
-    if T < plan.window + min(plan.horizons):
-        raise ValueError(
-            f"series of {T} observations cannot support window {plan.window} "
-            f"with horizons {plan.horizons}"
-        )
+    check_evaluation(T, models, plan, benchmark)
+    names = [m.display for m in models]
     origins = _origin_list(T, plan)
     values = series.values
     tasks = [

@@ -12,7 +12,7 @@ is excluded from the combination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .series import VolatilitySeries, format_value, write_csv
 from .wold import MultiscaleConfig, MultiscaleDecomposition, decompose
 
 __all__ = [
-    "ForecastConfig",
     "ScaleWeights",
     "ForecastPoint",
     "estimate_weights",
@@ -43,16 +42,6 @@ __all__ = [
 
 
 FORECAST_COLUMNS = ("origin_date", "target_date", "h", "model", "forecast")
-
-
-@dataclass(frozen=True)
-class ForecastConfig:
-    """Everything needed to produce a multiscale forecast from a window."""
-
-    p: int = 1
-    scales: MultiscaleConfig = field(default_factory=MultiscaleConfig)
-    kernel: KernelSpec = field(default_factory=KernelSpec)
-    weight_window: int | None = None
 
 
 @dataclass
@@ -82,17 +71,12 @@ class ForecastPoint:
     target_date: str | None = None
 
 
-def estimate_weights(
-    centered: np.ndarray,
-    components: list[np.ndarray],
-    window: int | None = None,
-) -> ScaleWeights:
+def estimate_weights(centered: np.ndarray, components: list[np.ndarray]) -> ScaleWeights:
     """Estimate scale weights by no-intercept least squares.
 
     Args:
         centered: centered values aligned with the component rows.
         components: per-scale component arrays (NaN where undefined).
-        window: use only the trailing `window` defined rows (None = all).
 
     Raises EstimationError when fewer defined rows than scales remain or the
     component matrix is too collinear (relative condition number beyond
@@ -104,8 +88,6 @@ def estimate_weights(
         raise ValueError("centered values and components must share row count")
     rows = np.isfinite(y) & np.all(np.isfinite(C), axis=1)
     idx = np.nonzero(rows)[0]
-    if window is not None and window < len(idx):
-        idx = idx[-window:]
     J = C.shape[1]
     if len(idx) < J:
         raise EstimationError(
@@ -152,7 +134,6 @@ def _multiscale_points(
     centered: np.ndarray,
     trend: float,
     horizons: tuple[int, ...],
-    weight_window: int | None,
 ) -> list[ForecastPoint]:
     """The multiscale chain shared by TVEWD and its time-invariant case EWD.
 
@@ -161,7 +142,7 @@ def _multiscale_points(
     horizon forecasts every scale from its boundary betas and combines them
     with the trend.
     """
-    weights = estimate_weights(centered, decomp.components, weight_window)
+    weights = estimate_weights(centered, decomp.components)
     points = []
     for h in horizons:
         parts = np.array(
@@ -182,14 +163,20 @@ def _multiscale_points(
     return points
 
 
-def tvewd_forecast_window(values: np.ndarray, cfg: ForecastConfig, horizons: tuple[int, ...]) -> list:
-    """Forecast several horizons from one fitted window.
+def tvewd_forecast_window(
+    values: np.ndarray,
+    p: int,
+    kernel: KernelSpec,
+    scales: MultiscaleConfig,
+    horizons: tuple[int, ...],
+) -> list:
+    """Forecast several horizons from one window fitted as a TVP-AR(p).
 
     Only the rows the forecast reads are decomposed and levelled: residual
     rows from `first_full_row` on, the first with a full shock history, to
     the boundary row.  A local level does not depend on which other points
     are evaluated with it, so these levels equal the same rows of
-    `local_level(values, cfg.kernel)` bit for bit, and the last of them
+    `local_level(values, kernel)` bit for bit, and the last of them
     sits at u = 1.
 
     `values` may also be a (B, n) stack of windows of one length.  The
@@ -202,19 +189,17 @@ def tvewd_forecast_window(values: np.ndarray, cfg: ForecastConfig, horizons: tup
     values = np.asarray(values, dtype=float)
     stack = values.reshape(-1, values.shape[-1])  # one window is a stack of one
     T = stack.shape[1]
-    start = cfg.scales.first_full_row(T - cfg.p)
-    first = cfg.p + start  # the observation of residual row `start`
+    start = scales.first_full_row(T - p)
+    first = p + start  # the observation of residual row `start`
     try:
-        fits = fit_tvp_ar(stack, cfg.p, cfg.kernel)
-        levels = local_level(stack, cfg.kernel, u=np.arange(first + 1, T + 1, dtype=float) / T)
+        fits = fit_tvp_ar(stack, p, kernel)
+        levels = local_level(stack, kernel, u=np.arange(first + 1, T + 1, dtype=float) / T)
     except _MODEL_FAILURES as exc:  # preconditions on n, which fail every window
         fits = levels = [exc] * len(stack)
 
     def points(window, fit, level):
-        decomp = decompose(fit, cfg.scales, start=start)
-        return _multiscale_points(
-            decomp, window[first:] - level, float(level[-1]), horizons, cfg.weight_window
-        )
+        decomp = decompose(fit, scales, start=start)
+        return _multiscale_points(decomp, window[first:] - level, float(level[-1]), horizons)
 
     results = [
         fit if isinstance(fit, Exception) else _attempt(points, window, fit, level)
@@ -223,7 +208,9 @@ def tvewd_forecast_window(values: np.ndarray, cfg: ForecastConfig, horizons: tup
     return results if values.ndim == 2 else _single(results)
 
 
-def tvewd_forecast(series, cfg: ForecastConfig, horizon: int = 1) -> ForecastPoint:
+def tvewd_forecast(
+    series, p: int, kernel: KernelSpec, scales: MultiscaleConfig, horizon: int = 1
+) -> ForecastPoint:
     """One h-step-ahead forecast from the end of the given series."""
     if isinstance(series, VolatilitySeries):
         values = series.values
@@ -233,7 +220,7 @@ def tvewd_forecast(series, cfg: ForecastConfig, horizon: int = 1) -> ForecastPoi
         values = np.asarray(series, dtype=float)
         origin = None
         target = None
-    point = tvewd_forecast_window(values, cfg, (horizon,))[0]
+    point = tvewd_forecast_window(values, p, kernel, scales, (horizon,))[0]
     point.origin_date = origin
     point.target_date = target
     return point

@@ -287,7 +287,7 @@ class TvpArFit:
     """Result of a local linear TVP-AR(p) fit.
 
     Attributes:
-        grid: evaluation points u (rescaled time).
+        grid: evaluation points u = t/T of the observations t = p+1 .. T.
         phi: (len(grid), p+1) level coefficients; column 0 is the intercept.
         slopes: matching local time-slope coefficients.
         cond: condition number of each local weighted design.
@@ -345,17 +345,15 @@ def _single(results: list):
     return result
 
 
-def fit_tvp_ar(series, p: int, kernel: KernelSpec, grid: np.ndarray | None = None) -> TvpArFit | list:
-    """Fit a TVP-AR(p) by local linear kernel regression.
+def fit_tvp_ar(series, p: int, kernel: KernelSpec) -> TvpArFit | list:
+    """Fit a TVP-AR(p) by local linear kernel regression at every observation
+    u = t/T, t = p+1..T.
 
     Args:
         series: VolatilitySeries or 1-d array of observations, or a (B, T)
             stack of windows of one length.
         p: autoregressive order (>= 1).
         kernel: kernel family and bandwidth.
-        grid: evaluation points in (0, 1]; defaults to every observation
-            u = t/T for t = p+1..T.  With a custom grid the residuals are
-            computed from coefficient curves linearly interpolated in u.
 
     Returns:
         TvpArFit with coefficient curves, local slopes, condition numbers
@@ -391,20 +389,12 @@ def fit_tvp_ar(series, p: int, kernel: KernelSpec, grid: np.ndarray | None = Non
     T = stack.shape[1]
     _check_preconditions(T, p, kernel)
     y, X, tau = _design(stack, p)
-    default_grid = grid is None
-    ugrid = tau.copy() if default_grid else np.asarray(grid, dtype=float)
-    phi, slopes, cond, errors = _local_linear_grid(y, X, tau, ugrid, kernel)
-    phi_at_obs = phi
-    if not default_grid:
-        # interpolate coefficient curves onto each observation's own u
-        phi_at_obs = np.stack(
-            [np.column_stack([np.interp(tau, ugrid, curve) for curve in rows.T]) for rows in phi]
-        )
-    residuals = y - np.sum(X * phi_at_obs, axis=2)
+    phi, slopes, cond, errors = _local_linear_grid(y, X, tau, tau, kernel)
+    residuals = y - np.sum(X * phi, axis=2)
     fits = [
         error
         or TvpArFit(
-            grid=ugrid,
+            grid=tau,
             phi=phi[i],
             slopes=slopes[i],
             cond=cond[i],
@@ -418,20 +408,18 @@ def fit_tvp_ar(series, p: int, kernel: KernelSpec, grid: np.ndarray | None = Non
     return fits if values.ndim == 2 else _single(fits)
 
 
-def boundary_fit(series, p: int, kernel: KernelSpec, at_end: bool = True) -> tuple[np.ndarray, np.ndarray, float]:
-    """Local linear coefficients at the sample boundary.
+def boundary_fit(series, p: int, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray, float]:
+    """Local linear coefficients at the right sample boundary u = 1.
 
-    At the right boundary (at_end=True) the evaluation point is u = 1 and
-    the effective kernel is one-sided: only observations with t/T <= 1
+    The effective kernel is one-sided: only observations with t/T <= 1
     exist, so no future data can enter.  Returns (levels, slopes, cond),
-    bit for bit the first or last row of the default-grid `fit_tvp_ar`.
+    bit for bit the last row of `fit_tvp_ar`.
     """
     values = _as_values(series)
     T = len(values)
     _check_preconditions(T, p, kernel)
     y, X, tau = _design(values, p)
-    u = 1.0 if at_end else float(tau[0])
-    levels, slopes, cond, errors = _local_linear_grid(y[None], X[None], tau, np.array([u]), kernel)
+    levels, slopes, cond, errors = _local_linear_grid(y[None], X[None], tau, np.array([1.0]), kernel)
     if errors[0] is not None:
         raise errors[0]
     return levels[0, 0], slopes[0, 0], float(cond[0, 0])

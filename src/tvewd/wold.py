@@ -97,7 +97,7 @@ def ar_to_ma(phi: np.ndarray, H: int) -> np.ndarray:
     """Invert AR coefficients to MA weights alpha(0..H).
 
     alpha(0) = 1 and alpha(h) = sum_{i=1..min(h,p)} phi_i alpha(h-i).
-    Accepts a (p,) vector or a (G, p) matrix of coefficient rows; returns
+    Accepts a (p,) vector or a (G, p) matrix of rows, p >= 1; returns
     matching (H+1,) or (G, H+1).  Explosive inputs are allowed but trigger
     an ExplosiveWarning once sum |alpha| exceeds the overflow guard or is
     NaN (weights that overflowed to inf - inf).
@@ -116,6 +116,8 @@ def ar_to_ma(phi: np.ndarray, H: int) -> np.ndarray:
     single = phi.ndim == 1
     mat = phi[None, :] if single else phi
     G, p = mat.shape
+    if p < 1:
+        raise ValueError("phi must hold at least one AR coefficient per row")
     width = max(G, 2)
     lags = np.zeros((H + p, width))
     lags[p - 1] = 1.0
@@ -349,8 +351,8 @@ def decompose(
 ) -> MultiscaleDecomposition:
     """Decompose a TVP-AR fit into persistence-scale components.
 
-    Requires the fit to be on the default per-observation grid so that
-    coefficient rows, residuals and innovations share one index.  `dates`
+    The fit's coefficient rows, residuals and innovations share one index:
+    one row per observation t = p+1..T of the window.  `dates`
     align with the fit grid.  Only residual rows start..G-1 are inverted and
     decomposed (see `MultiscaleDecomposition` for the row alignment); each
     decomposed row equals the same row of the full decomposition bit for
@@ -358,8 +360,6 @@ def decompose(
     defined.
     """
     G = len(fit.residuals)
-    if len(fit.grid) != G:
-        raise ValueError("decompose requires a fit on the default per-observation grid")
     if dates is not None and len(dates) != G:
         raise ValueError("dates must align with the fit grid")
     if not 0 <= start < max(G, 1):

@@ -19,7 +19,6 @@ from tvewd.benchmarks import (
 )
 from tvewd.evaluate import RollingPlan, dm_test, rolling_evaluate
 from tvewd.forecast import (
-    ForecastConfig,
     combine_forecast,
     estimate_weights,
     forecast_scale,
@@ -270,7 +269,7 @@ def test_criterion_07_nesting_checks():
     line = np.linalg.lstsq(np.column_stack([np.ones(T), tau]), v, rcond=None)[0]
     trend_line = line[0] + line[1] * tau
     fit = fit_tvp_ar(v, 1, uniform)
-    points = tvewd_forecast_window(v, ForecastConfig(p=1, scales=scales, kernel=uniform), horizons)
+    points = tvewd_forecast_window(v, 1, uniform, scales, horizons)
     static = ewd_static_forecast(v, 1, scales, horizons)
     on_linear = _multiscale_forecasts(v, linear_phi, trend_line, scales, horizons)
     on_ols = _multiscale_forecasts(v, ols_phi, trend_line, scales, horizons)

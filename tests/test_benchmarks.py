@@ -14,7 +14,7 @@ from tvewd.benchmarks import (
     tvar_forecast,
     tvhar_fit_forecast,
 )
-from tvewd.forecast import ForecastConfig, tvewd_forecast_window
+from tvewd.forecast import tvewd_forecast_window
 from tvewd.locreg import EstimationError, KernelSpec, fit_tvp_ar, local_level
 from tvewd.wold import MultiscaleConfig
 
@@ -192,12 +192,14 @@ def test_tvar_boundary_route_equals_full_fit_route(p):
         np.testing.assert_array_equal([out[h] for h in horizons], [expected[h] for h in horizons])
 
 
-def test_tvar_order_zero_is_boundary_level():
+def test_tvar_order_zero_is_refused():
     v = ar1_path(0.5, 400, seed=77, level=10.0)
-    out = tvar_forecast(v, 0, (1, 22), KERN)
-    level = local_level(v, KERN, u=1.0)
-    assert out[1] == level
-    assert out[22] == level
+    with pytest.raises(EstimationError, match="order must be >= 1, got 0"):
+        tvar_forecast(v, 0, (1, 22), KERN)
+    for name in MODEL_NAMES:
+        for p in (0, -1, {1: 2, 5: 0}):
+            with pytest.raises(ValueError, match="AR order must be >= 1, got (0|-1)"):
+                ModelSpec(name=name, p=p)
 
 
 def test_tvar_forecast_decays_to_trend():
@@ -218,9 +220,7 @@ def test_static_pipeline_close_to_time_varying_on_stable_process():
     for seed in range(6):
         v = ar1_path(0.6, 400, seed=900 + seed, level=10.0)
         ewd = ewd_static_forecast(v, 1, SCALES, (1, 5, 22))
-        points = tvewd_forecast_window(
-            v, ForecastConfig(p=1, scales=SCALES, kernel=KERN), (1, 5, 22)
-        )
+        points = tvewd_forecast_window(v, 1, KERN, SCALES, (1, 5, 22))
         for pt in points:
             assert abs(ewd[pt.horizon] - pt.value) < 1.0
 
@@ -271,9 +271,7 @@ def test_model_spec_dispatch_matches_direct_calls():
     assert ModelSpec(name="EWD", p=1, scales=SCALES).forecast_all(
         v, horizons
     ) == ewd_static_forecast(v, 1, SCALES, horizons)
-    points = tvewd_forecast_window(
-        v, ForecastConfig(p=1, scales=SCALES, kernel=KERN), horizons
-    )
+    points = tvewd_forecast_window(v, 1, KERN, SCALES, horizons)
     assert ModelSpec(name="TVEWD", p=1, kernel=KERN, scales=SCALES).forecast_all(
         v, horizons
     ) == {pt.horizon: pt.value for pt in points}

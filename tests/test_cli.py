@@ -110,7 +110,7 @@ def test_print_config_precedence(tmp_path, capsys):
 
 COMMON_KEYS = {"input", "output"}
 FIT_KEYS = {"p", "kernel", "bandwidth", "J", "N"}
-PREDICT_KEYS = FIT_KEYS | {"weight_window", "horizons", "lags", "series", "series_lags", "window"}
+PREDICT_KEYS = FIT_KEYS | {"horizons", "lags", "series", "series_lags", "window"}
 ACCEPTED_KEYS = {
     "rv": COMMON_KEYS
     | {"rv_output", "label", "session_cutoff", "bins_per_day", "open_offset_minutes", "excluded_dates"},
@@ -172,8 +172,9 @@ def write_every_key_config(path, command):
 def test_print_config_matches_the_pinned_output(tmp_path, capsys, command):
     """The resolved configuration of each command, preset and flag mix is
     byte-identical to the output pinned before the option table existed,
-    but for two differences: `forecast` now also prints its default model,
-    and `seed` and `jobs` are keys only of the commands that read them."""
+    but for three differences: `forecast` now also prints its default
+    model, `seed` and `jobs` are keys only of the commands that read them,
+    and `weight_window` is a key of no command."""
     pinned = json.loads(PRINT_CONFIG.read_text())
     config_path = tmp_path / "cfg.json"
     write_every_key_config(config_path, command)
@@ -182,7 +183,7 @@ def test_print_config_matches_the_pinned_output(tmp_path, capsys, command):
         resolved = json.loads(pinned[case])
         if command == "forecast":
             resolved.setdefault("model", "TVEWD")
-        for key in {"seed", "jobs"} - ACCEPTED_KEYS[command]:
+        for key in {"seed", "jobs", "weight_window"} - ACCEPTED_KEYS[command]:
             resolved.pop(key, None)
         expected = json.dumps(resolved, indent=2, sort_keys=True) + "\n"
         assert capsys.readouterr().out == expected, case
@@ -219,13 +220,14 @@ def test_config_keys_of_other_commands_rejected(tmp_path, capsys, command):
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"bandwidt": 0.2}))
-    code = main(["forecast", "--config", str(cfg_path), "--print-config"])
-    assert code == 2
-    record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "config"
-    assert "bandwidt" in record["message"]
-    assert "forecast" in record["message"]
+    for key in ("bandwidt", "weight_window"):
+        cfg_path.write_text(json.dumps({key: 30}))
+        code = main(["forecast", "--config", str(cfg_path), "--print-config"])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "config"
+        assert key in record["message"]
+        assert "forecast" in record["message"]
 
 
 def test_unknown_preset_rejected(capsys):
@@ -373,6 +375,32 @@ def test_decompose_white_noise_share_profile(tmp_path):
             interior.append(float(share))
     assert len(interior) > 500
     assert max(abs(s - 0.3212916575362731) for s in interior) < 0.03
+
+
+DECOMPOSE_ERRORS = {
+    "unknown share mode": ({"share_mode": "bogus"}, "mode must be 'absolute' or 'signed', got 'bogus'"),
+    "share translate out of range": ({"share_k": 99}, "k_index 99 out of range for scale 3"),
+    "negative share translate": ({"share_k": -1}, "k_index must be >= 0, got -1"),
+    "text order": ({"p": "abc"}, "invalid literal for int() with base 10: 'abc'"),
+    "unknown kernel": (
+        {"kernel": "tri"}, "unknown kernel family 'tri', expected one of ('epanechnikov', 'gaussian', 'uniform')"
+    ),
+    "zero depth": ({"J": 0}, "J must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECOMPOSE_ERRORS))
+def test_decompose_option_errors_are_config_errors_and_write_nothing(tmp_path, capsys, case):
+    config, message = DECOMPOSE_ERRORS[case]
+    series_csv = tmp_path / "series.csv"
+    write_series(series_csv, ar1_values(400, seed=52))
+    outputs = {"shares_output": str(tmp_path / "shares.csv"), "curves_output": str(tmp_path / "curves.csv")}
+    (tmp_path / "cfg.json").write_text(json.dumps({**outputs, **config}))
+    argv = ["decompose", "--input", str(series_csv), "--output", str(tmp_path / "beta.csv"),
+            "--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "config", "message": message}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "series.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -779,16 +807,42 @@ PLAN_ERRORS = {
     "scalar horizons": ([], {"horizons": 5}, "'int' object is not iterable"),
     "text window": ([], {"window": "abc"}, "invalid literal for int() with base 10: 'abc'"),
     "unknown model": (["--model", "XGB"], None, f"unknown model 'XGB', expected one of {MODEL_NAMES}"),
+    "text order": ([], {"p": "abc"}, "invalid literal for int() with base 10: 'abc'"),
+    "order zero": (["--p", "0"], None, "AR order must be >= 1, got 0"),
+    "order zero in lags": ([], {"lags": {"1": 2, "5": 0, "22": 2}}, "AR order must be >= 1, got 0"),
+    "text lag": (["--horizon", "1"], {"lags": {"1": "x"}}, "invalid literal for int() with base 10: 'x'"),
+    "scalar series lag maps": ([], {"series": "CL", "series_lags": 3}, "argument of type 'int' is not iterable"),
+    "text bandwidth": ([], {"bandwidth": "wide"}, "could not convert string to float: 'wide'"),
+    "wide bandwidth": ([], {"bandwidth": 2.0}, "bandwidth must lie in (0, 1], got 2.0"),
+    "unknown kernel": (
+        [], {"kernel": "tri"}, "unknown kernel family 'tri', expected one of ('epanechnikov', 'gaussian', 'uniform')"
+    ),
+    "zero depth": ([], {"J": 0}, "J must be >= 1, got 0"),
+}
+
+# refusals of `evaluate` alone: its models, benchmark and series length
+EVALUATE_ERRORS = {
+    "unknown benchmark": (
+        ["--benchmark", "XGB"], None, "benchmark 'XGB' not among models ['TVEWD', 'TVHAR', 'TVAR', 'HAR', 'EWD']"
+    ),
+    "repeated model": (["--models", "HAR,HAR", "--benchmark", "HAR"], None, "duplicate model names: ['HAR', 'HAR']"),
+    "window beyond series": (
+        ["--window", "830"], None, "series of 830 observations cannot support window 830 with horizons (1, 5, 22)"
+    ),
 }
 
 
-@pytest.mark.parametrize("case", sorted(PLAN_ERRORS))
-@pytest.mark.parametrize("command", ["forecast", "evaluate"])
+@pytest.mark.parametrize(
+    "command, case",
+    [(command, case) for command in ("evaluate", "forecast") for case in sorted(PLAN_ERRORS)]
+    + [("evaluate", case) for case in sorted(EVALUATE_ERRORS)],
+)
 def test_plan_errors_are_config_errors_and_write_nothing(tmp_path, capsys, command, case):
-    """Both commands build one rolling plan: a window, horizon, lag map or
-    model that plan or config refuses exits 2 with a config record, before
-    any output is written."""
-    flags, config, message = PLAN_ERRORS[case]
+    """Both commands build one rolling plan and one set of model specs: a
+    window, horizon, lag map, model setting, benchmark or series length
+    that the plan, the specs or the config refuse exits 2 with a config
+    record, before any output is written."""
+    flags, config, message = {**PLAN_ERRORS, **EVALUATE_ERRORS}[case]
     series_csv = tmp_path / "series.csv"
     write_series(series_csv, ar1_values(830, seed=51))
     argv = [command, "--input", str(series_csv), "--output", str(tmp_path / "out.csv")]

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvewd.forecast import (
-    ForecastConfig,
     estimate_weights,
     combine_forecast,
     forecast_scale,
@@ -20,9 +19,8 @@ from tvewd.locreg import EstimationError, KernelSpec, fit_tvp_ar, local_level
 from tvewd.series import VolatilitySeries, business_dates
 from tvewd.wold import MultiscaleConfig, decompose_static
 
-CFG = ForecastConfig(
-    p=1, scales=MultiscaleConfig(J=5, N=4), kernel=KernelSpec("epanechnikov", 0.3)
-)
+KERNEL = KernelSpec("epanechnikov", 0.3)
+SCALES = MultiscaleConfig(J=5, N=4)
 
 
 def ar1_path(phi, T, seed, level=0.0):
@@ -67,15 +65,6 @@ def test_weights_single_component():
     w = estimate_weights(y, decomp.components)
     assert w.weights.shape == (1,)
     assert w.weights[0] == pytest.approx(1.0, abs=1e-10)
-
-
-def test_weights_window_cap():
-    decomp = small_decomp(seed=53)
-    y = np.sum(decomp.components, axis=0)
-    capped = estimate_weights(y, decomp.components, window=20)
-    assert capped.n_rows == 20
-    full = estimate_weights(y, decomp.components)
-    assert full.n_rows == np.isfinite(y).sum()
 
 
 def test_weights_error_on_short_window():
@@ -200,9 +189,9 @@ def test_forecast_scale_horizon_validated():
 
 def test_trend_is_boundary_level():
     v, _ = ar1_path(0.5, 500, seed=60, level=12.0)
-    fit = fit_tvp_ar(v, 1, CFG.kernel)
+    fit = fit_tvp_ar(v, 1, KERNEL)
     level = local_level(fit.values, fit.kernel)[-1]
-    assert tvewd_forecast(v, CFG).trend == level
+    assert tvewd_forecast(v, 1, KERNEL, SCALES).trend == level
     assert level == pytest.approx(12.0, abs=1.5)
 
 
@@ -214,7 +203,7 @@ def test_combine_forecast_is_exact_bookkeeping():
 
 def test_forecast_points_reproducible_from_parts():
     v, _ = ar1_path(0.6, 420, seed=61, level=8.0)
-    points = tvewd_forecast_window(v, CFG, (1, 5, 22))
+    points = tvewd_forecast_window(v, 1, KERNEL, SCALES, (1, 5, 22))
     trends = {pt.trend for pt in points}
     assert len(trends) == 1  # trend identical across horizons from one window
     for pt in points:
@@ -223,8 +212,8 @@ def test_forecast_points_reproducible_from_parts():
 
 def test_forecast_deterministic():
     v, _ = ar1_path(0.6, 400, seed=62)
-    a = tvewd_forecast_window(v, CFG, (1, 22))
-    b = tvewd_forecast_window(v.copy(), CFG, (1, 22))
+    a = tvewd_forecast_window(v, 1, KERNEL, SCALES, (1, 22))
+    b = tvewd_forecast_window(v.copy(), 1, KERNEL, SCALES, (1, 22))
     for x, y in zip(a, b):
         assert x.value == y.value
         np.testing.assert_array_equal(x.scale_parts, y.scale_parts)
@@ -234,7 +223,7 @@ def test_forecast_deterministic():
 def test_forecast_series_carries_origin_date():
     v, _ = ar1_path(0.5, 400, seed=63, level=10.0)
     series = VolatilitySeries(business_dates("2015-01-05", 400), v, label="X")
-    pt = tvewd_forecast(series, CFG, horizon=5)
+    pt = tvewd_forecast(series, 1, KERNEL, SCALES, horizon=5)
     assert pt.origin_date == str(series.dates[-1])
     assert pt.horizon == 5
     assert math.isfinite(pt.value)
@@ -248,7 +237,7 @@ def test_white_noise_forecasts_stay_at_level():
     for seed in range(6):
         rng = np.random.default_rng(500 + seed)
         w = 10.0 + rng.standard_normal(400)
-        for pt in tvewd_forecast_window(w, CFG, (1, 5, 22)):
+        for pt in tvewd_forecast_window(w, 1, KERNEL, SCALES, (1, 5, 22)):
             assert abs(pt.value - 10.0) < 0.5
 
 
@@ -265,7 +254,7 @@ def test_ar1_one_step_accuracy_band():
     errs_model, errs_opt = [], []
     for origin in range(300):
         T0 = 400 + origin
-        f = tvewd_forecast_window(v[T0 - 400 : T0], CFG, (1,))[0].value
+        f = tvewd_forecast_window(v[T0 - 400 : T0], 1, KERNEL, SCALES, (1,))[0].value
         errs_model.append(v[T0] - f)
         errs_opt.append(v[T0] - 0.5 * v[T0 - 1])
     ratio = float(
@@ -279,7 +268,7 @@ def test_error_grows_with_horizon_on_persistent_series():
     errs = {1: [], 22: []}
     for origin in range(120):
         T0 = 300 + origin
-        for pt in tvewd_forecast_window(v[T0 - 300 : T0], CFG, (1, 22)):
+        for pt in tvewd_forecast_window(v[T0 - 300 : T0], 1, KERNEL, SCALES, (1, 22)):
             errs[pt.horizon].append(v[T0 + pt.horizon - 1] - pt.value)
     rmse1 = float(np.sqrt(np.mean(np.square(errs[1]))))
     rmse22 = float(np.sqrt(np.mean(np.square(errs[22]))))
@@ -287,9 +276,8 @@ def test_error_grows_with_horizon_on_persistent_series():
 
 
 def test_minimal_depth_configuration_runs():
-    cfg = ForecastConfig(p=1, scales=MultiscaleConfig(J=1, N=1), kernel=CFG.kernel)
     v, _ = ar1_path(0.5, 150, seed=64, level=5.0)
-    pt = tvewd_forecast_window(v, cfg, (1,))[0]
+    pt = tvewd_forecast_window(v, 1, KERNEL, MultiscaleConfig(J=1, N=1), (1,))[0]
     assert math.isfinite(pt.value)
     assert pt.scale_parts.shape == (1,)
 
@@ -301,7 +289,7 @@ def test_minimal_depth_configuration_runs():
 def test_store_forecasts(tmp_path):
     v, _ = ar1_path(0.5, 400, seed=65, level=10.0)
     series = VolatilitySeries(business_dates("2015-01-05", 400), v, label="X")
-    points = [tvewd_forecast(series, CFG, horizon=h) for h in (1, 5)]
+    points = [tvewd_forecast(series, 1, KERNEL, SCALES, horizon=h) for h in (1, 5)]
     path = str(tmp_path / "fc.csv")
     store_forecasts([(pt.origin_date, pt.target_date, pt.horizon, "TVEWD", pt.value) for pt in points], path)
     with open(path) as fh:
@@ -317,5 +305,5 @@ def test_store_forecasts(tmp_path):
     # horizon 5 lands one business week after the origin
     assert lines[2].split(",")[1] == str(np.busday_offset(series.dates[-1], 5, roll="forward"))
     # forecasts from a bare array carry no dates
-    bare = tvewd_forecast(v, CFG, horizon=1)
+    bare = tvewd_forecast(v, 1, KERNEL, SCALES, horizon=1)
     assert bare.origin_date is None and bare.target_date is None

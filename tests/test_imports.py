@@ -1,5 +1,5 @@
-"""Lint: every module of the package uses what it imports and defines
-what it exports.
+"""Lint: every module of the package uses what it imports, defines what
+it exports, and reads every parameter its functions take.
 
 No linter ships with the test dependencies, so this reads each module with
 the standard-library `ast`.  Package `__init__.py` files only re-export, and
@@ -46,6 +46,39 @@ def test_the_check_finds_an_unused_import():
 )
 def test_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters of functions and lambdas that their own body never reads
+    (a read in a nested function counts)."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if p]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "lambda")
+            unread += [f"{name}({p}) (line {node.lineno})" for p in params if p not in read]
+    return unread
+
+
+def test_the_check_finds_an_unread_parameter():
+    source = (
+        "def f(a, b, *args, c=1, **kw):\n    def g():\n        return a\n    b = 2\n    return g, kw\n"
+        "h = lambda x, y: x\n"
+    )
+    assert unread_parameters(source) == ["f(b) (line 1)", "f(args) (line 1)", "f(c) (line 1)", "lambda(y) (line 6)"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_reads_every_parameter(module):
+    assert unread_parameters((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from tvewd.locreg import (
     EstimationError,
     KernelSpec,
     _design,
+    _local_linear_grid,
     boundary_fit,
     export_curves,
     fit_tvp_ar,
@@ -145,19 +146,6 @@ def test_fit_shapes_and_default_grid():
     assert fit.residuals[t] == pytest.approx(v[t + 2] - X_row @ fit.phi[t], abs=1e-12)
 
 
-def test_custom_grid_interpolates_curves():
-    v = ar1_path(0.5, 600, seed=10)
-    coarse = fit_tvp_ar(v, 1, EPA, grid=np.linspace(0.1, 1.0, 10))
-    assert coarse.phi.shape == (10, 2)
-    assert len(coarse.residuals) == 599
-    fine = fit_tvp_ar(v, 1, EPA)
-    # curves agree where the coarse grid hits the same evaluation points
-    for g, u in enumerate(coarse.grid):
-        idx = np.argmin(np.abs(fine.grid - u))
-        if abs(fine.grid[idx] - u) < 1e-12:
-            np.testing.assert_allclose(coarse.phi[g], fine.phi[idx], rtol=1e-10)
-
-
 def test_scale_equivariance():
     v = ar1_path(0.7, 800, seed=11, intercept=3.0)
     c = 4.5
@@ -189,9 +177,6 @@ def test_boundary_fit_is_one_sided_and_matches_last_grid_point():
     levels, slopes, cond = boundary_fit(v, 1, EPA)
     fit = fit_tvp_ar(v, 1, EPA)
     np.testing.assert_allclose(levels, fit.phi[-1], rtol=0, atol=0)  # same solve
-    # left boundary uses the first grid point
-    levels0, _, _ = boundary_fit(v, 1, EPA, at_end=False)
-    np.testing.assert_allclose(levels0, fit.phi[0], rtol=0, atol=0)
 
 
 def test_local_level_constant_and_zero_series():
@@ -272,6 +257,15 @@ def assert_close(batched, oracle, rel=1e-10):
     assert gap <= rel * float(np.max(np.abs(oracle))), f"gap {gap:.3g}"
 
 
+def grid_fit(y, X, tau, grid, kernel):
+    """The batched solver on one window at arbitrary points u: (levels,
+    slopes), or the error a loop over `local_linear` raises."""
+    levels, slopes, _, errors = _local_linear_grid(y[None], X[None], tau, grid, kernel)
+    if errors[0] is not None:
+        raise errors[0]
+    return levels[0], slopes[0]
+
+
 def assert_same_outcome(batched_call, oracle_result):
     """Where the oracle raised, the batched call must raise the same message;
     otherwise its result is returned for comparison."""
@@ -305,7 +299,7 @@ def persistent_series(T, seed):
 @example(p=2, G=GRID_CHUNK, family="gaussian", bandwidth=0.5, seed=2, n_custom=GRID_CHUNK)
 @example(p=6, G=3 * GRID_CHUNK + 5, family="uniform", bandwidth=0.2, seed=3, n_custom=70)
 def test_batched_fits_match_local_linear_oracle(p, G, family, bandwidth, seed, n_custom):
-    """fit_tvp_ar (default and custom grid), boundary_fit and local_level
+    """fit_tvp_ar, its solver at arbitrary u, boundary_fit and local_level
     equal a loop over local_linear to 1e-10 relative, or raise its error."""
     T = G + p
     kernel = KernelSpec(family, bandwidth)
@@ -317,18 +311,21 @@ def test_batched_fits_match_local_linear_oracle(p, G, family, bandwidth, seed, n
         return
     custom = np.random.default_rng(seed).uniform(0.0, 1.0, n_custom)
     custom[0] = 1.0
-    for grid in (None, custom):
-        oracle = oracle_grid(y, X, tau, tau if grid is None else grid, kernel)
-        fit = assert_same_outcome(lambda: fit_tvp_ar(v, p, kernel, grid=grid), oracle)
-        if fit is not None:
-            assert_close(fit.phi, oracle[0])
-            assert_close(fit.slopes, oracle[1])
-    for at_end, u in ((True, 1.0), (False, tau[0])):
-        oracle = oracle_grid(y, X, tau, [u], kernel)
-        out = assert_same_outcome(lambda: boundary_fit(v, p, kernel, at_end=at_end), oracle)
-        if out is not None:
-            assert_close(out[0], oracle[0][0])
-            assert_close(out[1], oracle[1][0])
+    oracle = oracle_grid(y, X, tau, tau, kernel)
+    fit = assert_same_outcome(lambda: fit_tvp_ar(v, p, kernel), oracle)
+    if fit is not None:
+        assert_close(fit.phi, oracle[0])
+        assert_close(fit.slopes, oracle[1])
+    oracle = oracle_grid(y, X, tau, custom, kernel)
+    out = assert_same_outcome(lambda: grid_fit(y, X, tau, custom, kernel), oracle)
+    if out is not None:
+        assert_close(out[0], oracle[0])
+        assert_close(out[1], oracle[1])
+    oracle = oracle_grid(y, X, tau, [1.0], kernel)
+    out = assert_same_outcome(lambda: boundary_fit(v, p, kernel), oracle)
+    if out is not None:
+        assert_close(out[0], oracle[0][0])
+        assert_close(out[1], oracle[1][0])
     full = np.arange(1, T + 1) / T
     ones = np.ones((T, 1))
     for u in (None, custom):
@@ -387,9 +384,9 @@ def test_constant_series_raises_the_oracle_error(p):
 @example(p=1, n=120, B=6, step=1, family="epanechnikov", bandwidth=0.3, seed=4, flat=2)
 def test_stacked_windows_fit_as_one_window_each(p, n, B, step, family, bandwidth, seed, flat):
     """A (B, n) stack of overlapping windows gives every window its
-    one-window fit and level bit for bit.  Window `flat` ends in a constant
-    stretch of half its length; where that makes its fit singular, the
-    window fails alone, with its one-window error."""
+    one-window fit, solve at arbitrary u and level bit for bit.  Window
+    `flat` ends in a constant stretch of half its length; where that makes
+    its fit singular, the window fails alone, with its one-window error."""
     kernel = KernelSpec(family, bandwidth)
     windows = sliding_window_view(persistent_series(n + (B - 1) * step, seed), n)[::step].copy()
     if flat < B:
@@ -399,17 +396,26 @@ def test_stacked_windows_fit_as_one_window_each(p, n, B, step, family, bandwidth
             fit_tvp_ar(windows, p, kernel)
         return
     custom = np.random.default_rng(seed).uniform(0.0, 1.0, 7)
-    for grid in (None, custom):
-        fits = fit_tvp_ar(windows, p, kernel, grid=grid)
-        assert len(fits) == B
-        for window, fit in zip(windows, fits):
-            try:
-                one = fit_tvp_ar(window.copy(), p, kernel, grid=grid)
-            except EstimationError as exc:
-                assert isinstance(fit, EstimationError) and str(fit) == str(exc)
-                continue
+    fits = fit_tvp_ar(windows, p, kernel)
+    assert len(fits) == B
+    y, X, tau = _design(windows, p)
+    *solved, errors = _local_linear_grid(y, X, tau, custom, kernel)
+    for i, (window, fit) in enumerate(zip(windows, fits)):
+        try:
+            one = fit_tvp_ar(window.copy(), p, kernel)
+        except EstimationError as exc:
+            assert isinstance(fit, EstimationError) and str(fit) == str(exc)
+        else:
             for name in ("grid", "phi", "slopes", "cond", "residuals", "values"):
                 np.testing.assert_array_equal(getattr(fit, name), getattr(one, name))
+        y1, X1, _ = _design(window.copy(), p)
+        *solved1, errors1 = _local_linear_grid(y1[None], X1[None], tau, custom, kernel)
+        if errors1[0] is not None:
+            assert isinstance(errors[i], EstimationError) and str(errors[i]) == str(errors1[0])
+            continue
+        assert errors[i] is None
+        for part, part1 in zip(solved, solved1):
+            np.testing.assert_array_equal(part[i], part1[0])
     for u in (None, custom, 1.0):
         levels = local_level(windows, kernel, u=u)
         for window, level in zip(windows, levels):

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from tvewd.benchmarks import _ols_ar, ewd_static_forecast
 from tvewd.forecast import (
-    ForecastConfig,
     combine_forecast,
     estimate_weights,
     forecast_scale,
@@ -198,6 +197,12 @@ def test_ar_to_ma_batch_matches_rows():
     batch = ar_to_ma(rows, 24)
     for g in range(30):
         np.testing.assert_array_equal(batch[g], ar_to_ma(rows[g], 24))
+
+
+def test_ar_to_ma_refuses_an_empty_coefficient_vector():
+    for phi in (np.empty(0), np.empty((3, 0))):
+        with pytest.raises(ValueError, match="at least one AR coefficient"):
+            ar_to_ma(phi, 8)
 
 
 def test_ar_to_ma_explosive_warning():
@@ -478,10 +483,7 @@ def test_decompose_static_warns_once_when_explosive():
 
 def test_decompose_rejects_misaligned_inputs():
     v = np.cumsum(np.random.default_rng(43).standard_normal(600)) * 0.1 + 10
-    fit = fit_tvp_ar(v, 1, KernelSpec("epanechnikov", 0.3), grid=np.linspace(0.2, 1.0, 5))
     cfg = MultiscaleConfig(J=2, N=2)
-    with pytest.raises(ValueError, match="per-observation grid"):
-        decompose(fit, cfg)
     good = fit_tvp_ar(v, 1, KernelSpec("epanechnikov", 0.3))
     with pytest.raises(ValueError, match="dates"):
         decompose(good, cfg, dates=np.arange(3))
@@ -700,23 +702,20 @@ HORIZONS = (1, 5, 22)
 @settings(max_examples=6, deadline=None)
 @given(
     extra=st.integers(40, 200),
-    weight_window=st.sampled_from([None, 30]),
     family=st.sampled_from(["epanechnikov", "gaussian", "uniform"]),
     seed=SEEDS,
 )
-def test_trailing_row_forecasts_equal_full_row_route(p, extra, weight_window, family, seed):
+def test_trailing_row_forecasts_equal_full_row_route(p, extra, family, seed):
     """TVEWD decomposes only rows t >= H-1; its forecasts equal, bit for bit,
     the route that decomposes every residual row."""
     scales = MultiscaleConfig(J=5, N=4)
     values = simulated_window(seed, scales.H + p + extra)
-    cfg = ForecastConfig(
-        p=p, scales=scales, kernel=KernelSpec(family, 0.3), weight_window=weight_window
-    )
-    points = tvewd_forecast_window(values, cfg, HORIZONS)
-    fit = fit_tvp_ar(values, p, cfg.kernel)
+    kernel = KernelSpec(family, 0.3)
+    points = tvewd_forecast_window(values, p, kernel, scales, HORIZONS)
+    fit = fit_tvp_ar(values, p, kernel)
     trend = local_level(fit.values, fit.kernel)
     full = decompose(fit, scales)
-    weights = estimate_weights((fit.values - trend)[p:], full.components, weight_window)
+    weights = estimate_weights((fit.values - trend)[p:], full.components)
     route = multiscale_forecasts(full, weights, float(trend[-1]), HORIZONS)
     assert {pt.horizon: pt.value for pt in points} == route
 
@@ -732,10 +731,9 @@ def test_trailing_row_forecasts_equal_full_row_route(p, extra, weight_window, fa
 
 
 @pytest.mark.parametrize("p", [1, 2, 6])
-@pytest.mark.parametrize("weight_window", [None, 30])
 @settings(max_examples=4, deadline=None)
 @given(extra=st.integers(40, 200), seed=SEEDS)
-def test_ewd_forecasts_equal_the_static_chain(p, weight_window, extra, seed):
+def test_ewd_forecasts_equal_the_static_chain(p, extra, seed):
     """EWD is the multiscale chain on the global OLS AR(p) fit, centred on the
     OLS trend line; its forecasts equal that chain built step by step, bit for bit."""
     scales = MultiscaleConfig(J=5, N=4)
@@ -746,9 +744,9 @@ def test_ewd_forecasts_equal_the_static_chain(p, weight_window, extra, seed):
     line = np.linalg.lstsq(np.column_stack([np.ones(T), tau]), values, rcond=None)[0]
     trend_curve = line[0] + line[1] * tau
     decomp = decompose_static(coef[1:], residuals, scales)
-    weights = estimate_weights(values[p:] - trend_curve[p:], decomp.components, weight_window)
+    weights = estimate_weights(values[p:] - trend_curve[p:], decomp.components)
     route = multiscale_forecasts(decomp, weights, float(trend_curve[-1]), HORIZONS)
-    assert ewd_static_forecast(values, p, scales, HORIZONS, weight_window) == route
+    assert ewd_static_forecast(values, p, scales, HORIZONS) == route
 
 
 # ---------------------------------------------------------------------------
