@@ -131,7 +131,7 @@ def tvar_forecast(
     matching entries of a full `fit_tvp_ar` and `local_level` bit for bit.
     """
     values = np.asarray(values, dtype=float)
-    levels, _, _ = boundary_fit(values, p, kernel)
+    levels, _ = boundary_fit(values, p, kernel)
     T = len(values)
     trend_tail = local_level(values, kernel, u=np.arange(T - p + 1, T + 1, dtype=float) / T)
     trend = float(trend_tail[-1])  # local level at the u = 1 boundary

@@ -189,6 +189,8 @@ def _lags(cfg: dict, horizons: tuple[int, ...]) -> dict[int, int]:
     lags, source = cfg.get("lags"), "lags"
     if lags is None and cfg.get("series") is not None:
         series_lags = cfg.get("series_lags", {})
+        if not isinstance(series_lags, dict):
+            raise ConfigError(f"series_lags must map series to lag maps, got {series_lags!r}")
         key = cfg["series"]
         if key not in series_lags:
             raise ConfigError(
@@ -232,12 +234,13 @@ def _require(cfg: dict, key: str, command: str) -> str:
 def cmd_rv(cfg: dict) -> int:
     path = _require(cfg, "input", "rv")
     out = _require(cfg, "output", "rv")
-    calendar = rv.TradingCalendar(
-        excluded_dates=tuple(cfg["excluded_dates"]),
-        session_cutoff=cfg["session_cutoff"],
-        open_offset_minutes=int(cfg["open_offset_minutes"]),
-        bins_per_day=int(cfg["bins_per_day"]),
-    )
+    with _config_values():
+        calendar = rv.TradingCalendar(
+            excluded_dates=tuple(cfg["excluded_dates"]),
+            session_cutoff=cfg["session_cutoff"],
+            open_offset_minutes=int(cfg["open_offset_minutes"]),
+            bins_per_day=int(cfg["bins_per_day"]),
+        )
     ts, px = rv.load_ticks(path)
     label = cfg.get("label") or "rv"
     vol, raw, warnings = rv.rv_pipeline(ts, px, calendar, label=label)
@@ -254,10 +257,10 @@ def cmd_decompose(cfg: dict) -> int:
     path = _require(cfg, "input", "decompose")
     out = _require(cfg, "output", "decompose")
     series = load_series(path)
-    with _config_values():
-        p, kernel, scales = int(cfg["p"]), _kernel(cfg), _scales(cfg)
-    fit = locreg.fit_tvp_ar(series, p, kernel)
-    decomp = wold.decompose(fit, scales, dates=series.dates[p:])
+    with _config_values():  # the settings of the model whose fit is decomposed
+        spec = benchmarks.ModelSpec("TVEWD", p=int(cfg["p"]), kernel=_kernel(cfg), scales=_scales(cfg))
+    fit = locreg.fit_tvp_ar(series, spec.p, spec.kernel)
+    decomp = wold.decompose(fit, spec.scales, dates=series.dates[spec.p:])
     with _config_values():  # persistence_shares raises ValueError only for its mode and k_index
         shares = wold.persistence_shares(decomp, mode=cfg["share_mode"], k_index=int(cfg["share_k"]))
     wold.store_beta_surface(decomp, out)

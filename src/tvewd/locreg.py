@@ -44,6 +44,10 @@ KERNEL_FAMILIES = ("epanechnikov", "gaussian", "uniform")
 GRID_CHUNK = 64
 COLUMN_BLOCK = 128
 FALLBACK_COND = 1e6
+# Shift of the Cholesky screen in `_flagged`, as a share of trace(A): a
+# factorisation of A - SCREEN_SHIFT trace(A) I that succeeds puts
+# sqrt(lmax/lmin) of A below FALLBACK_COND / sqrt(2).
+SCREEN_SHIFT = 4.0 / FALLBACK_COND**2
 # Most bytes of per-observation moments one solve builds for a stack of
 # windows; a larger stack is solved in slices of windows under this size,
 # so the solver's memory stays bounded whatever the AR order.
@@ -164,13 +168,55 @@ def local_linear(
     return theta[:m], theta[m:], cond
 
 
+def _flagged(A: np.ndarray, thin: np.ndarray) -> np.ndarray:
+    """The rows of a (R, k, k) batch of Gram matrices whose solve `local_linear` redoes.
+
+    A row is flagged if it is thin (fewer than k active observations) or if
+    sqrt(lmax/lmin) of its A, from `eigvalsh`, is not <= FALLBACK_COND: a
+    singular or indefinite A is flagged, and a NaN makes `eigvalsh` raise
+    for the batch.
+
+    The eigenvalues are computed only if a screen fails: one batched
+    Cholesky factorisation of S = A - delta trace(A) I, delta =
+    SCREEN_SHIFT, with thin rows replaced by I.  A factorisation that runs
+    to completion with a finite factor is exact for S + E with ||E|| <=
+    (k + 2) eps trace(A), counting the rounding of the shift (Higham,
+    "Accuracy and Stability of Numerical Algorithms", Thm 10.5; Rump,
+    "Verification of positive definiteness", BIT 46, 2006).  As (k + 2) eps
+    < delta / 2 for any k below 9000, every row that is not thin then has
+    lmin > delta trace(A) / 2 >= delta lmax / 2, so sqrt(lmax/lmin) <
+    FALLBACK_COND / sqrt(2): the row cannot be flagged, with room to spare
+    for the rounding of `eigvalsh` itself, and the flagged rows are the
+    thin ones.  The screen runs only if every entry of A is finite, so
+    that a row that is not finite reaches `eigvalsh` as it is, thin or
+    not.  If it fails for any row, the whole batch takes the `eigvalsh`
+    rule.
+    """
+    R, k, _ = A.shape
+    if np.isfinite(A).all():
+        shifted = A.copy()
+        shifted.reshape(R, k * k)[:, :: k + 1] -= SCREEN_SHIFT * np.einsum("ijj->i", A)[:, None]
+        shifted[thin] = np.eye(k)
+        try:
+            factor = np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            pass
+        else:  # an overflow inside the factorisation can leave NaN instead of raising
+            if np.isfinite(np.einsum("ijj->i", factor)).all():
+                return thin.copy()
+    lam = np.linalg.eigvalsh(A)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        est = np.where(lam[:, 0] > 0.0, np.sqrt(lam[:, -1] / lam[:, 0]), np.inf)
+    return thin | ~(est <= FALLBACK_COND)
+
+
 def _local_linear_grid(
     y: np.ndarray,
     X: np.ndarray,
     tau: np.ndarray,
     ugrid: np.ndarray,
     kernel: KernelSpec,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[EstimationError | None]]:
+) -> tuple[np.ndarray, np.ndarray, list[EstimationError | None]]:
     """`local_linear` at every point of ugrid, for a stack of windows, as batched normal equations.
 
     y is (B, n) and X is (B, n, m): B windows of one geometry, which share
@@ -182,17 +228,17 @@ def _local_linear_grid(
     and the active counts depend only on the geometry, so they are built
     once per chunk and block of observations and applied to every window
     by one GEMM each; the B x GRID_CHUNK systems of a chunk are then
-    checked and solved in one batched call.  cond is sqrt(lmax/lmin) of the
-    uncentred Gram matrix Z'WZ, i.e. the cond(Z) that `local_linear`
-    bounds.  Rows with fewer than 2m active observations or a cond estimate
-    above FALLBACK_COND are re-solved by `local_linear`, window by window
-    in grid order.  A window whose re-solve raises gets that
-    EstimationError, the one a loop over `local_linear` raises at the same
-    first failing point, in `errors`, and its rows are left unspecified;
-    the other windows are unaffected.  A window's bits do not depend on
+    checked (`_flagged`) and solved in one batched call.  The check
+    estimates the cond(Z) that `local_linear` bounds as sqrt(lmax/lmin) of
+    the uncentred Gram matrix Z'WZ.  Rows with fewer than 2m active
+    observations or a cond estimate above FALLBACK_COND are re-solved by
+    `local_linear`, window by window in grid order.  A window whose
+    re-solve raises gets that EstimationError, the one a loop over
+    `local_linear` raises at the same first failing point, in `errors`,
+    and its rows are left unspecified; the other windows are unaffected.  A window's bits do not depend on
     the other windows of its stack, so a stack whose moments would pass
     STACK_BYTES is solved in slices of windows.  Returns (levels, slopes,
-    cond, errors), the first three with a leading axis of B.
+    errors), the first two with a leading axis of B.
     """
     nb, n, m = X.shape
     per_window = 8 * n * (m * m + m)
@@ -202,8 +248,8 @@ def _local_linear_grid(
             _local_linear_grid(y[i : i + size], X[i : i + size], tau, ugrid, kernel)
             for i in range(0, nb, size)
         ]
-        stacked = [np.concatenate([part[j] for part in parts]) for j in range(3)]
-        return (*stacked, [error for part in parts for error in part[3]])
+        stacked = [np.concatenate([part[j] for part in parts]) for j in range(2)]
+        return (*stacked, [error for part in parts for error in part[2]])
     b = kernel.bandwidth
     mu = X.mean(axis=1)
     mu[:, 0] = 0.0
@@ -225,7 +271,6 @@ def _local_linear_grid(
     G = len(ugrid)
     levels = np.empty((nb, G, m))
     slopes = np.empty((nb, G, m))
-    cond = np.empty((nb, G))
     errors: list[EstimationError | None] = [None] * nb
     # K(d), K(d) d and K(d) d^2 of one chunk against one block of observations
     weights = np.empty((3, C, COLUMN_BLOCK))
@@ -258,10 +303,8 @@ def _local_linear_grid(
         gram[..., m:, :m] = S1
         gram[..., m:, m:] = S2
         rhs = np.concatenate([moments[:, :C, m * m :], moments[:, C : 2 * C, m * m :]], axis=2)
-        lam = np.linalg.eigvalsh((Pt @ gram @ P).reshape(nb * C, 2 * m, 2 * m)).reshape(nb, C, 2 * m)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            est = np.where(lam[..., 0] > 0.0, np.sqrt(lam[..., -1] / lam[..., 0]), np.inf)
-        flagged = (active < 2 * m) | ~(est <= FALLBACK_COND)
+        A = (Pt @ gram @ P).reshape(nb * C, 2 * m, 2 * m)
+        flagged = _flagged(A, np.tile(active < 2 * m, nb)).reshape(nb, C)
         gram[flagged] = np.eye(2 * m)
         theta = np.linalg.solve(gram.reshape(nb * C, 2 * m, 2 * m), rhs.reshape(nb * C, 2 * m, 1))
         theta = theta.reshape(nb, C, 2 * m)
@@ -270,16 +313,15 @@ def _local_linear_grid(
         rows = slice(start, start + k)
         levels[:, rows] = theta[:, :k, :m]
         slopes[:, rows] = theta[:, :k, m:] / b
-        cond[:, rows] = est[:, :k]
         for i, r in zip(*np.nonzero(flagged[:, :k])):
             if errors[i] is None:
                 try:
-                    levels[i, start + r], slopes[i, start + r], cond[i, start + r] = local_linear(
+                    levels[i, start + r], slopes[i, start + r], _ = local_linear(
                         y[i], X[i], tau, float(u[r]), kernel
                     )
                 except EstimationError as exc:
                     errors[i] = exc
-    return levels, slopes, cond, errors
+    return levels, slopes, errors
 
 
 @dataclass
@@ -290,7 +332,6 @@ class TvpArFit:
         grid: evaluation points u = t/T of the observations t = p+1 .. T.
         phi: (len(grid), p+1) level coefficients; column 0 is the intercept.
         slopes: matching local time-slope coefficients.
-        cond: condition number of each local weighted design.
         residuals: eps_t = v_t - phi_0(t/T) - sum_i phi_i(t/T) v_{t-i},
             aligned with observations t = p+1 .. T.
         values: the fitted window of observations.
@@ -299,7 +340,6 @@ class TvpArFit:
     grid: np.ndarray
     phi: np.ndarray
     slopes: np.ndarray
-    cond: np.ndarray
     residuals: np.ndarray
     values: np.ndarray
     p: int
@@ -356,19 +396,17 @@ def fit_tvp_ar(series, p: int, kernel: KernelSpec) -> TvpArFit | list:
         kernel: kernel family and bandwidth.
 
     Returns:
-        TvpArFit with coefficient curves, local slopes, condition numbers
-        and residuals.  For a stack, a list with one entry per window: its
-        TvpArFit, or the EstimationError its own fit raises.  The
-        precondition checks depend on T alone and raise for the whole
-        stack.
+        TvpArFit with coefficient curves, local slopes and residuals.
+        For a stack, a list with one entry per window: its TvpArFit, or
+        the EstimationError its own fit raises.  The precondition checks
+        depend on T alone and raise for the whole stack.
 
     All grid points are solved together: chunks of GRID_CHUNK points form
     their weighted normal equations from kernel-moment GEMMs and solve them
-    in one batched call.  cond is cond(Z) of each local design Z = [X,
-    (tau - u) X] with weights K((tau - u)/b), as `local_linear` reports it,
-    estimated as sqrt(lmax/lmin) of the uncentred Gram matrix Z'WZ.  Points
-    with fewer than 2(p+1) active observations or a cond estimate above
-    FALLBACK_COND are re-solved by the SVD oracle `local_linear`, so the
+    in one batched call.  Points with fewer than 2(p+1) active
+    observations, or whose local design Z = [X, (tau - u) X] with weights
+    K((tau - u)/b) has a cond(Z) estimate above FALLBACK_COND
+    (`_flagged`), are re-solved by the SVD oracle `local_linear`, so the
     COND_THRESHOLD guard and its EstimationError are exactly those of a
     loop over `local_linear`.  Elsewhere the two agree to about machine
     epsilon times the squared condition number of the centred design:
@@ -389,7 +427,7 @@ def fit_tvp_ar(series, p: int, kernel: KernelSpec) -> TvpArFit | list:
     T = stack.shape[1]
     _check_preconditions(T, p, kernel)
     y, X, tau = _design(stack, p)
-    phi, slopes, cond, errors = _local_linear_grid(y, X, tau, tau, kernel)
+    phi, slopes, errors = _local_linear_grid(y, X, tau, tau, kernel)
     residuals = y - np.sum(X * phi, axis=2)
     fits = [
         error
@@ -397,7 +435,6 @@ def fit_tvp_ar(series, p: int, kernel: KernelSpec) -> TvpArFit | list:
             grid=tau,
             phi=phi[i],
             slopes=slopes[i],
-            cond=cond[i],
             residuals=residuals[i],
             values=stack[i],
             p=p,
@@ -408,21 +445,21 @@ def fit_tvp_ar(series, p: int, kernel: KernelSpec) -> TvpArFit | list:
     return fits if values.ndim == 2 else _single(fits)
 
 
-def boundary_fit(series, p: int, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray, float]:
+def boundary_fit(series, p: int, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Local linear coefficients at the right sample boundary u = 1.
 
     The effective kernel is one-sided: only observations with t/T <= 1
-    exist, so no future data can enter.  Returns (levels, slopes, cond),
-    bit for bit the last row of `fit_tvp_ar`.
+    exist, so no future data can enter.  Returns (levels, slopes), bit for
+    bit the last row of `fit_tvp_ar`.
     """
     values = _as_values(series)
     T = len(values)
     _check_preconditions(T, p, kernel)
     y, X, tau = _design(values, p)
-    levels, slopes, cond, errors = _local_linear_grid(y[None], X[None], tau, np.array([1.0]), kernel)
+    levels, slopes, errors = _local_linear_grid(y[None], X[None], tau, np.array([1.0]), kernel)
     if errors[0] is not None:
         raise errors[0]
-    return levels[0, 0], slopes[0, 0], float(cond[0, 0])
+    return levels[0, 0], slopes[0, 0]
 
 
 def local_level(series, kernel: KernelSpec, u: float | np.ndarray | None = None):
@@ -455,7 +492,7 @@ def local_level(series, kernel: KernelSpec, u: float | np.ndarray | None = None)
     tau = np.arange(1, T + 1, dtype=float) / T
     grid = tau if u is None else np.atleast_1d(np.asarray(u, dtype=float))
     stack = values.reshape(-1, T)
-    levels, _, _, errors = _local_linear_grid(stack, np.ones(stack.shape + (1,)), tau, grid, kernel)
+    levels, _, errors = _local_linear_grid(stack, np.ones(stack.shape + (1,)), tau, grid, kernel)
     if errors[0] is not None:
         raise errors[0]
     out = levels[..., 0].reshape(values.shape[:-1] + grid.shape)

@@ -197,7 +197,6 @@ def _multiscale_forecasts(v, phi_rows, trend_line, scales, horizons):
         grid=tau,
         phi=phi_rows,
         slopes=np.zeros_like(phi_rows),
-        cond=np.ones(len(tau)),
         residuals=y - np.sum(X * phi_rows, axis=1),
         values=v,
         p=1,

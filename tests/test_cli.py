@@ -338,6 +338,30 @@ def test_rv_command_matches_library_pipeline(tmp_path, capsys):
     assert len(rv_lines) == 1 + len(raw.values)
 
 
+RV_ERRORS = {
+    "text bins": ({"bins_per_day": "abc"}, "invalid literal for int() with base 10: 'abc'"),
+    "zero bins": ({"bins_per_day": 0}, "bins_per_day must be >= 1"),
+    "negative open offset": ({"open_offset_minutes": -1}, "open_offset_minutes must be >= 0"),
+    "cutoff out of range": ({"session_cutoff": "25:00"}, "time-of-day out of range: '25:00'"),
+    "cutoff without minutes": ({"session_cutoff": "18"}, "bad time-of-day '18', expected HH:MM"),
+    "scalar excluded dates": ({"excluded_dates": 5}, "'int' object is not iterable"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RV_ERRORS))
+def test_rv_calendar_errors_are_config_errors_and_write_nothing(tmp_path, capsys, case):
+    """A calendar value that cannot be converted, or that the calendar
+    refuses, exits 2 with a config record before the ticks are read."""
+    config, message = RV_ERRORS[case]
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text("timestamp,price\n2021-03-01T09:01:00,100.0\n")
+    (tmp_path / "cfg.json").write_text(json.dumps({"rv_output": str(tmp_path / "rv.csv"), **config}))
+    argv = ["rv", "--input", str(ticks), "--output", str(tmp_path / "vol.csv"), "--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "config", "message": message}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "ticks.csv"]
+
+
 # ---------------------------------------------------------------------------
 # decompose
 # ---------------------------------------------------------------------------
@@ -382,6 +406,7 @@ DECOMPOSE_ERRORS = {
     "share translate out of range": ({"share_k": 99}, "k_index 99 out of range for scale 3"),
     "negative share translate": ({"share_k": -1}, "k_index must be >= 0, got -1"),
     "text order": ({"p": "abc"}, "invalid literal for int() with base 10: 'abc'"),
+    "zero order": ({"p": 0}, "AR order must be >= 1, got 0"),
     "unknown kernel": (
         {"kernel": "tri"}, "unknown kernel family 'tri', expected one of ('epanechnikov', 'gaussian', 'uniform')"
     ),
@@ -811,7 +836,7 @@ PLAN_ERRORS = {
     "order zero": (["--p", "0"], None, "AR order must be >= 1, got 0"),
     "order zero in lags": ([], {"lags": {"1": 2, "5": 0, "22": 2}}, "AR order must be >= 1, got 0"),
     "text lag": (["--horizon", "1"], {"lags": {"1": "x"}}, "invalid literal for int() with base 10: 'x'"),
-    "scalar series lag maps": ([], {"series": "CL", "series_lags": 3}, "argument of type 'int' is not iterable"),
+    "scalar series lag maps": ([], {"series": "CL", "series_lags": 3}, "series_lags must map series to lag maps, got 3"),
     "text bandwidth": ([], {"bandwidth": "wide"}, "could not convert string to float: 'wide'"),
     "wide bandwidth": ([], {"bandwidth": 2.0}, "bandwidth must lie in (0, 1], got 2.0"),
     "unknown kernel": (

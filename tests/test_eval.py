@@ -586,3 +586,30 @@ def test_grid_search_validation():
         grid_search(series, cand, plan, horizon=1, loss="mape")
     with pytest.raises(ValueError, match="horizon"):
         grid_search(series, cand, plan, horizon=5)
+
+
+NON_FINITE_MODELS = [
+    ModelSpec(name, p={1: 1, 5: 2}, kernel=KERN, scales=MultiscaleConfig(J=4, N=3)) for name in ("TVEWD", "TVAR")
+]
+
+
+@pytest.mark.filterwarnings("ignore::tvewd.wold.ExplosiveWarning")
+@pytest.mark.parametrize("bad, jobs", [(np.nan, 1), (np.nan, 2), (np.inf, 1)])
+def test_a_non_finite_value_fails_the_local_fits_with_the_eigvalsh_error(bad, jobs):
+    """A value that is not finite (set here past the series' own check)
+    makes the local fits of each window that holds it among its lags raise
+    `eigvalsh`'s LinAlgError.  The first window to hold it holds it in y
+    alone: its fit is NaN, and TVEWD finds no usable row for its weights.
+    These counts are pinned: the guard of the batched solver, which never
+    clears a row that is not finite, must not change them."""
+    series = make_series(260, seed=113)
+    series.values[230] = bad
+    plan = RollingPlan(window=200, horizons=(1, 5))
+    with np.errstate(invalid="ignore"):  # an inf leaves inf - inf in the centred design
+        report = rolling_evaluate(series, NON_FINITE_MODELS, plan, benchmark="TVAR", jobs=jobs)
+    assert report.failures == {
+        "TVAR: LinAlgError: Eigenvalues did not converge": 52,
+        "TVEWD: LinAlgError: Eigenvalues did not converge": 52,
+        "TVEWD: EstimationError: only 0 usable rows for 4 scale weights; "
+        "window too short for the configured decomposition depth": 2,
+    }

@@ -88,3 +88,39 @@ def test_module_defines_every_exported_name(module):
     """A stale `__all__` entry breaks `from tvewd.<module> import *` only."""
     mod = importlib.import_module(f"tvewd.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def private_definitions(source: str) -> list[tuple[str, int]]:
+    """Module-level functions, classes and assignments whose name starts
+    with one underscore."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+    return [(name, line) for name, line in names if name.startswith("_") and not name.startswith("__")]
+
+
+def read_names(source: str) -> set[str]:
+    """Names a module reads, bare or as an attribute."""
+    tree = ast.parse(source)
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | {
+        n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+    }
+
+
+def test_the_check_finds_an_unread_private_name():
+    source = "_A = 1\n_B: int = 2\ndef _f():\n    return _A\nclass _C:\n    pass\ndef g(x):\n    return x._C\n"
+    assert private_definitions(source) == [("_A", 1), ("_B", 2), ("_f", 3), ("_C", 5)]
+    assert {"_A", "_C"} <= read_names(source) and not {"_B", "_f"} & read_names(source)
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_private_names_are_read_in_the_package(module):
+    """A private helper or constant that nothing under src/tvewd/ reads is
+    dead code, whatever the tests still call."""
+    read = set().union(*(read_names(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")))
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert [f"{name} (line {line})" for name, line in private_definitions(source) if name not in read] == []

@@ -1,5 +1,6 @@
 """Local linear TVP-AR estimation tests against known coefficient curves."""
 
+import contextlib
 import re
 
 import numpy as np
@@ -10,11 +11,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from tvewd import locreg
 from tvewd.locreg import (
+    FALLBACK_COND,
     GRID_CHUNK,
     KERNEL_FAMILIES,
     EstimationError,
     KernelSpec,
     _design,
+    _flagged,
     _local_linear_grid,
     boundary_fit,
     export_curves,
@@ -174,7 +177,7 @@ def test_constant_series_is_singular():
 
 def test_boundary_fit_is_one_sided_and_matches_last_grid_point():
     v = ar1_path(0.6, 700, seed=15)
-    levels, slopes, cond = boundary_fit(v, 1, EPA)
+    levels, slopes = boundary_fit(v, 1, EPA)
     fit = fit_tvp_ar(v, 1, EPA)
     np.testing.assert_allclose(levels, fit.phi[-1], rtol=0, atol=0)  # same solve
 
@@ -260,7 +263,7 @@ def assert_close(batched, oracle, rel=1e-10):
 def grid_fit(y, X, tau, grid, kernel):
     """The batched solver on one window at arbitrary points u: (levels,
     slopes), or the error a loop over `local_linear` raises."""
-    levels, slopes, _, errors = _local_linear_grid(y[None], X[None], tau, grid, kernel)
+    levels, slopes, errors = _local_linear_grid(y[None], X[None], tau, grid, kernel)
     if errors[0] is not None:
         raise errors[0]
     return levels[0], slopes[0]
@@ -335,13 +338,101 @@ def test_batched_fits_match_local_linear_oracle(p, G, family, bandwidth, seed, n
             assert_close(level, oracle[0][:, 0])
 
 
-def test_batched_cond_is_the_oracle_condition_number():
-    """fit.cond estimates cond(Z) of each local design, not cond(Z'WZ)."""
-    v = ar1_path(0.6, 700, seed=31, intercept=4.0)
-    y, X, tau = _design(v, 2)
-    fit = fit_tvp_ar(v, 2, EPA)
-    oracle = np.array([local_linear(y, X, tau, float(u), EPA)[2] for u in tau])
-    np.testing.assert_allclose(fit.cond, oracle, rtol=1e-6)
+def eigvalsh_rule(A, thin):
+    """The guard `_flagged` keeps: thin rows, and rows whose cond(Z)
+    estimate sqrt(lmax/lmin) of Z'WZ is not <= FALLBACK_COND; or the
+    LinAlgError `eigvalsh` raises for the batch, as its message."""
+    try:
+        lam = np.linalg.eigvalsh(A)
+    except np.linalg.LinAlgError as exc:
+        return str(exc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        est = np.where(lam[:, 0] > 0.0, np.sqrt(lam[:, -1] / lam[:, 0]), np.inf)
+    return thin | ~(est <= FALLBACK_COND)
+
+
+def gram_batch(k, log_conds, seed):
+    """Symmetric positive definite k x k matrices with prescribed spectra:
+    row i has cond(Z) = 10**log_conds[i], i.e. lmax/lmin = cond(Z)**2, a
+    random lmax and random eigenvectors."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for c in log_conds:
+        lmax = 10 ** rng.uniform(-3, 6)
+        lam = lmax * 10 ** np.concatenate([[0.0, -2 * c], rng.uniform(-2 * c, 0, k - 2)])
+        q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        a = (q * lam) @ q.T
+        rows.append((a + a.T) / 2)
+    return np.array(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.sampled_from([2, 4, 6, 14]),
+    log_conds=st.lists(st.floats(4.0, 8.0), min_size=1, max_size=24),
+    thin_share=st.sampled_from([0.0, 0.0, 0.2, 1.0]),
+    special=st.sampled_from([None, "singular", "nan", "inf", "-inf"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=14, log_conds=[5.9, 6.0, 6.1], thin_share=0.0, special=None, seed=5)
+@example(k=2, log_conds=[5.99, 6.001, 6.01], thin_share=0.0, special=None, seed=7)
+@example(k=4, log_conds=[4.0, 5.0], thin_share=0.0, special="nan", seed=6)
+def test_flagged_rows_follow_the_eigvalsh_rule(k, log_conds, thin_share, special, seed):
+    """The Cholesky screen flags exactly the rows the eigvalsh rule flags,
+    around the FALLBACK_COND boundary (cond(Z) 1e4 to 1e8) too, and a
+    batch with a singular row, or a NaN or inf entry anywhere, thin row or
+    not, gets the rule's mask or its LinAlgError."""
+    A = gram_batch(k, log_conds, seed)
+    rng = np.random.default_rng(seed + 1)
+    thin = rng.uniform(size=len(A)) < thin_share
+    if special is not None:
+        i, r, c = rng.integers(len(A)), rng.integers(k), rng.integers(k)
+        if special == "singular":
+            A[i] = np.outer(A[i, 0], A[i, 0])
+        else:
+            A[i, r, c] = float(special)
+    expected = eigvalsh_rule(A, thin)
+    try:
+        flagged = _flagged(A, thin)
+    except np.linalg.LinAlgError as exc:
+        flagged = str(exc)
+    if isinstance(expected, str):
+        assert flagged == expected
+    else:
+        np.testing.assert_array_equal(flagged, expected)
+
+
+def test_the_screen_answers_well_conditioned_batches_without_eigvalsh(monkeypatch):
+    """eigvalsh runs only where the Cholesky screen fails: not for a batch
+    whose rows are all below FALLBACK_COND / 2, nor for the fits of a
+    persistent series."""
+    A = gram_batch(6, np.linspace(4.0, 5.6, 40), seed=34)
+    expected = eigvalsh_rule(A, np.arange(40) % 7 == 0)
+    v = ar1_path(0.9, 700, seed=35, intercept=2.0)
+    expected_fit = fit_tvp_ar(v, 6, EPA)
+
+    def refuse(_):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    np.testing.assert_array_equal(_flagged(A, np.arange(40) % 7 == 0), expected)
+    np.testing.assert_array_equal(fit_tvp_ar(v, 6, EPA).phi, expected_fit.phi)
+    with pytest.raises(AssertionError, match="eigvalsh called"):
+        _flagged(gram_batch(6, [6.5], seed=36), np.zeros(1, dtype=bool))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("p", [1, 2])
+def test_a_non_finite_window_raises_the_eigvalsh_error(bad, p):
+    """A NaN or inf among a window's lags reaches `eigvalsh`, which raises;
+    the screen does not clear it into NaN curves.  An inf also warns, from
+    the centring of the design, before the fit raises."""
+    v = ar1_path(0.6, 300, seed=37, intercept=4.0)
+    v[150] = bad
+    for fit in (fit_tvp_ar, boundary_fit):
+        warns = pytest.warns(RuntimeWarning, match="invalid value") if np.isinf(bad) else contextlib.nullcontext()
+        with warns, pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            fit(v, p, EPA)
 
 
 @pytest.mark.parametrize("noise", [0.0, 1e-12, 1e-9, 1e-6, 1e-3])
@@ -406,7 +497,7 @@ def test_stacked_windows_fit_as_one_window_each(p, n, B, step, family, bandwidth
         except EstimationError as exc:
             assert isinstance(fit, EstimationError) and str(fit) == str(exc)
         else:
-            for name in ("grid", "phi", "slopes", "cond", "residuals", "values"):
+            for name in ("grid", "phi", "slopes", "residuals", "values"):
                 np.testing.assert_array_equal(getattr(fit, name), getattr(one, name))
         y1, X1, _ = _design(window.copy(), p)
         *solved1, errors1 = _local_linear_grid(y1[None], X1[None], tau, custom, kernel)
@@ -437,7 +528,7 @@ def test_a_singular_window_fails_alone_in_its_stack(slice_windows, monkeypatch):
     assert isinstance(fits[2], EstimationError) and str(fits[2]) == str(raised.value)
     for i in (0, 1, 3, 4):
         one = fit_tvp_ar(windows[i].copy(), 1, EPA)
-        for name in ("phi", "slopes", "cond", "residuals"):
+        for name in ("phi", "slopes", "residuals"):
             np.testing.assert_array_equal(getattr(fits[i], name), getattr(one, name))
     for window, level in zip(windows, levels):
         np.testing.assert_array_equal(level, local_level(window.copy(), EPA))

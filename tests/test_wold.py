@@ -144,7 +144,6 @@ def make_fit(phi1_rows, residuals):
         grid=grid,
         phi=phi,
         slopes=np.zeros_like(phi),
-        cond=np.ones(G),
         residuals=np.asarray(residuals, dtype=float),
         values=values,
         p=1,
