@@ -65,12 +65,11 @@ from .wold import (
     ar_to_ma,
     decompose,
     decompose_static,
-    extended_wold_beta,
+    haar_coefficients,
     haar_energy_gap,
+    haar_innovations,
     persistence_shares,
     scale_components,
-    scale_innovations,
-    scaling_gamma,
 )
 
 __version__ = "0.1.0"

@@ -113,7 +113,7 @@ def tvhar_fit_forecast(values: np.ndarray, h: int, kernel: KernelSpec) -> tuple[
     """
     values = _check_har_window(values)
     y, X, tau = _har_design(values, h)
-    levels, _, _ = local_linear(y, X, tau, 1.0, kernel)
+    levels, _ = local_linear(y, X, tau, 1.0, kernel)
     x_T = np.array([1.0, *har_terms(values, len(values))])
     return float(x_T @ levels), levels
 

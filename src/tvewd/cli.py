@@ -304,9 +304,8 @@ def cmd_evaluate(cfg: dict) -> int:
     models = _model_specs(cfg, list(cfg["models"]), plan.horizons)
     with _config_values():
         evaluate.check_evaluation(len(series), models, plan, cfg["benchmark"])
-    report = evaluate.rolling_evaluate(
-        series, models, plan, benchmark=cfg["benchmark"], jobs=int(cfg["jobs"])
-    )
+        jobs = int(cfg["jobs"])
+    report = evaluate.rolling_evaluate(series, models, plan, benchmark=cfg["benchmark"], jobs=jobs)
     evaluate.store_report(report, out)
     if cfg.get("forecasts_output"):
         evaluate.store_forecast_records(report, cfg["forecasts_output"])

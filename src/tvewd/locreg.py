@@ -134,11 +134,11 @@ def _checked_lstsq(A: np.ndarray, b: np.ndarray, what: str) -> tuple[np.ndarray,
 
 def local_linear(
     y: np.ndarray, X: np.ndarray, tau: np.ndarray, u: float, kernel: KernelSpec
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Weighted local linear solve at evaluation point u.
 
     Regresses y on [X, (tau - u) * X] with weights K((tau - u)/b), solved by
-    `_checked_lstsq`.  Returns (levels, slopes, condition number).
+    `_checked_lstsq`.  Returns (levels, slopes).
 
     Raises EstimationError if fewer active observations than parameters or
     if the relative condition number of the weighted design exceeds
@@ -164,8 +164,8 @@ def local_linear(
     Z[:, :m] = Xa
     Z[:, m:] = Xa * offs[active, None]
     Z *= sw[:, None]
-    theta, cond = _checked_lstsq(Z, y[active] * sw, f"singular local system at u={u:.6g}")
-    return theta[:m], theta[m:], cond
+    theta, _ = _checked_lstsq(Z, y[active] * sw, f"singular local system at u={u:.6g}")
+    return theta[:m], theta[m:]
 
 
 def _flagged(A: np.ndarray, thin: np.ndarray) -> np.ndarray:
@@ -216,7 +216,7 @@ def _local_linear_grid(
     tau: np.ndarray,
     ugrid: np.ndarray,
     kernel: KernelSpec,
-) -> tuple[np.ndarray, np.ndarray, list[EstimationError | None]]:
+) -> tuple[np.ndarray, np.ndarray, list[Exception | None]]:
     """`local_linear` at every point of ugrid, for a stack of windows, as batched normal equations.
 
     y is (B, n) and X is (B, n, m): B windows of one geometry, which share
@@ -235,10 +235,15 @@ def _local_linear_grid(
     `local_linear`, window by window in grid order.  A window whose
     re-solve raises gets that EstimationError, the one a loop over
     `local_linear` raises at the same first failing point, in `errors`,
-    and its rows are left unspecified; the other windows are unaffected.  A window's bits do not depend on
-    the other windows of its stack, so a stack whose moments would pass
-    STACK_BYTES is solved in slices of windows.  Returns (levels, slopes,
-    errors), the first two with a leading axis of B.
+    and its rows are left unspecified; the other windows are unaffected.
+    So does a window whose own Gram matrices make the check's `eigvalsh`
+    raise (a value that is not finite, or whose square overflows): a
+    chunk whose check raises is checked again window by window, and each
+    window gets the flagged rows or the LinAlgError of its one-window
+    check.  A window's bits do not depend on the other windows of its
+    stack, so a stack whose moments would pass STACK_BYTES is solved in
+    slices of windows.  Returns (levels, slopes, errors), the first two
+    with a leading axis of B.
     """
     nb, n, m = X.shape
     per_window = 8 * n * (m * m + m)
@@ -271,7 +276,7 @@ def _local_linear_grid(
     G = len(ugrid)
     levels = np.empty((nb, G, m))
     slopes = np.empty((nb, G, m))
-    errors: list[EstimationError | None] = [None] * nb
+    errors: list[Exception | None] = [None] * nb
     # K(d), K(d) d and K(d) d^2 of one chunk against one block of observations
     weights = np.empty((3, C, COLUMN_BLOCK))
     for start in range(0, G, C):
@@ -304,7 +309,16 @@ def _local_linear_grid(
         gram[..., m:, m:] = S2
         rhs = np.concatenate([moments[:, :C, m * m :], moments[:, C : 2 * C, m * m :]], axis=2)
         A = (Pt @ gram @ P).reshape(nb * C, 2 * m, 2 * m)
-        flagged = _flagged(A, np.tile(active < 2 * m, nb)).reshape(nb, C)
+        thin = active < 2 * m
+        try:
+            flagged = _flagged(A, np.tile(thin, nb)).reshape(nb, C)
+        except np.linalg.LinAlgError:  # only the windows whose own check raises fail
+            flagged = np.ones((nb, C), dtype=bool)
+            for i, window_A in enumerate(A.reshape(nb, C, 2 * m, 2 * m)):
+                try:
+                    flagged[i] = _flagged(window_A, thin)
+                except np.linalg.LinAlgError as exc:
+                    errors[i] = errors[i] or exc
         gram[flagged] = np.eye(2 * m)
         theta = np.linalg.solve(gram.reshape(nb * C, 2 * m, 2 * m), rhs.reshape(nb * C, 2 * m, 1))
         theta = theta.reshape(nb, C, 2 * m)
@@ -316,7 +330,7 @@ def _local_linear_grid(
         for i, r in zip(*np.nonzero(flagged[:, :k])):
             if errors[i] is None:
                 try:
-                    levels[i, start + r], slopes[i, start + r], _ = local_linear(
+                    levels[i, start + r], slopes[i, start + r] = local_linear(
                         y[i], X[i], tau, float(u[r]), kernel
                     )
                 except EstimationError as exc:
@@ -398,8 +412,9 @@ def fit_tvp_ar(series, p: int, kernel: KernelSpec) -> TvpArFit | list:
     Returns:
         TvpArFit with coefficient curves, local slopes and residuals.
         For a stack, a list with one entry per window: its TvpArFit, or
-        the EstimationError its own fit raises.  The precondition checks
-        depend on T alone and raise for the whole stack.
+        the EstimationError or LinAlgError its own fit raises.  The
+        precondition checks depend on T alone and raise for the whole
+        stack.
 
     All grid points are solved together: chunks of GRID_CHUNK points form
     their weighted normal equations from kernel-moment GEMMs and solve them

@@ -41,7 +41,7 @@ class DataQualityError(ValueError):
 
 
 def _parse_hhmm(text: str) -> int:
-    parts = text.split(":")
+    parts = text.split(":") if isinstance(text, str) else []
     if len(parts) != 2:
         raise ValueError(f"bad time-of-day {text!r}, expected HH:MM")
     hh, mm = int(parts[0]), int(parts[1])

@@ -35,10 +35,8 @@ __all__ = [
     "MultiscaleDecomposition",
     "PersistenceShares",
     "ar_to_ma",
-    "extended_wold_beta",
-    "scaling_gamma",
-    "scale_innovations",
-    "scaling_innovations",
+    "haar_coefficients",
+    "haar_innovations",
     "scale_components",
     "decompose",
     "decompose_static",
@@ -147,26 +145,24 @@ def _haar_factor(j: int) -> float:
     return 1.0 / math.sqrt(float(1 << j))
 
 
-def _haar_head(alpha: np.ndarray, config: MultiscaleConfig) -> np.ndarray:
-    """The first H MA weights of each row, after checking that there are H."""
+def haar_coefficients(
+    alpha: np.ndarray, config: MultiscaleConfig
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Detail coefficients beta_j(k) for j = 1..J and scaling coefficients gamma_J(k).
+
+    alpha may be (H',) or (G, H') with H' >= config.H; only its first H
+    weights enter.  beta_j has trailing axis config.n_translates(j) and
+    gamma_J trailing axis N.  One Haar pyramid of pairwise sums: s_0 =
+    alpha, and at scale j the even and odd entries of s_{j-1} (the sums
+    over the two halves of each 2^j block) give beta_j = 2^(-j/2) (even -
+    odd) and s_j = even + odd, so a row costs O(H) work over all scales;
+    gamma_J = 2^(-J/2) s_J.
+    """
     alpha = np.asarray(alpha, dtype=float)
     H = config.H
     if alpha.shape[-1] < H:
         raise ValueError(f"alpha must provide at least H={H} weights, got {alpha.shape[-1]}")
-    return alpha[..., :H]
-
-
-def _haar_pyramid(
-    alpha: np.ndarray, config: MultiscaleConfig
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Detail coefficients beta_j for j = 1..J and the scaling gamma_J.
-
-    One Haar pyramid of pairwise sums: s_0 = alpha, and at scale j the even
-    and odd entries of s_{j-1} (the sums over the two halves of each 2^j
-    block) give beta_j = 2^(-j/2) (even - odd) and s_j = even + odd, so a
-    row costs O(H) work over all scales; gamma_J = 2^(-J/2) s_J.
-    """
-    s = _haar_head(alpha, config)
+    s = alpha[..., :H]
     betas: list[np.ndarray] = []
     with np.errstate(**_EXPLOSIVE):
         for j in range(1, config.J + 1):
@@ -176,57 +172,29 @@ def _haar_pyramid(
     return betas, _haar_factor(config.J) * s
 
 
-def extended_wold_beta(alpha: np.ndarray, config: MultiscaleConfig) -> list[np.ndarray]:
-    """Detail coefficients beta_j(k) for j = 1..J.
+def haar_innovations(eps: np.ndarray, J: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Scale innovations eps_j(t) for j = 1..J and low-pass innovations from unit-scale shocks.
 
-    alpha may be (H',) or (G, H') with H' >= config.H; returns one array per
-    scale with trailing axis of length config.n_translates(j), from the Haar
-    pyramid of `_haar_pyramid`.
+    With W_m(t) = sum_{i<m} eps[t-i] the trailing m-window sum,
+    eps_j(t) = 2^(-j/2) (W_m(t) - W_m(t-m)) for m = 2^(j-1), and the
+    low-pass innovation is 2^(-J/2) W_{2^J}(t).  Every window sum is a
+    difference of one cumulative sum of eps.  Positions without a full
+    window (the first 2^j - 1 of scale j, the first 2^J - 1 of the low
+    pass) are NaN, never zero-filled.
     """
-    return _haar_pyramid(alpha, config)[0]
-
-
-def scaling_gamma(alpha: np.ndarray, config: MultiscaleConfig) -> np.ndarray:
-    """Depth-J scaling (low-pass) coefficients gamma_J(k), k = 0..N-1.
-
-    The sums s_J of the same pyramid as `extended_wold_beta`, scaled by 2^(-J/2).
-    """
-    return _haar_pyramid(alpha, config)[1]
-
-
-def _window_sums(eps: np.ndarray, width: int) -> np.ndarray:
-    """Trailing-window sums W(t) = sum_{i<width} eps[t-i]; NaN where t < width-1."""
+    eps = np.asarray(eps, dtype=float)
     n = len(eps)
-    out = np.full(n, np.nan)
-    if n >= width:
-        c = np.concatenate(([0.0], np.cumsum(eps)))
-        out[width - 1 :] = c[width:] - c[:-width]
-    return out
-
-
-def scale_innovations(eps: np.ndarray, J: int) -> list[np.ndarray]:
-    """Scale innovations eps_j(t) for j = 1..J from unit-scale shocks.
-
-    eps_j(t) = 2^(-j/2) * (sum_{i<m} eps[t-i] - sum_{i<m} eps[t-m-i]) with
-    m = 2^(j-1).  The first 2^j - 1 positions are undefined and returned as
-    NaN (never zero-filled).
-    """
-    eps = np.asarray(eps, dtype=float)
-    out: list[np.ndarray] = []
-    for j in range(1, J + 1):
+    c = np.concatenate(([0.0], np.cumsum(eps)))
+    innovations: list[np.ndarray] = []
+    for j in range(1, J + 2):
         m = 1 << (j - 1)
-        w = _window_sums(eps, m)
-        older = np.full(len(eps), np.nan)
-        if len(eps) > m:
+        w = np.full(n, np.nan)  # W_m, and W_{2^J} after the last pass
+        w[m - 1 :] = c[m:] - c[:-m]
+        if j <= J:
+            older = np.full(n, np.nan)
             older[m:] = w[:-m]
-        out.append(_haar_factor(j) * (w - older))
-    return out
-
-
-def scaling_innovations(eps: np.ndarray, J: int) -> np.ndarray:
-    """Low-pass innovations: 2^(-J/2) times the trailing 2^J-window sum."""
-    eps = np.asarray(eps, dtype=float)
-    return _haar_factor(J) * _window_sums(eps, 1 << J)
+            innovations.append(_haar_factor(j) * (w - older))
+    return innovations, _haar_factor(J) * w
 
 
 def _component(surface: np.ndarray, innov: np.ndarray, spacing: int) -> np.ndarray:
@@ -317,13 +285,12 @@ def _decompose_arrays(
     alpha holds MA weights per decomposed row (rows, H+1), or once for all
     rows (H+1,); innovations are built from every residual.
     """
-    betas, gamma = _haar_pyramid(alpha, config)
+    betas, gamma = haar_coefficients(alpha, config)
     if alpha.ndim == 1:
         rows = len(grid)
         alpha, gamma = (np.broadcast_to(a, (rows, len(a))) for a in (alpha, gamma))
         betas = [np.broadcast_to(b, (rows, len(b))) for b in betas]
-    innovations = scale_innovations(residuals, config.J)
-    low_pass = scaling_innovations(residuals, config.J)
+    innovations, low_pass = haar_innovations(residuals, config.J)
     components, residual_component = scale_components(
         betas, gamma, innovations, low_pass, config
     )
@@ -437,7 +404,7 @@ def haar_energy_gap(alpha: np.ndarray, config: MultiscaleConfig) -> float:
     | sum beta^2 + sum gamma^2 - sum_{h<H} alpha(h)^2 | / sum_{h<H} alpha(h)^2
     """
     alpha = np.asarray(alpha, dtype=float)
-    betas, gamma = _haar_pyramid(alpha, config)
+    betas, gamma = haar_coefficients(alpha, config)
     energy = sum(float(np.sum(b * b)) for b in betas) + float(np.sum(gamma * gamma))
     target = float(np.sum(alpha[..., : config.H] ** 2))
     if target == 0.0:

@@ -30,13 +30,11 @@ from tvewd.sim import Curve, TvpArScenario, constant, simulate
 from tvewd.wold import (
     MultiscaleConfig,
     ar_to_ma,
-    extended_wold_beta,
+    haar_coefficients,
     haar_energy_gap,
+    haar_innovations,
     persistence_shares,
     scale_components,
-    scale_innovations,
-    scaling_gamma,
-    scaling_innovations,
     decompose,
 )
 
@@ -77,10 +75,8 @@ def test_criterion_02_exact_reconstruction():
         G = H + int(rng.integers(20, 41))
         alpha = rng.standard_normal((G, H))
         eps = rng.standard_normal(G)
-        betas = extended_wold_beta(alpha, cfg)
-        gamma = scaling_gamma(alpha, cfg)
-        innovations = scale_innovations(eps, J)
-        low_pass = scaling_innovations(eps, J)
+        betas, gamma = haar_coefficients(alpha, cfg)
+        innovations, low_pass = haar_innovations(eps, J)
         comps, residual = scale_components(betas, gamma, innovations, low_pass, cfg)
         total = np.sum(comps, axis=0) + residual
         for t in range(H - 1, G):
@@ -98,7 +94,7 @@ def test_criterion_03_ar1_closed_forms():
     alpha = ar_to_ma(np.array([0.5]), 16)
     np.testing.assert_array_equal(alpha, 0.5 ** np.arange(17.0))
     cfg = MultiscaleConfig(J=2, N=4)
-    betas = extended_wold_beta(alpha[: cfg.H], cfg)
+    betas, _ = haar_coefficients(alpha[: cfg.H], cfg)
     assert abs(betas[0][0] - 0.35355339059327373) < 1e-12
     assert abs(betas[1][0] - 0.5625) < 1e-12
 

@@ -344,6 +344,8 @@ RV_ERRORS = {
     "negative open offset": ({"open_offset_minutes": -1}, "open_offset_minutes must be >= 0"),
     "cutoff out of range": ({"session_cutoff": "25:00"}, "time-of-day out of range: '25:00'"),
     "cutoff without minutes": ({"session_cutoff": "18"}, "bad time-of-day '18', expected HH:MM"),
+    "numeric cutoff": ({"session_cutoff": 5}, "bad time-of-day 5, expected HH:MM"),
+    "null cutoff": ({"session_cutoff": None}, "bad time-of-day None, expected HH:MM"),
     "scalar excluded dates": ({"excluded_dates": 5}, "'int' object is not iterable"),
 }
 
@@ -845,7 +847,7 @@ PLAN_ERRORS = {
     "zero depth": ([], {"J": 0}, "J must be >= 1, got 0"),
 }
 
-# refusals of `evaluate` alone: its models, benchmark and series length
+# refusals of `evaluate` alone: its models, benchmark, series length and workers
 EVALUATE_ERRORS = {
     "unknown benchmark": (
         ["--benchmark", "XGB"], None, "benchmark 'XGB' not among models ['TVEWD', 'TVHAR', 'TVAR', 'HAR', 'EWD']"
@@ -854,6 +856,7 @@ EVALUATE_ERRORS = {
     "window beyond series": (
         ["--window", "830"], None, "series of 830 observations cannot support window 830 with horizons (1, 5, 22)"
     ),
+    "text jobs": ([], {"jobs": "abc"}, "invalid literal for int() with base 10: 'abc'"),
 }
 
 
@@ -864,9 +867,9 @@ EVALUATE_ERRORS = {
 )
 def test_plan_errors_are_config_errors_and_write_nothing(tmp_path, capsys, command, case):
     """Both commands build one rolling plan and one set of model specs: a
-    window, horizon, lag map, model setting, benchmark or series length
-    that the plan, the specs or the config refuse exits 2 with a config
-    record, before any output is written."""
+    window, horizon, lag map, model setting, benchmark, series length or
+    worker count that the plan, the specs or the config refuse exits 2
+    with a config record, before any output is written."""
     flags, config, message = {**PLAN_ERRORS, **EVALUATE_ERRORS}[case]
     series_csv = tmp_path / "series.csv"
     write_series(series_csv, ar1_values(830, seed=51))

@@ -23,7 +23,7 @@ from tvewd.evaluate import (
     store_forecast_records,
     store_report,
 )
-from tvewd.locreg import EstimationError, KernelSpec
+from tvewd.locreg import _MODEL_FAILURES, EstimationError, KernelSpec
 from tvewd.series import VolatilitySeries, business_dates
 from tvewd.wold import MultiscaleConfig
 
@@ -325,8 +325,8 @@ def per_window_loop(series, models, plan):
             for hs in model.horizon_groups(horizons).values():
                 try:
                     out = model.forecast_all(window, hs)
-                except EstimationError as exc:
-                    failures[f"{model.display}: EstimationError: {exc}"] += 1
+                except _MODEL_FAILURES as exc:
+                    failures[f"{model.display}: {type(exc).__name__}: {exc}"] += 1
                     continue
                 bits.update({(T0, h, model.display): float(v).hex() for h, v in out.items()})
     return bits, dict(failures)
@@ -613,3 +613,26 @@ def test_a_non_finite_value_fails_the_local_fits_with_the_eigvalsh_error(bad, jo
         "TVEWD: EstimationError: only 0 usable rows for 4 scale weights; "
         "window too short for the configured decomposition depth": 2,
     }
+
+
+@pytest.mark.filterwarnings("ignore::tvewd.wold.ExplosiveWarning")
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("bad", [1e200, np.nan])
+def test_a_non_finite_window_fails_alone_in_its_block(bad, jobs):
+    """A NaN, or a finite spike whose square overflows (1e200, which
+    `VolatilitySeries` accepts), fails the local fits of the windows that
+    hold it among their lags and no other window of their origin block:
+    failure counts and forecast bits are those of a per-window loop."""
+    series = make_series(240, seed=113)
+    series.values[215] = bad
+    plan = RollingPlan(window=200, horizons=(1, 5))
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the spike's defined effect
+        report = rolling_evaluate(series, NON_FINITE_MODELS, plan, benchmark="TVAR", jobs=jobs)
+        bits, failures = per_window_loop(series, NON_FINITE_MODELS, plan)
+    assert forecast_bits(report) == bits
+    assert report.failures == failures
+    assert failures["TVEWD: LinAlgError: Eigenvalues did not converge"] > 0
+    # origin 216 holds the value in y alone and 217 among its lags; both
+    # share the first block with origins that do not hold it
+    assert 217 < 200 + BLOCK_ORIGINS
+    assert (200, 1, "TVEWD") in bits and (217, 1, "TVEWD") not in bits

@@ -72,7 +72,7 @@ def test_uniform_full_bandwidth_equals_global_least_squares():
     tau = np.arange(1, T + 1) / T
     y = X @ beta + 0.5 * (tau - 0.5) * X[:, 1] + 0.1 * rng.standard_normal(T)
     for u in (0.3, 0.5, 0.8):
-        levels, slopes, _ = local_linear(y, X, tau, u, KernelSpec("uniform", 1.0))
+        levels, slopes = local_linear(y, X, tau, u, KernelSpec("uniform", 1.0))
         Z = np.column_stack([X, (tau - u)[:, None] * X])
         theta = np.linalg.lstsq(Z, y, rcond=None)[0]
         np.testing.assert_allclose(np.concatenate([levels, slopes]), theta, rtol=1e-8, atol=1e-10)
@@ -86,7 +86,7 @@ def test_local_solve_satisfies_weighted_normal_equations():
     X = np.column_stack([np.ones(T - 1), v[:-1]])
     tau = np.arange(2, T + 1) / T
     for u in (0.25, 0.6, 1.0):
-        levels, slopes, _ = local_linear(y, X, tau, u, EPA)
+        levels, slopes = local_linear(y, X, tau, u, EPA)
         w = kernel_weights((tau - u) / EPA.bandwidth, "epanechnikov")
         Z = np.column_stack([X, (tau - u)[:, None] * X])
         theta = np.concatenate([levels, slopes])

@@ -29,13 +29,11 @@ from tvewd.wold import (
     ar_to_ma,
     decompose,
     decompose_static,
-    extended_wold_beta,
+    haar_coefficients,
     haar_energy_gap,
+    haar_innovations,
     persistence_shares,
     scale_components,
-    scale_innovations,
-    scaling_gamma,
-    scaling_innovations,
     store_beta_surface,
     store_shares,
 )
@@ -223,7 +221,7 @@ def test_ar_to_ma_explosive_warning():
 def test_beta_closed_forms_ar1_half():
     cfg = MultiscaleConfig(J=2, N=4)
     alpha = ar_to_ma(np.array([0.5]), cfg.H)
-    betas = extended_wold_beta(alpha, cfg)
+    betas, _ = haar_coefficients(alpha, cfg)
     assert betas[0][0] == pytest.approx((1.0 - 0.5) / math.sqrt(2.0), abs=1e-12)
     assert betas[0][0] == pytest.approx(0.35355339059327373, abs=1e-12)
     assert betas[0][1] == pytest.approx((0.25 - 0.125) / math.sqrt(2.0), abs=1e-12)
@@ -234,8 +232,7 @@ def test_beta_gamma_match_oracle():
     cfg = MultiscaleConfig(J=3, N=4)
     rng = np.random.default_rng(33)
     alpha = rng.standard_normal(cfg.H)
-    betas = extended_wold_beta(alpha, cfg)
-    gamma = scaling_gamma(alpha, cfg)
+    betas, gamma = haar_coefficients(alpha, cfg)
     for j in range(1, cfg.J + 1):
         assert betas[j - 1].shape == (cfg.n_translates(j),)
         for k in range(cfg.n_translates(j)):
@@ -247,24 +244,23 @@ def test_beta_gamma_match_oracle():
 def test_flat_alpha_gives_zero_betas_and_sqrt2_gamma():
     cfg = MultiscaleConfig(J=1, N=4)
     alpha = np.ones(cfg.H)
-    betas = extended_wold_beta(alpha, cfg)
+    betas, gamma = haar_coefficients(alpha, cfg)
     assert np.all(betas[0] == 0.0)
-    np.testing.assert_allclose(scaling_gamma(alpha, cfg), math.sqrt(2.0), rtol=1e-15)
+    np.testing.assert_allclose(gamma, math.sqrt(2.0), rtol=1e-15)
 
 
 def test_unit_impulse_beta_gamma():
     cfg = MultiscaleConfig(J=4, N=3)
     alpha = np.zeros(cfg.H)
     alpha[0] = 1.0
-    betas = extended_wold_beta(alpha, cfg)
-    gamma = scaling_gamma(alpha, cfg)
+    betas, gamma = haar_coefficients(alpha, cfg)
     for j in range(1, cfg.J + 1):
         assert betas[j - 1][0] == pytest.approx(2.0 ** (-j / 2), rel=1e-15)
         assert np.all(betas[j - 1][1:] == 0.0)
     assert gamma[0] == pytest.approx(2.0 ** (-cfg.J / 2), rel=1e-15)
     assert np.all(gamma[1:] == 0.0)
     cfg2 = MultiscaleConfig(J=2, N=4)
-    assert scaling_gamma(alpha[: cfg2.H], cfg2)[0] == pytest.approx(0.5, rel=1e-15)
+    assert haar_coefficients(alpha[: cfg2.H], cfg2)[1][0] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_coefficient_energy_preserved():
@@ -284,25 +280,20 @@ def test_beta_gamma_linear_in_alpha():
     x = rng.standard_normal(cfg.H)
     y = rng.standard_normal(cfg.H)
     a, b = 2.5, -1.25
-    combo_b = extended_wold_beta(a * x + b * y, cfg)
-    bx = extended_wold_beta(x, cfg)
-    by = extended_wold_beta(y, cfg)
+    combo_b, combo_g = haar_coefficients(a * x + b * y, cfg)
+    bx, gx = haar_coefficients(x, cfg)
+    by, gy = haar_coefficients(y, cfg)
     for j in range(cfg.J):
         np.testing.assert_allclose(combo_b[j], a * bx[j] + b * by[j], rtol=1e-12, atol=1e-13)
-    np.testing.assert_allclose(
-        scaling_gamma(a * x + b * y, cfg),
-        a * scaling_gamma(x, cfg) + b * scaling_gamma(y, cfg),
-        rtol=1e-12,
-        atol=1e-13,
-    )
+    np.testing.assert_allclose(combo_g, a * gx + b * gy, rtol=1e-12, atol=1e-13)
 
 
 def test_alpha_too_short_rejected():
     cfg = MultiscaleConfig(J=3, N=4)
     with pytest.raises(ValueError, match="at least"):
-        extended_wold_beta(np.ones(cfg.H - 1), cfg)
+        haar_coefficients(np.ones(cfg.H - 1), cfg)
     with pytest.raises(ValueError, match="at least"):
-        scaling_gamma(np.ones(cfg.H - 1), cfg)
+        haar_coefficients(np.ones((2, cfg.H - 1)), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +301,7 @@ def test_alpha_too_short_rejected():
 # ---------------------------------------------------------------------------
 
 def test_scale_innovation_first_difference_fixture():
-    innov = scale_innovations(np.array([1.0, 0.0]), 1)[0]
+    innov = haar_innovations(np.array([1.0, 0.0]), 1)[0][0]
     assert math.isnan(innov[0])
     assert innov[1] == pytest.approx(-1.0 / math.sqrt(2.0), rel=1e-15)
 
@@ -318,20 +309,20 @@ def test_scale_innovation_first_difference_fixture():
 def test_constant_shocks_cancel_in_details():
     eps = np.full(40, 3.0)
     J = 3
-    for j, innov in enumerate(scale_innovations(eps, J), start=1):
+    innovations, low = haar_innovations(eps, J)
+    for j, innov in enumerate(innovations, start=1):
         defined = innov[(1 << j) - 1 :]
         np.testing.assert_allclose(defined, 0.0, atol=1e-12)
-    low = scaling_innovations(eps, J)
     np.testing.assert_allclose(low[(1 << J) - 1 :], 3.0 * 2.0 ** (J / 2), rtol=1e-15)
 
 
 def test_scale_innovations_nan_prefix():
     eps = np.random.default_rng(36).standard_normal(50)
-    for j, innov in enumerate(scale_innovations(eps, 4), start=1):
+    innovations, low = haar_innovations(eps, 4)
+    for j, innov in enumerate(innovations, start=1):
         cut = (1 << j) - 1
         assert np.all(np.isnan(innov[:cut]))
         assert np.all(np.isfinite(innov[cut:]))
-    low = scaling_innovations(eps, 4)
     assert np.all(np.isnan(low[:15]))
     assert np.all(np.isfinite(low[15:]))
 
@@ -340,8 +331,7 @@ def test_shock_aggregates_match_oracle():
     rng = np.random.default_rng(37)
     eps = rng.standard_normal(60)
     J = 3
-    innovations = scale_innovations(eps, J)
-    low = scaling_innovations(eps, J)
+    innovations, low = haar_innovations(eps, J)
     for j in range(1, J + 1):
         for t in range((1 << j) - 1, 60):
             assert innovations[j - 1][t] == pytest.approx(
@@ -355,7 +345,7 @@ def test_iid_shocks_uncorrelated_across_scales_and_translates():
     rng = np.random.default_rng(38)
     eps = rng.standard_normal(100_000)
     J = 4
-    innovations = scale_innovations(eps, J)
+    innovations, _ = haar_innovations(eps, J)
     start = (1 << J) - 1
     # contemporaneous cross-scale correlation vanishes
     for ja in range(1, J + 1):
@@ -387,8 +377,7 @@ def test_component_shift_semantics():
     t0, k0 = 9, 2
     betas[0][t0, k0] = 1.0
     gamma = np.zeros((G, cfg.N))
-    innovations = scale_innovations(eps, cfg.J)
-    low = scaling_innovations(eps, cfg.J)
+    innovations, low = haar_innovations(eps, cfg.J)
     comps, residual = scale_components(betas, gamma, innovations, low, cfg)
     assert comps[0][t0] == pytest.approx(innovations[0][t0 - k0 * 2], rel=1e-15)
     defined = np.isfinite(residual)
@@ -622,7 +611,8 @@ def test_haar_pyramid_matches_reshape_sums_and_keeps_energy(J, N, G, extra, log_
     cfg = MultiscaleConfig(J=J, N=N)
     rng = np.random.default_rng(seed)
     alpha = rng.standard_normal((G, cfg.H + extra)) * 10.0**log_scale
-    got = extended_wold_beta(alpha, cfg) + [scaling_gamma(alpha, cfg)]
+    betas, gamma = haar_coefficients(alpha, cfg)
+    got = betas + [gamma]
     want = reshape_sum_betas(alpha, cfg) + [reshape_sum_gamma(alpha, cfg)]
     tol = 1e-14 * np.abs(alpha[:, : cfg.H]).sum(axis=1, keepdims=True)
     for g, w in zip(got, want):
@@ -647,8 +637,7 @@ def test_components_match_translate_loop(J, N, extra, start_share, seed):
     eps = rng.standard_normal(G)
     betas = [rng.standard_normal((G, cfg.n_translates(j))) for j in range(1, J + 1)]
     gamma = rng.standard_normal((G, N))
-    innovations = scale_innovations(eps, J)
-    low = scaling_innovations(eps, J)
+    innovations, low = haar_innovations(eps, J)
     comps, residual = scale_components(betas, gamma, innovations, low, cfg)
     surfaces = betas + [gamma]
     series = innovations + [low]
@@ -785,12 +774,13 @@ def test_single_scale_loading_takes_full_share():
     alpha[0], alpha[1] = 1.0, -1.0  # loads only the finest detail scale
     G = 4
     rows = np.tile(alpha, (G, 1))
+    betas, gamma = haar_coefficients(rows, cfg)
     decomp = MultiscaleDecomposition(
         config=cfg,
         grid=np.linspace(0.25, 1.0, G),
         alpha=rows,
-        betas=extended_wold_beta(rows, cfg),
-        gamma=scaling_gamma(rows, cfg),
+        betas=betas,
+        gamma=gamma,
         innovations=[np.zeros(G)] * cfg.J,
         low_pass=np.zeros(G),
         components=[np.zeros(G)] * cfg.J,
@@ -815,12 +805,13 @@ def test_signed_negative_denominator_flagged():
     alpha = np.zeros(cfg.H)
     alpha[0], alpha[1] = -1.0, 1.0  # beta_1(0) < 0 dominates
     rows = np.tile(alpha, (3, 1))
+    betas, gamma = haar_coefficients(rows, cfg)
     decomp = MultiscaleDecomposition(
         config=cfg,
         grid=np.linspace(0.5, 1.0, 3),
         alpha=rows,
-        betas=extended_wold_beta(rows, cfg),
-        gamma=scaling_gamma(rows, cfg),
+        betas=betas,
+        gamma=gamma,
         innovations=[np.zeros(3)] * cfg.J,
         low_pass=np.zeros(3),
         components=[np.zeros(3)] * cfg.J,
