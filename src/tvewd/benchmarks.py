@@ -9,8 +9,8 @@ Models (names match the forecast CSV contract):
     TVEWD  the full time-varying multiscale pipeline
 
 Every model consumes one in-sample window and emits point forecasts for the
-requested horizons, which is the contract the rolling evaluation harness
-drives.
+requested horizons.  The rolling evaluation harness drives them through
+`ModelSpec.forecast_all`, one stack of windows per call.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .locreg import (
     _attempt,
     _checked_lstsq,
     _design,
-    _single,
     boundary_fit,
     local_level,
     local_linear,
@@ -223,25 +222,33 @@ class ModelSpec:
         """Point forecasts for every horizon from one in-sample window.
 
         The window is fitted once per distinct AR order among the requested
-        horizons; an order with no requested horizon is not fitted.
+        horizons, and each order fails or succeeds on its own.
 
         `values` may also be a (B, n) stack of windows of one length.  The
-        result then holds, per window, its forecasts or the model failure
+        result then holds one `(forecasts, failures)` pair per window: the
+        forecasts of every order that succeeded, and the model failure
         (EstimationError, LinAlgError, FloatingPointError or ValueError) of
-        its first failing order: bit for bit what a one-window call returns
-        or raises.  Other exceptions propagate.  TVEWD fits and levels the
-        stack together (`tvewd_forecast_window`); the other models run
-        window by window.
+        each order that failed, in `horizon_groups` order.  A one-window
+        call returns that pair's forecasts or raises its first failure.
+        Other exceptions propagate.  TVEWD fits and levels the stack
+        together (`tvewd_forecast_window`); the other models run window by
+        window.
         """
         values = np.asarray(values, dtype=float)
         windows = values.reshape(-1, values.shape[-1])  # one window is a stack of one
-        out: list = [{} for _ in windows]
+        out: list[tuple[dict, list]] = [({}, []) for _ in windows]
         for p, hs in self.horizon_groups(horizons).items():
-            alive = [i for i, fc in enumerate(out) if isinstance(fc, dict)]
-            results = self._forecast_order(windows[alive], p, hs) if alive else []
-            for i, fc in zip(alive, results):
-                out[i] = fc if isinstance(fc, Exception) else {**out[i], **fc}
-        return out if values.ndim == 2 else _single(out)
+            for (forecasts, failures), fc in zip(out, self._forecast_order(windows, p, hs)):
+                if isinstance(fc, Exception):
+                    failures.append(fc)
+                else:
+                    forecasts.update(fc)
+        if values.ndim == 2:
+            return out
+        ((forecasts, failures),) = out
+        if failures:
+            raise failures[0]
+        return forecasts
 
     def _forecast_order(self, windows: np.ndarray, p: int, horizons: tuple[int, ...]) -> list:
         """Per window: forecasts for horizons that share the AR order p, or the model failure."""

@@ -159,7 +159,8 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
         if command in opt.flag_for:
             value = getattr(args, key)
             if value is not None and opt.parse:
-                value = opt.parse(value)
+                with _config_values():  # a flag's text that does not convert
+                    value = opt.parse(value)
             if value is not None:
                 cfg[key] = value
     return cfg
@@ -176,12 +177,20 @@ def _config_values():
         raise ConfigError(str(exc)) from exc
 
 
+def _integer(value: Any, key: str) -> int:
+    """An integer setting: a string converts as int() does, and a boolean or
+    a number that is not integral is a config error."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _kernel(cfg: dict) -> KernelSpec:
     return KernelSpec(family=cfg["kernel"], bandwidth=float(cfg["bandwidth"]))
 
 
 def _scales(cfg: dict) -> MultiscaleConfig:
-    return MultiscaleConfig(J=int(cfg["J"]), N=int(cfg["N"]))
+    return MultiscaleConfig(J=_integer(cfg["J"], "J"), N=_integer(cfg["N"], "N"))
 
 
 def _lags(cfg: dict, horizons: tuple[int, ...]) -> dict[int, int]:
@@ -198,13 +207,13 @@ def _lags(cfg: dict, horizons: tuple[int, ...]) -> dict[int, int]:
             )
         lags, source = series_lags[key], f"series_lags[{key!r}]"
     if lags is None:
-        return {h: int(cfg["p"]) for h in horizons}
+        return {h: _integer(cfg["p"], "p") for h in horizons}
     if not isinstance(lags, dict):
         raise ConfigError(f"{source} must map horizons to AR orders, got {lags!r}")
     for h in horizons:
         if str(h) not in lags:
             raise ConfigError(f"lag mapping has no entry for horizon {h}")
-    return {h: int(lags[str(h)]) for h in horizons}
+    return {h: _integer(lags[str(h)], f"{source}['{h}']") for h in horizons}
 
 
 def _model_specs(cfg: dict, names: list[str], horizons: tuple[int, ...]) -> list[benchmarks.ModelSpec]:
@@ -217,11 +226,13 @@ def _model_specs(cfg: dict, names: list[str], horizons: tuple[int, ...]) -> list
 
 def _plan(cfg: dict, window: Any, step: Any = 1, max_origins: Any = None) -> evaluate.RollingPlan:
     """The configured horizons and the given layout as a rolling plan; a
-    value the plan refuses, or one that is not a number, is a config error."""
+    value the plan refuses, or one that is not an integer, is a config error."""
     with _config_values():
-        horizons = tuple(int(h) for h in cfg["horizons"])
         return evaluate.RollingPlan(
-            window=int(window), step=int(step), horizons=horizons, max_origins=max_origins
+            window=_integer(window, "window"),
+            step=_integer(step, "step"),
+            horizons=tuple(_integer(h, "horizon") for h in cfg["horizons"]),
+            max_origins=None if max_origins is None else _integer(max_origins, "max_origins"),
         )
 
 
@@ -238,8 +249,8 @@ def cmd_rv(cfg: dict) -> int:
         calendar = rv.TradingCalendar(
             excluded_dates=tuple(cfg["excluded_dates"]),
             session_cutoff=cfg["session_cutoff"],
-            open_offset_minutes=int(cfg["open_offset_minutes"]),
-            bins_per_day=int(cfg["bins_per_day"]),
+            open_offset_minutes=_integer(cfg["open_offset_minutes"], "open_offset_minutes"),
+            bins_per_day=_integer(cfg["bins_per_day"], "bins_per_day"),
         )
     ts, px = rv.load_ticks(path)
     label = cfg.get("label") or "rv"
@@ -258,11 +269,12 @@ def cmd_decompose(cfg: dict) -> int:
     out = _require(cfg, "output", "decompose")
     series = load_series(path)
     with _config_values():  # the settings of the model whose fit is decomposed
-        spec = benchmarks.ModelSpec("TVEWD", p=int(cfg["p"]), kernel=_kernel(cfg), scales=_scales(cfg))
+        spec = benchmarks.ModelSpec("TVEWD", p=_integer(cfg["p"], "p"), kernel=_kernel(cfg), scales=_scales(cfg))
+        share_k = _integer(cfg["share_k"], "share_k")
     fit = locreg.fit_tvp_ar(series, spec.p, spec.kernel)
     decomp = wold.decompose(fit, spec.scales, dates=series.dates[spec.p:])
     with _config_values():  # persistence_shares raises ValueError only for its mode and k_index
-        shares = wold.persistence_shares(decomp, mode=cfg["share_mode"], k_index=int(cfg["share_k"]))
+        shares = wold.persistence_shares(decomp, mode=cfg["share_mode"], k_index=share_k)
     wold.store_beta_surface(decomp, out)
     if cfg.get("shares_output"):
         wold.store_shares(shares, cfg["shares_output"])
@@ -303,8 +315,8 @@ def cmd_evaluate(cfg: dict) -> int:
     plan = _plan(cfg, cfg["window"], cfg["step"], cfg.get("max_origins"))
     models = _model_specs(cfg, list(cfg["models"]), plan.horizons)
     with _config_values():
-        evaluate.check_evaluation(len(series), models, plan, cfg["benchmark"])
-        jobs = int(cfg["jobs"])
+        jobs = _integer(cfg["jobs"], "jobs")
+        evaluate.check_evaluation(len(series), models, plan, cfg["benchmark"], jobs)
     report = evaluate.rolling_evaluate(series, models, plan, benchmark=cfg["benchmark"], jobs=jobs)
     evaluate.store_report(report, out)
     if cfg.get("forecasts_output"):

@@ -20,7 +20,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .benchmarks import ModelSpec
 from .forecast import FORECAST_COLUMNS
-from .locreg import _attempt
 from .series import VolatilitySeries, format_value, write_csv
 
 __all__ = [
@@ -182,18 +181,11 @@ class EvaluationReport:
     n_origins: int = 0
 
 
-def _origin_list(T: int, plan: RollingPlan) -> list[int]:
-    min_h = min(plan.horizons)
-    origins = list(range(plan.window, T - min_h + 1, plan.step))
-    if plan.max_origins is not None:
-        origins = origins[: plan.max_origins]
-    return origins
-
-
 def _origin_blocks(T: int, plan: RollingPlan) -> list[tuple[list[int], tuple[int, ...]]]:
-    """Runs of at most BLOCK_ORIGINS consecutive origins that keep the same horizons."""
+    """The plan's origins, up to its cap, as runs of at most BLOCK_ORIGINS
+    consecutive origins that keep the same horizons."""
     blocks: list[tuple[list[int], tuple[int, ...]]] = []
-    for T0 in _origin_list(T, plan):
+    for T0 in range(plan.window, T - min(plan.horizons) + 1, plan.step)[: plan.max_origins]:
         horizons = tuple(h for h in plan.horizons if T0 + h <= T)
         if blocks and blocks[-1][1] == horizons and len(blocks[-1][0]) < BLOCK_ORIGINS:
             blocks[-1][0].append(T0)
@@ -208,27 +200,18 @@ def _forecast_block(args) -> tuple[list[int], list[dict[tuple[str, int], float]]
     outs: list[dict[tuple[str, int], float]] = [{} for _ in origins]
     failures: list[str] = []
     for model in models:
-        # a ModelSpec fails or succeeds per AR order and takes the block as
-        # one stack; other models fail as a whole, one window at a time
-        if isinstance(model, ModelSpec):
-            groups = model.horizon_groups(horizons).values()
-            stacks = [model.forecast_all(windows, hs) for hs in groups]
-        else:
-            stacks = [[_attempt(model.forecast_all, values, horizons) for values in windows]]
-        for results in stacks:
-            for out, fc in zip(outs, results):
-                if isinstance(fc, Exception):  # failures become missing values
-                    failures.append(f"{model.display}: {type(fc).__name__}: {fc}")
-                    continue
-                for h, value in fc.items():
-                    out[(model.display, h)] = value
+        for out, (forecasts, fails) in zip(outs, model.forecast_all(windows, horizons)):
+            out.update(((model.display, h), value) for h, value in forecasts.items())
+            failures.extend(f"{model.display}: {type(exc).__name__}: {exc}" for exc in fails)
     return origins, outs, failures
 
 
-def check_evaluation(n_obs: int, models: list[ModelSpec], plan: RollingPlan, benchmark: str) -> None:
+def check_evaluation(
+    n_obs: int, models: list[ModelSpec], plan: RollingPlan, benchmark: str, jobs: int
+) -> None:
     """Raise ValueError unless the models' display names are distinct and
-    include the benchmark, and a series of n_obs observations holds the
-    plan's window plus its shortest horizon."""
+    include the benchmark, a series of n_obs observations holds the plan's
+    window plus its shortest horizon, and at least one worker is asked for."""
     names = [m.display for m in models]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate model names: {names}")
@@ -239,6 +222,8 @@ def check_evaluation(n_obs: int, models: list[ModelSpec], plan: RollingPlan, ben
             f"series of {n_obs} observations cannot support window {plan.window} "
             f"with horizons {plan.horizons}"
         )
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
 
 
 def rolling_evaluate(
@@ -257,38 +242,41 @@ def rolling_evaluate(
             benchmark.
         plan: window length, step, horizons, optional origin cap.
         benchmark: display name of the ratio/DM reference model.
-        jobs: origins are independent; jobs > 1 evaluates blocks of them
-            in parallel processes with a deterministic, order-independent
-            reduction.
+        jobs: at least 1.  Origins are independent; jobs > 1 evaluates
+            blocks of them in parallel processes with a deterministic,
+            order-independent reduction.
 
     Origins are scored in blocks of up to BLOCK_ORIGINS consecutive origins
-    with the same horizons; the blocks do not depend on `jobs`.  A ModelSpec
-    receives a block's windows as one strided stack of the series
-    (`ModelSpec.forecast_all`), and every window's forecasts are bit for
-    bit those of a one-window call.
+    with the same horizons; the blocks do not depend on `jobs`.  Each model
+    is called once per block, with the block's windows as one strided stack
+    of the series and the horizons every origin of the block can score
+    (`ModelSpec.forecast_all`).  It returns one `(forecasts, failures)`
+    pair per window, bit for bit what one-window calls per AR order give.
 
     Model failures at an origin (EstimationError, LinAlgError,
     FloatingPointError or ValueError) are recorded and the affected
-    forecasts are treated as missing.  A ModelSpec is called once per AR
-    order of its horizons (`ModelSpec.horizon_groups`), so a failing order
-    costs only its own horizons and counts once; an order with no horizon
-    left at an origin is not called.  Ratio and DM columns pair each model
+    forecasts are treated as missing.  A model fails or succeeds once per
+    AR order of its horizons, so a failing order costs only its own
+    horizons and counts once; an order with no horizon left at an origin
+    is not fitted.  Ratio and DM columns pair each model
     with the benchmark on origins where both produced a forecast; with no
     such origin the ratios are NaN and no DM test is run.  Any other
     exception propagates.
     """
     T = len(series)
-    check_evaluation(T, models, plan, benchmark)
+    check_evaluation(T, models, plan, benchmark, jobs)
     names = [m.display for m in models]
-    origins = _origin_list(T, plan)
     values = series.values
+    blocks = _origin_blocks(T, plan)
     tasks = [
         (block, values[block[0] - plan.window : block[-1]].copy(), plan.window, plan.step,
          tuple(models), horizons)
-        for block, horizons in _origin_blocks(T, plan)
+        for block, horizons in blocks
     ]
 
-    results: dict[int, dict[tuple[str, int], float]] = {}
+    # records are ordered by origin, then horizon, then model name
+    records: list[ForecastRecord] = []
+    errors: dict[tuple[str, int], dict[int, float]] = {}  # forecast - realized per cell and origin
     failures: dict[str, int] = {}
     with contextlib.ExitStack() as stack:
         mapped = map(_forecast_block, tasks)
@@ -296,48 +284,35 @@ def rolling_evaluate(
             pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
             mapped = pool.map(_forecast_block, tasks)
         for block, outs, fails in mapped:
-            results.update(zip(block, outs))
             for msg in fails:
                 failures[msg] = failures.get(msg, 0) + 1
-
-    # records are ordered by origin, then horizon, then model name
-    records: list[ForecastRecord] = []
-    table: dict[tuple[str, int], dict[int, tuple[float, float]]] = {}
-    for T0 in origins:
-        out = results[T0]
-        for h in sorted(plan.horizons):
-            if T0 + h > T:
-                continue
-            realized = float(values[T0 + h - 1])
-            for name in sorted(names):
-                key = (name, h)
-                if key not in out:
-                    continue
-                fc = out[key]
-                table.setdefault(key, {})[T0] = (fc, realized)
-                records.append(
-                    ForecastRecord(
-                        origin=T0,
-                        origin_date=str(series.dates[T0 - 1]),
-                        target_date=str(series.dates[T0 + h - 1]),
-                        horizon=h,
-                        model=name,
-                        forecast=fc,
-                        realized=realized,
+            for T0, out in zip(block, outs):
+                for name, h in sorted(out, key=lambda key: (key[1], key[0])):
+                    fc, realized = out[(name, h)], float(values[T0 + h - 1])
+                    errors.setdefault((name, h), {})[T0] = fc - realized
+                    records.append(
+                        ForecastRecord(
+                            origin=T0,
+                            origin_date=str(series.dates[T0 - 1]),
+                            target_date=str(series.dates[T0 + h - 1]),
+                            horizon=h,
+                            model=name,
+                            forecast=fc,
+                            realized=realized,
+                        )
                     )
-                )
 
     entries: dict[tuple[str, int], EvaluationEntry] = {}
     for h in plan.horizons:
-        bench_cell = table.get((benchmark, h), {})
+        bench_cell = errors.get((benchmark, h), {})
         for name in names:
-            cell = table.get((name, h), {})
+            cell = errors.get((name, h), {})
             if not cell:
                 continue
-            own_err = np.array([fc - rz for fc, rz in cell.values()])
+            own_err = np.array(list(cell.values()))
             paired = sorted(set(cell) & set(bench_cell))
-            e_model = np.array([cell[T0][0] - cell[T0][1] for T0 in paired])
-            e_bench = np.array([bench_cell[T0][0] - bench_cell[T0][1] for T0 in paired])
+            e_model = np.array([cell[T0] for T0 in paired])
+            e_bench = np.array([bench_cell[T0] for T0 in paired])
             rmse_ratio = mae_ratio = float("nan")
             if paired:
                 r_bench, m_bench = rmse(e_bench), mae(e_bench)
@@ -373,7 +348,7 @@ def rolling_evaluate(
         entries=entries,
         records=records,
         failures=failures,
-        n_origins=len(origins),
+        n_origins=sum(len(block) for block, _ in blocks),
     )
 
 

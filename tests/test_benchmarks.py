@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tvewd.benchmarks import (
     MODEL_NAMES,
@@ -15,7 +16,7 @@ from tvewd.benchmarks import (
     tvhar_fit_forecast,
 )
 from tvewd.forecast import tvewd_forecast_window
-from tvewd.locreg import EstimationError, KernelSpec, fit_tvp_ar, local_level
+from tvewd.locreg import _MODEL_FAILURES, EstimationError, KernelSpec, fit_tvp_ar, local_level
 from tvewd.wold import MultiscaleConfig
 
 KERN = KernelSpec("epanechnikov", 0.3)
@@ -291,3 +292,33 @@ def test_model_spec_deterministic():
     for name in MODEL_NAMES:
         spec = ModelSpec(name=name, p=1, kernel=KERN, scales=SCALES)
         assert spec.forecast_all(v, (1, 22)) == spec.forecast_all(v.copy(), (1, 22))
+
+
+@pytest.mark.filterwarnings("ignore::tvewd.wold.ExplosiveWarning")
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_a_stack_gives_each_window_its_one_window_outcome_per_order(name):
+    """`forecast_all` on a (B, n) stack gives each window the forecasts of
+    the orders whose one-window calls succeed and, in `horizon_groups`
+    order, the errors of those that raise.  Order 6 is too long for a
+    window of 130; window 2 ends flat, which makes its local fits singular."""
+    windows = sliding_window_view(ar1_path(0.6, 200, seed=83, level=10.0), 130)[::10].copy()
+    windows[2, 65:] = windows[2, 65]
+    spec = ModelSpec(name=name, p={1: 1, 5: 6, 22: 1}, kernel=KERN, scales=MultiscaleConfig(J=3, N=2))
+    horizons = (1, 5, 22)
+    pairs = spec.forecast_all(windows, horizons)
+    assert len(pairs) == len(windows)
+    for window, (forecasts, failures) in zip(windows, pairs):
+        expected, errors = {}, []
+        for hs in spec.horizon_groups(horizons).values():
+            try:
+                expected.update(spec.forecast_all(window.copy(), hs))
+            except _MODEL_FAILURES as exc:
+                errors.append(exc)
+        assert {h: v.hex() for h, v in forecasts.items()} == {h: v.hex() for h, v in expected.items()}
+        assert [(type(e), str(e)) for e in failures] == [(type(e), str(e)) for e in errors]
+        if errors:  # one window raises its first failure
+            with pytest.raises(type(errors[0])) as raised:
+                spec.forecast_all(window.copy(), horizons)
+            assert str(raised.value) == str(errors[0])
+        else:
+            assert spec.forecast_all(window.copy(), horizons) == forecasts

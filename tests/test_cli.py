@@ -347,6 +347,8 @@ RV_ERRORS = {
     "numeric cutoff": ({"session_cutoff": 5}, "bad time-of-day 5, expected HH:MM"),
     "null cutoff": ({"session_cutoff": None}, "bad time-of-day None, expected HH:MM"),
     "scalar excluded dates": ({"excluded_dates": 5}, "'int' object is not iterable"),
+    "fractional bins": ({"bins_per_day": 2.5}, "bins_per_day must be an integer, got 2.5"),
+    "boolean open offset": ({"open_offset_minutes": True}, "open_offset_minutes must be an integer, got True"),
 }
 
 
@@ -413,6 +415,10 @@ DECOMPOSE_ERRORS = {
         {"kernel": "tri"}, "unknown kernel family 'tri', expected one of ('epanechnikov', 'gaussian', 'uniform')"
     ),
     "zero depth": ({"J": 0}, "J must be >= 1, got 0"),
+    "fractional order": ({"p": 1.9}, "p must be an integer, got 1.9"),
+    "fractional depth": ({"J": 3.7}, "J must be an integer, got 3.7"),
+    "fractional share translate": ({"share_k": 1.5}, "share_k must be an integer, got 1.5"),
+    "boolean share translate": ({"share_k": False}, "share_k must be an integer, got False"),
 }
 
 
@@ -845,6 +851,18 @@ PLAN_ERRORS = {
         [], {"kernel": "tri"}, "unknown kernel family 'tri', expected one of ('epanechnikov', 'gaussian', 'uniform')"
     ),
     "zero depth": ([], {"J": 0}, "J must be >= 1, got 0"),
+    "fractional window": ([], {"window": 100.7}, "window must be an integer, got 100.7"),
+    "fractional horizon": ([], {"horizons": [1.5, 5]}, "horizon must be an integer, got 1.5"),
+    "fractional horizon flag": (["--horizon", "1,1.5"], None, "invalid literal for int() with base 10: '1.5'"),
+    "fractional order": ([], {"p": 1.9}, "p must be an integer, got 1.9"),
+    "boolean order": ([], {"p": True}, "p must be an integer, got True"),
+    "fractional lag": ([], {"lags": {"1": 2, "5": 2.5, "22": 2}}, "lags['5'] must be an integer, got 2.5"),
+    "fractional series lag": (
+        [], {"series": "CL", "series_lags": {"CL": {"1": 2, "5": 6, "22": 6.5}}},
+        "series_lags['CL']['22'] must be an integer, got 6.5",
+    ),
+    "fractional depth": ([], {"J": 3.7}, "J must be an integer, got 3.7"),
+    "infinite moments": ([], {"N": float("inf")}, "N must be an integer, got inf"),
 }
 
 # refusals of `evaluate` alone: its models, benchmark, series length and workers
@@ -857,6 +875,11 @@ EVALUATE_ERRORS = {
         ["--window", "830"], None, "series of 830 observations cannot support window 830 with horizons (1, 5, 22)"
     ),
     "text jobs": ([], {"jobs": "abc"}, "invalid literal for int() with base 10: 'abc'"),
+    "zero jobs": (["--jobs", "0"], None, "jobs must be >= 1, got 0"),
+    "negative jobs": (["--jobs", "-3"], None, "jobs must be >= 1, got -3"),
+    "fractional jobs": ([], {"jobs": 2.7}, "jobs must be an integer, got 2.7"),
+    "fractional step": ([], {"step": 2.5}, "step must be an integer, got 2.5"),
+    "fractional origin cap": ([], {"max_origins": 2.5}, "max_origins must be an integer, got 2.5"),
 }
 
 

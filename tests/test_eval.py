@@ -43,8 +43,8 @@ def make_series(T, seed, level=10.0, phi=0.6, label="test"):
 class PerfectForesight:
     """Duck-typed model that looks up the realized future value.
 
-    It receives only the in-sample window, so it locates the origin by
-    matching the window's last value inside the full series it was built
+    It receives only the in-sample windows, so it locates each origin by
+    matching its window's last value inside the full series it was built
     with; forecasts are then exactly the realized targets.
     """
 
@@ -56,15 +56,18 @@ class PerfectForesight:
     def display(self):
         return self.name
 
-    def forecast_all(self, window, horizons):
-        pos = np.nonzero(self.values == window[-1])[0]
-        assert len(pos) == 1
-        T0 = int(pos[0]) + 1
-        return {h: float(self.values[T0 + h - 1]) for h in horizons}
+    def forecast_all(self, windows, horizons):
+        out = []
+        for window in windows:
+            pos = np.nonzero(self.values == window[-1])[0]
+            assert len(pos) == 1
+            T0 = int(pos[0]) + 1
+            out.append(({h: float(self.values[T0 + h - 1]) for h in horizons}, []))
+        return out
 
 
 class FailsOnHighClose:
-    """Duck-typed model that fails deterministically on some windows."""
+    """Duck-typed model that fails deterministically on some windows of a stack."""
 
     def __init__(self, threshold, name="FLAKY"):
         self.threshold = threshold
@@ -74,10 +77,13 @@ class FailsOnHighClose:
     def display(self):
         return self.name
 
-    def forecast_all(self, window, horizons):
-        if window[-1] > self.threshold:
-            raise EstimationError("window ended too high")
-        return {h: float(window[-1]) for h in horizons}
+    def forecast_all(self, windows, horizons):
+        return [
+            ({}, [EstimationError("window ended too high")])
+            if window[-1] > self.threshold
+            else ({h: float(window[-1]) for h in horizons}, [])
+            for window in windows
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +259,8 @@ class BrokenModel:
 
     display = "BROKEN"
 
-    def forecast_all(self, window, horizons):
-        return {h: window[-1] + None for h in horizons}
+    def forecast_all(self, windows, horizons):
+        return [({h: window[-1] + None for h in horizons}, []) for window in windows]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -339,16 +345,24 @@ def test_a_failing_window_costs_only_its_own_forecasts(jobs):
     local fits raise.  Those windows lose their forecasts with the message
     and count of a per-window loop, and every other window of their block
     keeps that loop's forecasts bit for bit.  The last origins lose h = 5,
-    so the origins split into blocks of both horizons and of h = 1 alone."""
+    so the origins split into blocks of both horizons and of h = 1 alone.
+    The orders of TVEWD-1-6 disagree on the same windows: order 6 is too
+    long for a window of 100 and fails at every origin, while order 1
+    forecasts wherever TVEWD does."""
     series = make_series(100 + BLOCK_ORIGINS + 13, seed=108)
     values = series.values.copy()
     values[95:127] = values[95]
     series = VolatilitySeries(series.dates, values, label=series.label)
     plan = RollingPlan(window=100, horizons=(1, 5))
-    report = rolling_evaluate(series, FIVE_MODELS, plan, benchmark="HAR", jobs=jobs)
-    bits, failures = per_window_loop(series, FIVE_MODELS, plan)
+    mixed = ModelSpec(name="TVEWD", p={1: 1, 5: 6}, kernel=KERN, scales=MultiscaleConfig(J=3, N=2), label="TVEWD-1-6")
+    models = FIVE_MODELS + [mixed]
+    report = rolling_evaluate(series, models, plan, benchmark="HAR", jobs=jobs)
+    bits, failures = per_window_loop(series, models, plan)
     assert forecast_bits(report) == bits
     assert report.failures == failures
+    too_long = "TVEWD-1-6: EstimationError: series too short: 100 observations for p=6 (need more than 140)"
+    assert failures[too_long] == len(range(100, len(series) - 4))  # every origin that scores h = 5
+    assert {(o, h) for o, h, m in bits if m == "TVEWD-1-6"} == {(o, h) for o, h, m in bits if m == "TVEWD" and h == 1}
     singular = [msg for msg in failures if msg.startswith("TVEWD") and "singular local system" in msg]
     assert singular, failures
     # failing and forecasting TVEWD windows share the first block
@@ -405,6 +419,9 @@ def test_harness_input_validation():
     unmapped = [ModelSpec(name="TVAR", p={5: 1}, kernel=KERN)]
     with pytest.raises(ValueError, match="no AR order"):
         rolling_evaluate(series, unmapped, plan, benchmark="TVAR")
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            rolling_evaluate(series, models, plan, benchmark="TVAR", jobs=jobs)
 
 
 def test_records_carry_realized_targets_and_horizon_filter():
