@@ -64,7 +64,6 @@ from .wold import (
     PersistenceShares,
     ar_to_ma,
     decompose,
-    decompose_static,
     haar_coefficients,
     haar_energy_gap,
     haar_innovations,

@@ -31,7 +31,8 @@ from .locreg import (
     local_level,
     local_linear,
 )
-from .wold import MultiscaleConfig, decompose_static
+from .series import _check_integer
+from .wold import MultiscaleConfig, ar_to_ma
 
 __all__ = [
     "MODEL_NAMES",
@@ -158,8 +159,8 @@ def _ols_ar(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 def ewd_static_forecast(
     values: np.ndarray, p: int, scales: MultiscaleConfig, horizons: tuple[int, ...]
 ) -> dict[int, float]:
-    """Static multiscale pipeline: OLS AR(p), then the decomposition with
-    time-invariant alpha and the multiscale chain TVEWD runs.
+    """Static multiscale pipeline: the multiscale chain TVEWD runs, on the
+    MA weights of a global OLS AR(p) fit, inverted once for every row.
 
     The static analog of the local level is the global OLS straight line in
     rescaled time; centering and the trend forecast use that line.
@@ -170,8 +171,10 @@ def ewd_static_forecast(
     tau = np.arange(1, T + 1, dtype=float) / T
     line, _ = _checked_lstsq(np.column_stack([np.ones(T), tau]), values, "singular trend design")
     trend_curve = line[0] + line[1] * tau
-    decomp = decompose_static(coef[1:], residuals, scales)
-    points = _multiscale_points(decomp, values[p:] - trend_curve[p:], float(trend_curve[-1]), horizons)
+    alpha = ar_to_ma(coef[1:], scales.H)
+    points = _multiscale_points(
+        alpha, residuals, values[p:] - trend_curve[p:], float(trend_curve[-1]), scales, horizons
+    )
     return {pt.horizon: pt.value for pt in points}
 
 
@@ -184,7 +187,7 @@ class ModelSpec:
     so that the spec stays hashable.  Horizons that share an order share one
     window fit.  HAR and TVHAR do not read p but group their horizons the
     same way, so that every model counts a failure once per order.  Every
-    order must be at least 1.
+    order must be an integer (not a bool) and at least 1.
     """
 
     name: str
@@ -197,9 +200,11 @@ class ModelSpec:
         if self.name not in MODEL_NAMES:
             raise ValueError(f"unknown model {self.name!r}, expected one of {MODEL_NAMES}")
         if isinstance(self.p, Mapping):
-            pairs = tuple(sorted((int(h), int(p)) for h, p in self.p.items()))
+            pairs = tuple(sorted((int(h), p) for h, p in self.p.items()))
             object.__setattr__(self, "p", pairs)
         orders = [p for _, p in self.p] if isinstance(self.p, tuple) else [self.p]
+        for p in orders:
+            _check_integer(p, "p")
         if any(p < 1 for p in orders):
             raise ValueError(f"AR order must be >= 1, got {min(orders)}")
 

@@ -331,9 +331,11 @@ def cmd_evaluate(cfg: dict) -> int:
 def cmd_simulate(cfg: dict) -> int:
     scenario_path = _require(cfg, "scenario", "simulate")
     out = _require(cfg, "output", "simulate")
+    with _config_values():
+        seed = None if cfg.get("seed") is None else _integer(cfg["seed"], "seed")
     scenario = sim.load_scenario(scenario_path)
-    if cfg.get("seed") is not None:
-        scenario = dataclasses.replace(scenario, seed=int(cfg["seed"]))
+    if seed is not None:
+        scenario = dataclasses.replace(scenario, seed=seed)
     result = sim.simulate(scenario)
     store_series(result.series, out)
     if cfg.get("truth_output"):

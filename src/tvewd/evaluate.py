@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .benchmarks import ModelSpec
 from .forecast import FORECAST_COLUMNS
-from .series import VolatilitySeries, format_value, write_csv
+from .series import VolatilitySeries, _check_integer, format_value, write_csv
 
 __all__ = [
     "RollingPlan",
@@ -130,6 +130,12 @@ class RollingPlan:
     max_origins: int | None = None
 
     def __post_init__(self):
+        _check_integer(self.window, "window")
+        _check_integer(self.step, "step")
+        if self.max_origins is not None:
+            _check_integer(self.max_origins, "max_origins")
+        for h in self.horizons:
+            _check_integer(h, "horizon")
         if self.window < 100:
             raise ValueError("window must be >= 100")
         if self.step < 1:

@@ -27,7 +27,13 @@ from .locreg import (
     local_level,
 )
 from .series import VolatilitySeries, format_value, write_csv
-from .wold import MultiscaleConfig, MultiscaleDecomposition, decompose
+from .wold import (
+    MultiscaleConfig,
+    ar_to_ma,
+    haar_coefficients,
+    haar_innovations,
+    scale_components,
+)
 
 __all__ = [
     "ScaleWeights",
@@ -130,25 +136,36 @@ def combine_forecast(trend: float, weights: np.ndarray, parts: np.ndarray) -> fl
 
 
 def _multiscale_points(
-    decomp: MultiscaleDecomposition,
+    alpha: np.ndarray,
+    residuals: np.ndarray,
     centered: np.ndarray,
     trend: float,
+    scales: MultiscaleConfig,
     horizons: tuple[int, ...],
 ) -> list[ForecastPoint]:
     """The multiscale chain shared by TVEWD and its time-invariant case EWD.
 
-    `centered` holds the centred values of the decomposition's rows and
-    `trend` the level at u = 1.  The scale weights are estimated once; each
-    horizon forecasts every scale from its boundary betas and combines them
-    with the trend.
+    `centered` holds the centred values of the trailing rows of `residuals`,
+    and `alpha` their MA weights: one (H+1,) row per centred value, or one
+    row for all of them, whose Haar coefficients are then broadcast.  The
+    scale innovations are built from every residual.  `trend` is the level
+    at u = 1.  The scale weights are estimated once; each horizon forecasts
+    every scale from its boundary betas and combines them with the trend.
     """
-    weights = estimate_weights(centered, decomp.components)
+    betas, gamma = haar_coefficients(alpha, scales)
+    if alpha.ndim == 1:
+        rows = len(centered)
+        gamma = np.broadcast_to(gamma, (rows, len(gamma)))
+        betas = [np.broadcast_to(b, (rows, len(b))) for b in betas]
+    innovations, low_pass = haar_innovations(residuals, scales.J)
+    components, _ = scale_components(betas, gamma, innovations, low_pass, scales)
+    weights = estimate_weights(centered, components)
     points = []
     for h in horizons:
         parts = np.array(
             [
-                forecast_scale(decomp.betas[j - 1][-1], decomp.innovations[j - 1], j, h)
-                for j in range(1, decomp.config.J + 1)
+                forecast_scale(betas[j - 1][-1], innovations[j - 1], j, h)
+                for j in range(1, scales.J + 1)
             ]
         )
         points.append(
@@ -198,8 +215,10 @@ def tvewd_forecast_window(
         fits = levels = [exc] * len(stack)
 
     def points(window, fit, level):
-        decomp = decompose(fit, scales, start=start)
-        return _multiscale_points(decomp, window[first:] - level, float(level[-1]), horizons)
+        alpha = ar_to_ma(fit.phi[start:, 1:], scales.H)
+        return _multiscale_points(
+            alpha, fit.residuals, window[first:] - level, float(level[-1]), scales, horizons
+        )
 
     results = [
         fit if isinstance(fit, Exception) else _attempt(points, window, fit, level)

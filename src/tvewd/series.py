@@ -9,6 +9,7 @@ dates as numpy datetime64[D]; dates must be strictly increasing.
 from __future__ import annotations
 
 import csv
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -27,6 +28,13 @@ __all__ = [
 ]
 
 SERIES_COLUMNS = ("date", "value")
+
+
+def _check_integer(value, name: str) -> None:
+    """Refuse a count or order that is not an integer: a bool, a float (even
+    an integral one) or a string.  NumPy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def format_value(x: float) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import VolatilitySeries, atomic_write, business_dates
+from .series import VolatilitySeries, _check_integer, atomic_write, business_dates
 
 __all__ = [
     "Curve",
@@ -97,6 +97,9 @@ class TvpArScenario:
     label: str = "sim"
 
     def __post_init__(self):
+        _check_integer(self.p, "p")
+        _check_integer(self.T, "T")
+        _check_integer(self.seed, "seed")
         if self.p < 1:
             raise ValueError("p must be >= 1")
         if len(self.coefficients) != self.p:
@@ -214,9 +217,9 @@ def load_scenario(path: str) -> TvpArScenario:
     if unknown:
         raise ValueError(f"unknown scenario keys: {unknown}")
     return TvpArScenario(
-        p=int(payload["p"]),
-        T=int(payload["T"]),
-        seed=int(payload.get("seed", 0)),
+        p=payload["p"],
+        T=payload["T"],
+        seed=payload.get("seed", 0),
         label=str(payload.get("label", "sim")),
         intercept=_curve_from_dict(payload.get("intercept", {"kind": "constant", "value": 0.0})),
         coefficients=tuple(_curve_from_dict(c) for c in payload["coefficients"]),

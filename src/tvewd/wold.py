@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .locreg import TvpArFit
-from .series import format_value, write_csv
+from .series import _check_integer, format_value, write_csv
 
 __all__ = [
     "ExplosiveWarning",
@@ -39,7 +39,6 @@ __all__ = [
     "haar_innovations",
     "scale_components",
     "decompose",
-    "decompose_static",
     "persistence_shares",
     "haar_energy_gap",
 ]
@@ -68,6 +67,8 @@ class MultiscaleConfig:
     N: int = 4
 
     def __post_init__(self):
+        _check_integer(self.J, "J")
+        _check_integer(self.N, "N")
         if self.J < 1:
             raise ValueError(f"J must be >= 1, got {self.J}")
         if self.N < 1:
@@ -245,15 +246,10 @@ def scale_components(
 
 @dataclass
 class MultiscaleDecomposition:
-    """Multiscale decomposition of a fitted window, or of its trailing rows.
+    """Multiscale decomposition of a fitted window, one row per residual row.
 
-    `innovations` and `low_pass` cover every residual row of the fit
-    (observations t = p+1..T of the window), since the components and the
-    forecasts read shock history from before the first decomposed row.
-    The row arrays (grid, dates, alpha, betas, gamma, components,
-    residual_component) cover residual rows start..G-1: row r is residual
-    row start + r, at rescaled time grid[r].  With start = 0 the two
-    indexings coincide.
+    Row r of every array is residual row r of the fit, observation t = p+1+r
+    of the window, at rescaled time grid[r].
     """
 
     config: MultiscaleConfig
@@ -266,37 +262,33 @@ class MultiscaleDecomposition:
     components: list[np.ndarray]
     residual_component: np.ndarray
     dates: np.ndarray | None = None
-    start: int = 0
 
     @property
     def n_rows(self) -> int:
         return len(self.grid)
 
 
-def _decompose_arrays(
-    alpha: np.ndarray,
-    residuals: np.ndarray,
-    grid: np.ndarray,
-    config: MultiscaleConfig,
-    dates: np.ndarray | None,
+def decompose(
+    fit: TvpArFit, config: MultiscaleConfig, dates: np.ndarray | None = None
 ) -> MultiscaleDecomposition:
-    """Decompose the trailing len(grid) residual rows.
+    """Decompose a TVP-AR fit into persistence-scale components.
 
-    alpha holds MA weights per decomposed row (rows, H+1), or once for all
-    rows (H+1,); innovations are built from every residual.
+    The fit's coefficient rows, residuals and innovations share one index:
+    one row per observation t = p+1..T of the window.  `dates` align with
+    the fit grid.  `config.first_full_row(G)` is the first row whose
+    components are defined.
     """
+    if dates is not None and len(dates) != len(fit.residuals):
+        raise ValueError("dates must align with the fit grid")
+    alpha = ar_to_ma(fit.phi[:, 1:], config.H)
     betas, gamma = haar_coefficients(alpha, config)
-    if alpha.ndim == 1:
-        rows = len(grid)
-        alpha, gamma = (np.broadcast_to(a, (rows, len(a))) for a in (alpha, gamma))
-        betas = [np.broadcast_to(b, (rows, len(b))) for b in betas]
-    innovations, low_pass = haar_innovations(residuals, config.J)
+    innovations, low_pass = haar_innovations(fit.residuals, config.J)
     components, residual_component = scale_components(
         betas, gamma, innovations, low_pass, config
     )
     return MultiscaleDecomposition(
         config=config,
-        grid=grid,
+        grid=fit.grid,
         alpha=alpha,
         betas=betas,
         gamma=gamma,
@@ -305,53 +297,7 @@ def _decompose_arrays(
         components=components,
         residual_component=residual_component,
         dates=dates,
-        start=len(residuals) - len(grid),
     )
-
-
-def decompose(
-    fit: TvpArFit,
-    config: MultiscaleConfig,
-    dates: np.ndarray | None = None,
-    *,
-    start: int = 0,
-) -> MultiscaleDecomposition:
-    """Decompose a TVP-AR fit into persistence-scale components.
-
-    The fit's coefficient rows, residuals and innovations share one index:
-    one row per observation t = p+1..T of the window.  `dates`
-    align with the fit grid.  Only residual rows start..G-1 are inverted and
-    decomposed (see `MultiscaleDecomposition` for the row alignment); each
-    decomposed row equals the same row of the full decomposition bit for
-    bit.  `config.first_full_row(G)` is the first row whose components are
-    defined.
-    """
-    G = len(fit.residuals)
-    if dates is not None and len(dates) != G:
-        raise ValueError("dates must align with the fit grid")
-    if not 0 <= start < max(G, 1):
-        raise ValueError(f"start must be a residual row in [0, {G}), got {start}")
-    alpha = ar_to_ma(fit.phi[start:, 1:], config.H)
-    if dates is not None:
-        dates = dates[start:]
-    return _decompose_arrays(alpha, fit.residuals, fit.grid[start:], config, dates)
-
-
-def decompose_static(
-    phi: np.ndarray, residuals: np.ndarray, config: MultiscaleConfig
-) -> MultiscaleDecomposition:
-    """Decompose with one time-invariant AR coefficient vector.
-
-    The AR row is inverted and Haar-transformed once; alpha, betas and gamma
-    are read-only broadcasts of that row across all residual rows, giving the
-    same machinery as `decompose` with constant surfaces.  Residual row r
-    sits at rescaled time (r + 1)/G.
-    """
-    residuals = np.asarray(residuals, dtype=float)
-    G = len(residuals)
-    grid = np.arange(1, G + 1, dtype=float) / G
-    alpha = ar_to_ma(phi, config.H)
-    return _decompose_arrays(alpha, residuals, grid, config, None)
 
 
 @dataclass

@@ -255,6 +255,17 @@ def test_model_spec_validation_and_display():
     assert ModelSpec(name="HAR").display == "HAR"
     with pytest.raises(ValueError, match="no AR order for horizons \\[5\\]"):
         ModelSpec(name="TVAR", p={"1": 2}).forecast_all(ar1_path(0.6, 400, seed=79), (1, 5))
+    # a fractional order used to die in the harness with a TypeError, or be
+    # truncated in a lag map; True ran as order 1
+    for p, message in (
+        (2.5, "p must be an integer, got 2.5"),
+        ({1: 2.5}, "p must be an integer, got 2.5"),
+        (True, "p must be an integer, got True"),
+        (((1, 2.0),), "p must be an integer, got 2.0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ModelSpec(name="TVAR", p=p)
+    assert ModelSpec(name="TVAR", p={1: np.int64(2)}).p == ((1, 2),)
 
 
 def test_model_spec_dispatch_matches_direct_calls():

@@ -304,6 +304,47 @@ def test_simulate_rejects_malformed_scenario(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("key, value", [("T", 200.7), ("p", 1.9)])
+def test_simulate_refuses_a_fractional_scenario_count(tmp_path, capsys, key, value):
+    """A scenario count with a fraction part used to be truncated: "T": 200.7
+    simulated 200 days.  It is a malformed scenario, which exits 1."""
+    scen = TvpArScenario(p=1, T=200, coefficients=(constant(0.5),), seed=1)
+    scen_path = tmp_path / "scen.json"
+    store_scenario(scen, str(scen_path))
+    payload = json.loads(scen_path.read_text())
+    payload[key] = value
+    scen_path.write_text(json.dumps(payload))
+    code = main(["simulate", "--scenario", str(scen_path), "--output", str(tmp_path / "o.csv")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": f"{key} must be an integer, got {value}"
+    }
+    assert [p.name for p in tmp_path.iterdir()] == ["scen.json"]
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (2.5, "seed must be an integer, got 2.5"),
+        (True, "seed must be an integer, got True"),
+        ("abc", "invalid literal for int() with base 10: 'abc'"),
+    ],
+)
+def test_simulate_seed_errors_are_config_errors_and_write_nothing(tmp_path, capsys, seed, message):
+    """A config seed converts like every other integer setting.  It used to
+    go through a bare int(): 2.5 ran with seed 2, true with seed 1, and
+    "abc" exited 1 with a ValueError record."""
+    scen = TvpArScenario(p=1, T=100, coefficients=(constant(0.5),), seed=3)
+    scen_path = tmp_path / "scen.json"
+    store_scenario(scen, str(scen_path))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": seed, "truth_output": str(tmp_path / "truth.csv")}))
+    argv = ["simulate", "--scenario", str(scen_path), "--output", str(tmp_path / "o.csv"), "--config", str(cfg)]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "config", "message": message}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "scen.json"]
+
+
 # ---------------------------------------------------------------------------
 # rv
 # ---------------------------------------------------------------------------

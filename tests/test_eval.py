@@ -195,6 +195,16 @@ def test_rolling_plan_validation():
         RollingPlan(window=100, horizons=(0,))
     with pytest.raises(ValueError, match="horizons must be distinct"):
         RollingPlan(window=100, horizons=(1, 5, 1))
+    for kwargs, message in (
+        ({"window": 150.5}, "window must be an integer, got 150.5"),
+        ({"window": True}, "window must be an integer, got True"),
+        ({"step": 2.0}, "step must be an integer, got 2.0"),
+        ({"max_origins": 2.5}, "max_origins must be an integer, got 2.5"),
+        ({"horizons": (1, 2.5)}, "horizon must be an integer, got 2.5"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RollingPlan(**{"window": 150, **kwargs})
+    assert RollingPlan(window=np.int64(150), horizons=(np.int64(1), 5)).window == 150
 
 
 @pytest.mark.parametrize("max_origins", [0, -3])

@@ -15,9 +15,9 @@ from tvewd.forecast import (
     tvewd_forecast,
     tvewd_forecast_window,
 )
-from tvewd.locreg import EstimationError, KernelSpec, fit_tvp_ar, local_level
+from tvewd.locreg import EstimationError, KernelSpec, TvpArFit, fit_tvp_ar, local_level
 from tvewd.series import VolatilitySeries, business_dates
-from tvewd.wold import MultiscaleConfig, decompose_static
+from tvewd.wold import MultiscaleConfig, decompose
 
 KERNEL = KernelSpec("epanechnikov", 0.3)
 SCALES = MultiscaleConfig(J=5, N=4)
@@ -40,7 +40,17 @@ def ar1_path(phi, T, seed, level=0.0):
 def small_decomp(seed=50, G=120, phi=0.4, J=3, N=2):
     rng = np.random.default_rng(seed)
     cfg = MultiscaleConfig(J=J, N=N)
-    return decompose_static(np.array([phi]), rng.standard_normal(G), cfg)
+    eps = rng.standard_normal(G)
+    fit = TvpArFit(
+        grid=np.arange(2, G + 2, dtype=float) / (G + 1),
+        phi=np.tile([0.0, phi], (G, 1)),  # one constant AR(1) row
+        slopes=np.zeros((G, 2)),
+        residuals=eps,
+        values=np.concatenate([[0.0], eps]),
+        p=1,
+        kernel=KERNEL,
+    )
+    return decompose(fit, cfg)
 
 
 def test_weights_recover_unit_combination():

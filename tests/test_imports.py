@@ -124,3 +124,28 @@ def test_module_private_names_are_read_in_the_package(module):
     read = set().union(*(read_names(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")))
     source = (PACKAGE / module).read_text(encoding="utf-8")
     assert [f"{name} (line {line})" for name, line in private_definitions(source) if name not in read] == []
+
+
+def package_imports(source: str) -> list[tuple[str, str]]:
+    """(module, name) for every name that a package `__init__` imports from
+    one of its own modules."""
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+
+
+def test_the_check_lists_the_package_imports():
+    source = "from .a import b, c as d\nfrom os import path\nfrom .e import f\n"
+    assert package_imports(source) == [("a", "b"), ("a", "c"), ("e", "f")]
+
+
+def test_package_reexports_only_public_names():
+    """A name that leaves a module's `__all__` leaves the package namespace too."""
+    source = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    imports = package_imports(source)
+    assert imports
+    public = {module: set(importlib.import_module(f"tvewd.{module}").__all__) for module, _ in imports}
+    assert [f"{module}.{name}" for module, name in imports if name not in public[module]] == []

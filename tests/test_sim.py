@@ -254,3 +254,22 @@ def test_load_scenario_rejects_unknown_keys(tmp_path):
         json.dump(payload, fh)
     with pytest.raises(ValueError, match="unknown"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("T", 200.7), ("T", 200.0), ("T", True), ("p", 1.9), ("p", False), ("seed", 2.5), ("seed", "7")],
+)
+def test_load_scenario_rejects_non_integer_counts(tmp_path, key, value):
+    """`load_scenario` used to truncate with int(): "T": 200.7 simulated 200
+    days and "p": 1.9 ran as p = 1."""
+    scen = TvpArScenario(p=1, T=200, coefficients=(constant(0.5),), seed=1)
+    path = str(tmp_path / "scenario.json")
+    store_scenario(scen, path)
+    with open(path) as fh:
+        payload = json.load(fh)
+    payload[key] = value
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value!r}$"):
+        load_scenario(path)

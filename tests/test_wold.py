@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from tvewd.benchmarks import _ols_ar, ewd_static_forecast
 from tvewd.forecast import (
+    _multiscale_points,
     combine_forecast,
     estimate_weights,
     forecast_scale,
@@ -28,7 +29,6 @@ from tvewd.wold import (
     MultiscaleDecomposition,
     ar_to_ma,
     decompose,
-    decompose_static,
     haar_coefficients,
     haar_energy_gap,
     haar_innovations,
@@ -132,19 +132,21 @@ def loop_component(surface, innov, spacing):
     return out
 
 
-def make_fit(phi1_rows, residuals):
-    """Assemble a TVP-AR(1) fit object directly from known coefficient rows."""
+def make_fit(phi_rows, residuals):
+    """Assemble a TVP-AR fit object directly from known coefficient rows:
+    one AR(1) coefficient per residual row, or a (rows, p) matrix."""
     G = len(residuals)
-    grid = np.arange(2, G + 2, dtype=float) / (G + 1)
-    phi = np.column_stack([np.zeros(G), np.asarray(phi1_rows, dtype=float)])
-    values = np.concatenate([[0.0], residuals])
+    phi = np.column_stack([np.zeros(G), np.asarray(phi_rows, dtype=float)])
+    p = phi.shape[1] - 1
+    grid = np.arange(p + 1, G + p + 1, dtype=float) / (G + p)
+    values = np.concatenate([np.zeros(p), residuals])
     return TvpArFit(
         grid=grid,
         phi=phi,
         slopes=np.zeros_like(phi),
         residuals=np.asarray(residuals, dtype=float),
         values=values,
-        p=1,
+        p=p,
         kernel=KernelSpec("epanechnikov", 0.3),
     )
 
@@ -167,6 +169,15 @@ def test_config_validation():
         MultiscaleConfig(J=0, N=4)
     with pytest.raises(ValueError):
         MultiscaleConfig(J=3, N=0)
+    # a float depth used to construct and fail at .H; N=2.0 gave H=16.0
+    for kwargs, message in (
+        ({"J": 2.5}, "J must be an integer, got 2.5"),
+        ({"N": 2.0}, "N must be an integer, got 2.0"),
+        ({"J": True}, "J must be an integer, got True"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MultiscaleConfig(**kwargs)
+    assert MultiscaleConfig(J=np.int64(3), N=np.int32(2)).H == 16
 
 
 def test_ar_to_ma_ar1_powers():
@@ -386,7 +397,7 @@ def test_component_shift_semantics():
 
 def test_components_zero_for_zero_shocks():
     cfg = MultiscaleConfig(J=2, N=2)
-    decomp = decompose_static(np.array([0.5]), np.zeros(30), cfg)
+    decomp = decompose(make_fit(np.full(30, 0.5), np.zeros(30)), cfg)
     for comp in decomp.components:
         finite = comp[np.isfinite(comp)]
         np.testing.assert_allclose(finite, 0.0, atol=0.0)
@@ -398,7 +409,7 @@ def test_components_defined_exactly_from_full_history():
     cfg = MultiscaleConfig(J=3, N=2)
     G = cfg.H + 25
     rng = np.random.default_rng(40)
-    decomp = decompose_static(np.array([0.4]), rng.standard_normal(G), cfg)
+    decomp = decompose(make_fit(np.full(G, 0.4), rng.standard_normal(G)), cfg)
     for comp in decomp.components + [decomp.residual_component]:
         assert np.all(np.isnan(comp[: cfg.H - 1]))
         assert np.all(np.isfinite(comp[cfg.H - 1 :]))
@@ -423,50 +434,61 @@ def test_reconstruction_matches_truncated_moving_average():
 
 
 def test_decompose_static_agrees_with_constant_rows():
+    """EWD's static route, one AR row inverted once with its Haar
+    coefficients broadcast over the rows as `_multiscale_points` does,
+    agrees with `decompose` of a fit whose rows all hold that AR row."""
     cfg = MultiscaleConfig(J=2, N=3)
     rng = np.random.default_rng(42)
     eps = rng.standard_normal(cfg.H + 10)
-    phi = np.array([0.45])
-    static = decompose_static(phi, eps, cfg)
-    varying = decompose(make_fit(np.full(len(eps), 0.45), eps), cfg)
+    rows = len(eps)
+    betas, gamma = haar_coefficients(ar_to_ma(np.array([0.45]), cfg.H), cfg)
+    betas = [np.broadcast_to(b, (rows, len(b))) for b in betas]
+    gamma = np.broadcast_to(gamma, (rows, len(gamma)))
+    innovations, low_pass = haar_innovations(eps, cfg.J)
+    static, _ = scale_components(betas, gamma, innovations, low_pass, cfg)
+    varying = decompose(make_fit(np.full(rows, 0.45), eps), cfg)
     for j in range(cfg.J):
-        np.testing.assert_array_equal(static.betas[j], varying.betas[j])
-        np.testing.assert_array_equal(
-            np.isnan(static.components[j]), np.isnan(varying.components[j])
-        )
-        mask = np.isfinite(static.components[j])
-        np.testing.assert_allclose(
-            static.components[j][mask], varying.components[j][mask], rtol=1e-12
-        )
+        np.testing.assert_array_equal(betas[j], varying.betas[j])
+        np.testing.assert_array_equal(np.isnan(static[j]), np.isnan(varying.components[j]))
+        mask = np.isfinite(static[j])
+        np.testing.assert_allclose(static[j][mask], varying.components[j][mask], rtol=1e-12)
 
 
 def test_decompose_static_inverts_once_and_equals_row_route():
-    """The once-inverted row broadcast equals inverting the broadcast rows."""
-    from tvewd.wold import _decompose_arrays
-
+    """The multiscale chain given one row of MA weights, whose Haar
+    coefficients it broadcasts, gives bitwise the points of `ar_to_ma` of
+    the broadcast AR rows, on every residual row or on the trailing rows."""
     rng = np.random.default_rng(46)
     for J, N, p in ((1, 1, 1), (3, 2, 2), (5, 4, 6), (7, 4, 3)):
         cfg = MultiscaleConfig(J=J, N=N)
         phi = rng.uniform(-0.3, 0.3, p)
         eps = rng.standard_normal(cfg.H + 50)
-        static = decompose_static(phi, eps, cfg)
-        rows = np.broadcast_to(phi, (len(eps), p))
-        route = _decompose_arrays(ar_to_ma(rows, cfg.H), eps, static.grid, cfg, None)
-        np.testing.assert_array_equal(static.alpha, route.alpha)
-        np.testing.assert_array_equal(static.gamma, route.gamma)
-        np.testing.assert_array_equal(static.residual_component, route.residual_component)
-        for j in range(J):
-            np.testing.assert_array_equal(static.betas[j], route.betas[j])
-            np.testing.assert_array_equal(static.components[j], route.components[j])
+        for rows in (len(eps), len(eps) - cfg.first_full_row(len(eps))):
+            centered = rng.standard_normal(rows)
+            once = _multiscale_points(ar_to_ma(phi, cfg.H), eps, centered, 0.3, cfg, HORIZONS)
+            broadcast = ar_to_ma(np.broadcast_to(phi, (rows, p)), cfg.H)
+            route = _multiscale_points(broadcast, eps, centered, 0.3, cfg, HORIZONS)
+            for got, want in zip(once, route, strict=True):
+                assert (got.horizon, got.value.hex(), got.trend) == (want.horizon, want.value.hex(), want.trend)
+                np.testing.assert_array_equal(got.scale_parts, want.scale_parts)
+                np.testing.assert_array_equal(got.weights, want.weights)
 
 
-def test_decompose_static_warns_once_when_explosive():
-    cfg = MultiscaleConfig(J=7, N=4)
-    eps = np.random.default_rng(47).standard_normal(600)
+def test_ewd_warns_once_for_an_explosive_ols_row():
+    """Near an unstable fixed point, tiny shocks grow by 1.06 a day, so the
+    OLS AR(1) row is explosive over the 512 lags: EWD inverts it once and
+    warns once."""
+    rng = np.random.default_rng(47)
+    v = np.empty(600)
+    v[0] = 10.0
+    for t in range(1, len(v)):
+        v[t] = 10.0 * (1 - 1.06) + 1.06 * v[t - 1] + 1e-14 * rng.standard_normal()
+    assert _ols_ar(v, 1)[0][1] > 1.05
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        decompose_static(np.array([1.5]), eps, cfg)
+        ewd_static_forecast(v, 1, MultiscaleConfig(J=7, N=4), HORIZONS)
     assert [w.category for w in caught] == [ExplosiveWarning]
+    assert str(caught[0].message).startswith("MA weights exceed overflow guard")
 
 
 def test_decompose_rejects_misaligned_inputs():
@@ -475,9 +497,6 @@ def test_decompose_rejects_misaligned_inputs():
     good = fit_tvp_ar(v, 1, KernelSpec("epanechnikov", 0.3))
     with pytest.raises(ValueError, match="dates"):
         decompose(good, cfg, dates=np.arange(3))
-    for start in (-1, len(good.residuals)):
-        with pytest.raises(ValueError, match="start"):
-            decompose(good, cfg, start=start)
 
 
 def test_overflowing_row_is_nan_and_left_out_of_weights():
@@ -707,16 +726,6 @@ def test_trailing_row_forecasts_equal_full_row_route(p, extra, family, seed):
     route = multiscale_forecasts(full, weights, float(trend[-1]), HORIZONS)
     assert {pt.horizon: pt.value for pt in points} == route
 
-    start = scales.first_full_row(len(fit.residuals))
-    tail = decompose(fit, scales, start=start)
-    assert tail.start == start and tail.n_rows == full.n_rows - start
-    np.testing.assert_array_equal(tail.alpha, full.alpha[start:])
-    np.testing.assert_array_equal(tail.residual_component, full.residual_component[start:])
-    for j in range(scales.J):
-        np.testing.assert_array_equal(tail.betas[j], full.betas[j][start:])
-        np.testing.assert_array_equal(tail.components[j], full.components[j][start:])
-        np.testing.assert_array_equal(tail.innovations[j], full.innovations[j])
-
 
 @pytest.mark.parametrize("p", [1, 2, 6])
 @settings(max_examples=4, deadline=None)
@@ -731,7 +740,7 @@ def test_ewd_forecasts_equal_the_static_chain(p, extra, seed):
     tau = np.arange(1, T + 1, dtype=float) / T
     line = np.linalg.lstsq(np.column_stack([np.ones(T), tau]), values, rcond=None)[0]
     trend_curve = line[0] + line[1] * tau
-    decomp = decompose_static(coef[1:], residuals, scales)
+    decomp = decompose(make_fit(np.tile(coef[1:], (len(residuals), 1)), residuals), scales)
     weights = estimate_weights(values[p:] - trend_curve[p:], decomp.components)
     route = multiscale_forecasts(decomp, weights, float(trend_curve[-1]), HORIZONS)
     assert ewd_static_forecast(values, p, scales, HORIZONS) == route
@@ -743,7 +752,7 @@ def test_ewd_forecasts_equal_the_static_chain(p, extra, seed):
 
 def white_noise_decomp(J=7, N=4, G=10):
     cfg = MultiscaleConfig(J=J, N=N)
-    return decompose_static(np.array([0.0]), np.ones(G), cfg)
+    return decompose(make_fit(np.zeros(G), np.ones(G)), cfg)
 
 
 def test_share_of_scale_one_for_uncorrelated_series():
@@ -794,7 +803,7 @@ def test_single_scale_loading_takes_full_share():
 
 def test_zero_denominator_flagged_and_nan():
     cfg = MultiscaleConfig(J=2, N=2)
-    decomp = decompose_static(np.array([1.0]), np.ones(12), cfg)  # flat weights
+    decomp = decompose(make_fit(np.ones(12), np.ones(12)), cfg)  # flat weights
     shares = persistence_shares(decomp, mode="absolute")
     assert shares.flagged.all()
     assert np.all(np.isnan(shares.shares))
@@ -843,7 +852,7 @@ def test_share_options_validated():
 def test_store_beta_surface(tmp_path):
     cfg = MultiscaleConfig(J=2, N=2)
     rng = np.random.default_rng(45)
-    decomp = decompose_static(np.array([0.5]), rng.standard_normal(12), cfg)
+    decomp = decompose(make_fit(np.full(12, 0.5), rng.standard_normal(12)), cfg)
     path = str(tmp_path / "beta.csv")
     store_beta_surface(decomp, path)
     with open(path) as fh:
