@@ -54,6 +54,7 @@ from .rv import (
     realized_variance,
     rv_pipeline,
     sample_five_minute,
+    stream_rv,
 )
 from .series import VolatilitySeries, load_series, store_series
 from .sim import Curve, SimResult, TvpArScenario, simulate

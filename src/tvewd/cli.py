@@ -252,9 +252,7 @@ def cmd_rv(cfg: dict) -> int:
             open_offset_minutes=_integer(cfg["open_offset_minutes"], "open_offset_minutes"),
             bins_per_day=_integer(cfg["bins_per_day"], "bins_per_day"),
         )
-    ts, px = rv.load_ticks(path)
-    label = cfg.get("label") or "rv"
-    vol, raw, warnings = rv.rv_pipeline(ts, px, calendar, label=label)
+    vol, raw, warnings = rv.stream_rv(path, calendar, label=cfg.get("label") or "rv")
     store_series(vol, out)
     if cfg.get("rv_output"):
         rv.store_rv(raw.dates, raw.values, cfg["rv_output"])

@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import Iterable, Iterator, NoReturn
 from warnings import catch_warnings, filterwarnings
 
 import numpy as np
 
-from .series import VolatilitySeries, format_value, write_csv
+from .series import VolatilitySeries, _check_integer, format_value, write_csv
 
 __all__ = [
     "DataQualityError",
@@ -27,10 +27,15 @@ __all__ = [
     "realized_variance",
     "annualize",
     "rv_pipeline",
+    "stream_rv",
 ]
 
 BIN_MINUTES = 5
 ANNUALIZATION_DAYS = 252
+
+# Characters of tick-file lines read and parsed per block (whole lines, so a
+# block may run one line over).
+TICK_BLOCK_BYTES = 1 << 20
 
 # Fixed year-end exclusion rules, applied on top of the configured list.
 FIXED_EXCLUSION_RULES = ((12, 24), (12, 25), (12, 26), (12, 31), (1, 1), (1, 2))
@@ -72,6 +77,8 @@ class TradingCalendar:
         # a session date is the calendar date of the clock moved forward by
         # 24 h minus the cutoff (by nothing for a midnight cutoff)
         self._shift = np.timedelta64(-_parse_hhmm(self.session_cutoff) % 1440 * 60, "s")
+        _check_integer(self.bins_per_day, "bins_per_day")
+        _check_integer(self.open_offset_minutes, "open_offset_minutes")
         if self.bins_per_day < 1:
             raise ValueError("bins_per_day must be >= 1")
         if self.open_offset_minutes < 0:
@@ -88,7 +95,7 @@ class TradingCalendar:
 
     def session_date(self, timestamps: np.ndarray) -> np.ndarray:
         """Map tick timestamps to their session date."""
-        return (timestamps.astype("datetime64[s]") + self._shift).astype("datetime64[D]")
+        return (timestamps.astype("datetime64[s]", copy=False) + self._shift).astype("datetime64[D]")
 
     def session_open(self, day: np.ndarray) -> np.ndarray:
         """Wall-clock open of the session labelled `day` (a date or an array of dates)."""
@@ -105,50 +112,74 @@ class DayBars:
 
 
 def load_ticks(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Load a `timestamp,price` CSV in one bulk read.
+    """Load a `timestamp,price` CSV, read in blocks of about TICK_BLOCK_BYTES.
 
     Returns timestamps (datetime64[s]) and prices.  Malformed rows, empty or
     NaT timestamps, non-finite or non-positive prices and decreasing
     timestamps raise DataQualityError naming the 1-based data row (ties in
-    timestamps are allowed).
+    timestamps are allowed); a bad row anywhere in the file is named before
+    a decreasing timestamp.
     """
-    with open(path, "r", encoding="utf-8") as fh:  # universal newlines, as np.loadtxt reads it
+    return _joined(list(_tick_blocks(path)))
+
+
+def _joined(blocks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Timestamps and prices of consecutive (timestamps, prices) blocks, end to end."""
+    stamps, prices = zip(*blocks) if blocks else ((), ())
+    return np.concatenate([np.empty(0, "datetime64[s]"), *stamps]), np.concatenate([np.empty(0), *prices])
+
+
+def _tick_blocks(path: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The checked timestamps and prices of a tick file, one block of lines at a time.
+
+    Each block's lines go through one bulk conversion.  A block the
+    conversion refuses, or with a blank line (which it skips), a NaT stamp
+    or a price that is not finite and positive, sends the whole file to
+    `_raise_first_bad_row`.  A decreasing timestamp, within a block or
+    across a block edge, is raised only once the rest of the file has been
+    read and found free of bad rows; no block follows it.
+    """
+    with open(path, "r", encoding="utf-8") as fh:  # universal newlines: every line ends in \n
         header = next(csv.reader(fh), None)
-        # the lines after the header, counted in blocks of text: one per
-        # line end, plus an unterminated last line
-        n_rows, last = 0, "\n"
-        while block := fh.read(1 << 20):
-            n_rows += block.count("\n")
-            last = block[-1]
-        n_rows += last != "\n"
-    if header is None:
-        raise DataQualityError(f"{path}: empty file")
-    header = tuple(h.strip() for h in header)
-    if header != ("timestamp", "price"):
-        raise DataQualityError(f"{path}: expected header 'timestamp,price', got {','.join(header)!r}")
-    try:
-        with catch_warnings():
-            # numpy warns of a file with no rows, and of a timezone after a
-            # stamp followed by spaces (which it still parses right)
-            filterwarnings("ignore", "loadtxt: input contained no data|no explicit representation of timezones")
-            table = np.loadtxt(
-                path, dtype=[("t", "datetime64[s]"), ("p", "f8")], delimiter=",", skiprows=1,
-                comments=None, quotechar='"', ndmin=1, encoding="utf-8",
-            )
-    except ValueError as exc:
-        _raise_first_bad_row(path, str(exc))
-    ts, px = table["t"].copy(), table["p"].copy()
-    # np.loadtxt skips empty lines, which are rows of no fields here
-    if len(table) != n_rows or np.any(np.isnat(ts)) or not np.all(np.isfinite(px) & (px > 0)):
-        _raise_first_bad_row(path, f"{len(table)} of {n_rows} rows read")
-    steps = np.diff(ts.view(np.int64))
-    if np.any(steps < 0):
-        bad = int(np.argmax(steps < 0))
-        raise DataQualityError(
-            f"{path}: row {bad + 2}: timestamps must be non-decreasing "
-            f"({ts[bad]} followed by {ts[bad + 1]})"
-        )
-    return ts, px
+        if header is None:
+            raise DataQualityError(f"{path}: empty file")
+        header = tuple(h.strip() for h in header)
+        if header != ("timestamp", "price"):
+            raise DataQualityError(f"{path}: expected header 'timestamp,price', got {','.join(header)!r}")
+        # rows before the block, the last stamp before it, and the first decreasing step
+        rows, last, disorder = 0, np.empty(0, "datetime64[s]"), None
+        while lines := fh.readlines(TICK_BLOCK_BYTES):
+            n_rows = len(lines)
+            where = f"rows {rows + 1}-{rows + n_rows}"
+            try:
+                with catch_warnings():
+                    # numpy warns of a block of blank lines, and of a timezone after a
+                    # stamp followed by spaces (which it still parses right)
+                    filterwarnings("ignore", "loadtxt: input contained no data|no explicit representation of timezones")
+                    table = np.loadtxt(
+                        lines, dtype=[("t", "datetime64[s]"), ("p", "f8")], delimiter=",",
+                        comments=None, quotechar='"', ndmin=1,
+                    )
+            except ValueError as exc:
+                _raise_first_bad_row(path, f"{where}: {exc}")
+            ts, px = table["t"].copy(), table["p"].copy()
+            del lines, table
+            if len(ts) != n_rows or np.any(np.isnat(ts)) or not np.all(np.isfinite(px) & (px > 0)):
+                _raise_first_bad_row(path, f"{where}: {len(ts)} of {n_rows} rows read")
+            if disorder is None:
+                stamps = np.concatenate([last, ts])
+                steps = np.diff(stamps.view(np.int64))
+                if np.any(steps < 0):
+                    bad = int(np.argmax(steps < 0))
+                    disorder = DataQualityError(
+                        f"{path}: row {rows - len(last) + bad + 2}: timestamps must be non-decreasing "
+                        f"({stamps[bad]} followed by {stamps[bad + 1]})"
+                    )
+                else:
+                    yield ts, px
+            rows, last = rows + n_rows, ts[-1:].copy()
+    if disorder is not None:
+        raise disorder
 
 
 def _raise_first_bad_row(path: str, reason: str) -> NoReturn:
@@ -193,14 +224,17 @@ def sample_five_minute(
     """
     if len(timestamps) != len(prices):
         raise ValueError("timestamps and prices must have equal length")
-    ts = timestamps.astype("datetime64[s]")
+    ts = timestamps.astype("datetime64[s]", copy=False)
     if np.any(np.isnat(ts)):
         raise DataQualityError("tick timestamps must not be NaT")
     steps = np.diff(ts.view(np.int64))
     if np.any(steps < 0):
         bad = int(np.argmax(steps < 0))
         raise DataQualityError(f"tick timestamps must be non-decreasing (violated at index {bad + 1})")
-    days, starts, sizes = np.unique(calendar.session_date(ts), return_index=True, return_counts=True)
+    # sorted ticks have non-decreasing session dates, so a session starts where the date changes
+    sessions = calendar.session_date(ts)
+    starts = np.flatnonzero(np.r_[len(ts) > 0, sessions[1:] != sessions[:-1]])
+    days, sizes = sessions[starts], np.diff(starts, append=len(ts))
     bin_ends = np.arange(1, calendar.bins_per_day + 1) * (BIN_MINUTES * 60)
     ends = calendar.session_open(days).view(np.int64)[:, None] + bin_ends
     # number of ticks at or before each bin end, counted from the session's first tick
@@ -258,12 +292,53 @@ def rv_pipeline(
 
     Returns (annualized volatility series, raw rv series, warnings).
     """
-    days = sample_five_minute(timestamps, prices, calendar)
-    dates, rv, warnings = realized_variance(days)
+    return _rv_series([(timestamps, prices)], calendar, label)
+
+
+def stream_rv(
+    path: str, calendar: TradingCalendar, label: str = ""
+) -> tuple[VolatilitySeries, VolatilitySeries, list[str]]:
+    """`rv_pipeline(*load_ticks(path), calendar, label)`, reading the file block by block.
+
+    Only the ticks of a block and of the session it leaves unfinished are
+    held at once, so memory grows with the number of sessions, not of ticks.
+    """
+    return _rv_series(_session_runs(_tick_blocks(path), calendar), calendar, label)
+
+
+def _session_runs(
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]], calendar: TradingCalendar
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Regroup sorted tick blocks into runs of whole sessions.
+
+    A block's last session may go on in the next block, so its ticks wait
+    for a later session, or the end of the file.
+    """
+    pending, pending_day = [], None
+    for ts, px in blocks:
+        days = calendar.session_date(ts)
+        start = int(np.searchsorted(days, days[-1]))  # where the block's last session begins
+        if start or days[-1] != pending_day:
+            if pending or start:
+                yield _joined([*pending, (ts[:start], px[:start])])
+            pending = []
+        pending.append((ts[start:], px[start:]))
+        pending_day = days[-1]
+    if pending:
+        yield _joined(pending)
+
+
+def _rv_series(
+    runs: Iterable[tuple[np.ndarray, np.ndarray]], calendar: TradingCalendar, label: str
+) -> tuple[VolatilitySeries, VolatilitySeries, list[str]]:
+    """Sample and realize each run of whole sessions; only the (date, rv) pairs are kept."""
+    parts = [realized_variance(sample_five_minute(ts, px, calendar)) for ts, px in runs]
+    dates = np.concatenate([np.empty(0, "datetime64[D]"), *(d for d, _, _ in parts)])
+    rv = np.concatenate([np.empty(0), *(v for _, v, _ in parts)])
+    warnings = [w for _, _, day_warnings in parts for w in day_warnings]
     if len(dates) == 0:
         raise DataQualityError("no retained days with at least 2 bar prices")
-    rv_series = VolatilitySeries(dates, rv, label)
-    return annualize(dates, rv, label), rv_series, warnings
+    return annualize(dates, rv, label), VolatilitySeries(dates, rv, label), warnings
 
 
 def store_rv(dates: np.ndarray, rv: np.ndarray, path: str) -> None:

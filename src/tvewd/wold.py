@@ -131,6 +131,7 @@ def ar_to_ma(phi: np.ndarray, H: int) -> np.ndarray:
             np.add.reduce(terms, axis=0, out=lags[r])
         # row-major like its input, so a row of alpha and of its betas is contiguous
         alpha = np.ascontiguousarray(lags[p - 1 :, :G].T)
+        del lags, terms  # so the guard holds no (G, H+1) array but alpha and its |alpha|
         total = np.sum(np.abs(alpha), axis=1)
     if not np.all(total <= ABS_ALPHA_GUARD):
         warnings.warn(

@@ -1,20 +1,29 @@
 """Tick-to-volatility pipeline tests with hand-derived fixtures.
 
-The bulk tick reader and the one-pass sampler are checked against the
+The block tick reader and the one-pass sampler are checked against the
 row-by-row loader and the per-session mask loop they replaced, kept here as
-oracles (`loop_load_ticks`, `loop_sample_five_minute`).
+oracles (`loop_load_ticks`, `loop_sample_five_minute`), and `tvewd rv`,
+which streams the file, against `rv_pipeline(*load_ticks(path))`.
 """
 
+import contextlib
 import csv
+import io
+import json
 import math
 import os
+import re
 import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tvewd import rv
+from tvewd.cli import main
 from tvewd.rv import (
     BIN_MINUTES,
     FIXED_EXCLUSION_RULES,
@@ -28,7 +37,7 @@ from tvewd.rv import (
     sample_five_minute,
     store_rv,
 )
-from tvewd.series import atomic_write
+from tvewd.series import atomic_write, store_series
 
 
 def ticks(*pairs):
@@ -87,6 +96,17 @@ def test_excluded_dates_dropped():
     )
     days = sample_five_minute(ts, px, cal)
     assert [str(d.date) for d in days] == ["2021-07-06"]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("bins_per_day", 2.5), ("open_offset_minutes", 7.5), ("bins_per_day", 288.0),
+     ("bins_per_day", True), ("open_offset_minutes", "30")],
+)
+def test_calendar_refuses_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{field} must be an integer, got {value!r}')}$"):
+        TradingCalendar(**{field: value})
+    TradingCalendar(**{field: np.int64(3)})  # NumPy integers pass
 
 
 @pytest.mark.parametrize(
@@ -347,19 +367,30 @@ def tick_files(draw):
     return text + newline if draw(st.booleans()) else text
 
 
+# characters per block: from one line per block to the whole of a small file
+BLOCK_SIZES = st.integers(1, 64) | st.integers(65, 4096)
+
+
 @settings(max_examples=400, deadline=None)
-@given(tick_files())
-@example("timestamp,price\nNaT,100.0\n")
-@example(",price\n")
-@example("timestamp,price")
-@example("timestamp,price\n\n")
-@example("timestamp,price\n2021-03-02T09:01:00,10\n\n")
-@example(" timestamp , price \r\n 2021-03-02 09:01:00 , 10 \r\n")
-@example('timestamp,price\n"2021-03-02T09:01:00" ,"10"\n')
-@example('timestamp,price\n "2021-03-02T09:01:00",10\n')
-def test_load_ticks_matches_the_row_loop(text):
-    """Bitwise-equal arrays, or the loop's exact DataQualityError message."""
-    with tempfile.TemporaryDirectory() as tmp:
+@given(tick_files(), BLOCK_SIZES)
+@example("timestamp,price\nNaT,100.0\n", rv.TICK_BLOCK_BYTES)
+@example(",price\n", rv.TICK_BLOCK_BYTES)
+@example("timestamp,price", rv.TICK_BLOCK_BYTES)
+@example("timestamp,price\n\n", rv.TICK_BLOCK_BYTES)
+@example("timestamp,price\n2021-03-02T09:01:00,10\n\n", rv.TICK_BLOCK_BYTES)
+@example(" timestamp , price \r\n 2021-03-02 09:01:00 , 10 \r\n", rv.TICK_BLOCK_BYTES)
+@example('timestamp,price\n"2021-03-02T09:01:00" ,"10"\n', rv.TICK_BLOCK_BYTES)
+@example('timestamp,price\n "2021-03-02T09:01:00",10\n', rv.TICK_BLOCK_BYTES)
+@example(  # a decreasing stamp in the first block, a bad price in a later one: the price is named
+    "timestamp,price\n2021-03-02T09:04:00,10\n2021-03-02T09:01:00,11\n"
+    "2021-03-02T09:05:00,12\n2021-03-02T09:06:00,-1\n", 1,
+)
+@example(  # the decreasing step is the edge between two blocks
+    "timestamp,price\n2021-03-02T09:04:00,10\n2021-03-02T09:05:00,11\n2021-03-02T09:01:00,12\n", 30,
+)
+def test_load_ticks_matches_the_row_loop(text, block_bytes):
+    """Bitwise-equal arrays, or the loop's exact DataQualityError message, at any block size."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(rv, "TICK_BLOCK_BYTES", block_bytes):
         path = os.path.join(tmp, "ticks.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -471,3 +502,113 @@ def test_is_excluded_takes_an_array_of_dates():
     days = np.array(["2020-12-24", "2021-07-05", "2021-07-06", "2021-01-02", "2021-01-03"], dtype="datetime64[D]")
     assert cal.is_excluded(days).tolist() == [True, True, False, True, False]
     assert [bool(cal.is_excluded(d)) for d in days] == [True, True, False, True, False]
+
+
+# ---------------------------------------------------------------------------
+# `tvewd rv` streams the file in blocks of whole sessions
+# ---------------------------------------------------------------------------
+
+@st.composite
+def session_tick_files(draw):
+    """A tick file of a few sessions, the calendar that samples it, and a
+    block size below the text of its largest session."""
+    cutoff = draw(st.sampled_from(["00:00", "18:00"]) | st.builds(
+        "{:02d}:{:02d}".format, st.integers(0, 23), st.integers(0, 59)))
+    # the fixed year-end days fall in this span
+    start = np.datetime64("2020-12-21T00:00:00", "s") + draw(st.integers(0, 86399))
+    n = draw(st.integers(1, 150))
+    steps = draw(st.lists(st.sampled_from([0, 7, 299, 300, 301, 3600, 5 * 3600, 86400]), min_size=n, max_size=n))
+    ts = start + np.cumsum(steps).astype(np.int64)
+    prices = draw(st.lists(st.floats(1.0, 500.0), min_size=n, max_size=n))
+    rows = [[t, repr(p)] for t, p in zip(np.datetime_as_string(ts, unit="s").tolist(), prices)]
+    for kind in draw(st.lists(st.sampled_from(sorted(TICK_FAULTS)), max_size=1)):
+        at = draw(st.integers(0, n - 1))
+        rows[at] = TICK_FAULTS[kind](rows[at])
+    lines = ["" if row is None else ",".join(row) for row in rows]
+    dates = np.unique(ts.astype("datetime64[D]")).astype(str).tolist()
+    calendar = TradingCalendar(
+        excluded_dates=tuple(draw(st.lists(st.sampled_from(dates), max_size=2, unique=True))),
+        session_cutoff=cutoff,
+        open_offset_minutes=draw(st.integers(0, 24 * 60)),
+        bins_per_day=draw(st.integers(1, 300)),
+    )
+    session_chars = np.bincount(
+        np.unique(calendar.session_date(ts), return_inverse=True)[1], weights=[len(line) + 1 for line in lines]
+    )
+    block_bytes = draw(st.integers(1, max(1, int(session_chars.max()) - 1)))
+    return "timestamp,price\n" + "\n".join(lines) + "\n", calendar, block_bytes
+
+
+@settings(max_examples=200, deadline=None)
+@given(session_tick_files())
+def test_rv_command_streams_the_bits_of_the_whole_file_pipeline(case):
+    """`tvewd rv` at any block size writes what rv_pipeline(*load_ticks(path))
+    gives, warns as it warns and fails with its message, writing nothing."""
+    text, calendar, block_bytes = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, config = os.path.join(tmp, "ticks.csv"), os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump({
+                "session_cutoff": calendar.session_cutoff, "bins_per_day": calendar.bins_per_day,
+                "open_offset_minutes": calendar.open_offset_minutes,
+                "excluded_dates": list(calendar.excluded_dates), "label": "CL",
+                "rv_output": os.path.join(tmp, "rv.csv"),
+            }, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(rv, "TICK_BLOCK_BYTES", block_bytes), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["rv", "--input", path, "--output", os.path.join(tmp, "vol.csv"), "--config", config])
+        try:
+            vol, raw, warnings = rv_pipeline(*load_ticks(path), calendar, label="CL")
+        except DataQualityError as exc:
+            assert code == 1
+            assert json.loads(err.getvalue()) == {"error": "DataQualityError", "message": str(exc)}
+            assert sorted(os.listdir(tmp)) == ["cfg.json", "ticks.csv"]
+            return
+        assert code == 0
+        assert err.getvalue() == "".join(f"warning: {w}\n" for w in warnings)
+        assert out.getvalue() == f"wrote {len(vol)} annualized volatility observations to {tmp}/vol.csv\n"
+        store_series(vol, os.path.join(tmp, "want-vol.csv"))
+        store_rv(raw.dates, raw.values, os.path.join(tmp, "want-rv.csv"))
+        for name in ("vol.csv", "rv.csv"):
+            with open(os.path.join(tmp, name), "rb") as got, open(os.path.join(tmp, f"want-{name}"), "rb") as want:
+                assert got.read() == want.read()
+
+
+def write_daily_ticks(path, sessions, per_session=200, seed=0):
+    """`per_session` ticks at random times on each of `sessions` consecutive days."""
+    rng = np.random.default_rng(seed)
+    days = np.datetime64("2021-03-01", "D") + np.arange(sessions)
+    stamps = days.astype("datetime64[s]")[:, None] + np.sort(rng.integers(0, 86400, (sessions, per_session)))
+    prices = 100.0 * np.exp(np.cumsum(rng.standard_normal(sessions * per_session) * 1e-3))
+    text = np.datetime_as_string(stamps.ravel(), unit="s").tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("timestamp,price\n" + "".join(f"{t},{p!r}\n" for t, p in zip(text, prices.tolist())))
+
+
+def traced_rv_peak(tmp_path, sessions):
+    """Peak bytes that tracemalloc sees during an in-process `tvewd rv`."""
+    ticks, vol = tmp_path / f"ticks-{sessions}.csv", tmp_path / f"vol-{sessions}.csv"
+    write_daily_ticks(ticks, sessions)
+    with contextlib.redirect_stdout(io.StringIO()):
+        tracemalloc.start()
+        try:
+            assert main(["rv", "--input", str(ticks), "--output", str(vol)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+# What a session leaves behind: its date, rv and volatility, and its line of
+# the volatility CSV while that is written.  Its ticks are not held.
+OUTPUT_BYTES_PER_SESSION = 1024
+
+
+def test_rv_command_memory_grows_with_sessions_not_ticks(tmp_path, monkeypatch):
+    monkeypatch.setattr(rv, "TICK_BLOCK_BYTES", 4096)
+    traced_rv_peak(tmp_path, 5)  # first calls fill caches that later calls reuse
+    n = 50
+    small, large = traced_rv_peak(tmp_path, n), traced_rv_peak(tmp_path, 4 * n)
+    assert large - small <= 3 * n * OUTPUT_BYTES_PER_SESSION
