@@ -114,11 +114,12 @@ class DayBars:
 def load_ticks(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Load a `timestamp,price` CSV, read in blocks of about TICK_BLOCK_BYTES.
 
-    Returns timestamps (datetime64[s]) and prices.  Malformed rows, empty or
-    NaT timestamps, non-finite or non-positive prices and decreasing
-    timestamps raise DataQualityError naming the 1-based data row (ties in
-    timestamps are allowed); a bad row anywhere in the file is named before
-    a decreasing timestamp.
+    Returns timestamps (datetime64[s]) and prices.  Malformed rows (a
+    quoted field holding a line break among them), empty or NaT timestamps,
+    non-finite or non-positive prices and decreasing timestamps raise
+    DataQualityError naming the 1-based data row (ties in timestamps are
+    allowed); a bad row anywhere in the file is named before a decreasing
+    timestamp.
     """
     return _joined(list(_tick_blocks(path)))
 
@@ -191,6 +192,8 @@ def _raise_first_bad_row(path: str, reason: str) -> NoReturn:
         rows = csv.reader(fh)
         next(rows)
         for i, row in enumerate(rows, start=1):
+            if any("\n" in field or "\r" in field for field in row):
+                raise DataQualityError(f"{path}: row {i}: line break in a quoted field")
             if len(row) != 2:
                 raise DataQualityError(f"{path}: row {i}: expected 2 fields, got {len(row)}")
             raw_ts, raw_p = row[0].strip(), row[1].strip()

@@ -44,6 +44,10 @@ __all__ = [
 ]
 
 ABS_ALPHA_GUARD = 1e12
+# Bytes of MA weights in one block of `decompose`, which inverts and
+# Haar-transforms the fit's rows block by block, so the Wold step's working
+# memory stays bounded however many rows the fit has.
+WOLD_BLOCK_BYTES = 1 << 20
 # MA weights of an explosive row overflow to inf, and the Haar sums and
 # components built from them to inf or NaN.  That is their defined value:
 # ar_to_ma's ExplosiveWarning and the NaN components report such rows, so
@@ -250,12 +254,12 @@ class MultiscaleDecomposition:
     """Multiscale decomposition of a fitted window, one row per residual row.
 
     Row r of every array is residual row r of the fit, observation t = p+1+r
-    of the window, at rescaled time grid[r].
+    of the window, at rescaled time grid[r].  The MA weights are not kept;
+    `ar_to_ma(fit.phi[:, 1:], config.H)` gives them.
     """
 
     config: MultiscaleConfig
     grid: np.ndarray
-    alpha: np.ndarray
     betas: list[np.ndarray]
     gamma: np.ndarray
     innovations: list[np.ndarray]
@@ -278,11 +282,26 @@ def decompose(
     one row per observation t = p+1..T of the window.  `dates` align with
     the fit grid.  `config.first_full_row(G)` is the first row whose
     components are defined.
+
+    The AR rows are inverted and Haar-transformed in blocks of
+    max(1, WOLD_BLOCK_BYTES // (8 (H+1))) rows, and each block's MA weights
+    are dropped once its coefficients are stored.  Rows are independent and
+    `ar_to_ma` gives a row the same bits in any batch, so every array equals
+    the whole-array chain bit for bit.  `ar_to_ma` checks each block on its
+    own: an explosive fit gives one ExplosiveWarning per block that holds an
+    explosive row, each naming that block's largest sum |alpha|.
     """
     if dates is not None and len(dates) != len(fit.residuals):
         raise ValueError("dates must align with the fit grid")
-    alpha = ar_to_ma(fit.phi[:, 1:], config.H)
-    betas, gamma = haar_coefficients(alpha, config)
+    G, H = len(fit.phi), config.H
+    betas = [np.empty((G, config.n_translates(j))) for j in range(1, config.J + 1)]
+    gamma = np.empty((G, config.N))
+    size = max(1, WOLD_BLOCK_BYTES // (8 * (H + 1)))
+    for start in range(0, G, size):
+        rows = slice(start, start + size)
+        block_betas, gamma[rows] = haar_coefficients(ar_to_ma(fit.phi[rows, 1:], H), config)
+        for beta, block in zip(betas, block_betas):
+            beta[rows] = block
     innovations, low_pass = haar_innovations(fit.residuals, config.J)
     components, residual_component = scale_components(
         betas, gamma, innovations, low_pass, config
@@ -290,7 +309,6 @@ def decompose(
     return MultiscaleDecomposition(
         config=config,
         grid=fit.grid,
-        alpha=alpha,
         betas=betas,
         gamma=gamma,
         innovations=innovations,

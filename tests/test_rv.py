@@ -245,6 +245,13 @@ def test_load_ticks_rejects_bad_rows(tmp_path):
     )
     with pytest.raises(DataQualityError, match="row 2"):
         load_ticks(path)
+    for newline in ("\n", "\r\n"):
+        atomic_write(path, f'timestamp,price{newline}2021-03-02T09:00:00,9{newline}"2021-03-02T09:01:00{newline}",10{newline}')
+        message = f"^{re.escape(path)}: row 2: line break in a quoted field$"
+        with pytest.raises(DataQualityError, match=message):
+            load_ticks(path)
+        with pytest.raises(DataQualityError, match=message):
+            loop_load_ticks(path)
 
 
 def test_load_ticks_rejects_missing_timestamps_and_non_finite_prices(tmp_path):
@@ -285,6 +292,8 @@ def loop_load_ticks(path):
     stamps = []
     prices = []
     for i, row in enumerate(rows[1:], start=1):
+        if any("\n" in field or "\r" in field for field in row):
+            raise DataQualityError(f"{path}: row {i}: line break in a quoted field")
         if len(row) != 2:
             raise DataQualityError(f"{path}: row {i}: expected 2 fields, got {len(row)}")
         raw_ts, raw_p = row[0].strip(), row[1].strip()
@@ -354,10 +363,12 @@ def tick_files(draw):
             rows[at] = TICK_FAULTS[kind](clean[at])
     pad = st.sampled_from(["", " ", "\t", "  "])
     quote = draw(st.booleans())
+    # in a quarter of the files, a quoted field may hold a line break
+    line_break = st.sampled_from(["", "", "\n", "\r\n"] if draw(st.integers(0, 3)) == 0 else [""])
 
     def field(text):
         if quote and draw(st.booleans()):
-            text = f'"{text}"'
+            text = f'"{draw(line_break)}{text}{draw(line_break)}"'
         # pad only after a quoted field: a space before the opening quote makes the quote literal text
         return f"{text}{draw(pad)}" if text.startswith('"') else f"{draw(pad)}{text}{draw(pad)}"
 
@@ -381,6 +392,7 @@ BLOCK_SIZES = st.integers(1, 64) | st.integers(65, 4096)
 @example(" timestamp , price \r\n 2021-03-02 09:01:00 , 10 \r\n", rv.TICK_BLOCK_BYTES)
 @example('timestamp,price\n"2021-03-02T09:01:00" ,"10"\n', rv.TICK_BLOCK_BYTES)
 @example('timestamp,price\n "2021-03-02T09:01:00",10\n', rv.TICK_BLOCK_BYTES)
+@example('timestamp,price\n"2021-03-02T09:01:00\n",10\n', rv.TICK_BLOCK_BYTES)
 @example(  # a decreasing stamp in the first block, a bad price in a later one: the price is named
     "timestamp,price\n2021-03-02T09:04:00,10\n2021-03-02T09:01:00,11\n"
     "2021-03-02T09:05:00,12\n2021-03-02T09:06:00,-1\n", 1,

@@ -6,6 +6,7 @@ arithmetic used by the implementation.
 """
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tvewd import wold
 from tvewd.benchmarks import _ols_ar, ewd_static_forecast
 from tvewd.forecast import (
     _multiscale_points,
@@ -501,31 +503,114 @@ def test_decompose_rejects_misaligned_inputs():
 
 def test_overflowing_row_is_nan_and_left_out_of_weights():
     """An explosive row whose MA weights overflow yields non-finite
-    components, which the weight regression drops; other rows are untouched."""
+    components, which the weight regression drops; other rows are untouched.
+    Each block holding an explosive row warns once, naming its largest
+    sum |alpha|.  The rows at 1.1 come before the first full row, H - 1."""
     cfg = MultiscaleConfig(J=7, N=4)
     G = cfg.H + 60
+    size = wold.WOLD_BLOCK_BYTES // (8 * (cfg.H + 1))
+    assert size == 255  # blocks of rows 0-254, 255-509 and 510-571
     rng = np.random.default_rng(48)
     eps = rng.standard_normal(G)
     phi1 = rng.uniform(-0.5, 0.5, G)
-    bad = cfg.H + 20
     clean = decompose(make_fit(phi1, eps), cfg)
-    phi1[bad] = 5.0  # 5^h overflows to inf from h = 441, inside the 512 lags
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        decomp = decompose(make_fit(phi1, eps), cfg)
-    # the ExplosiveWarning alone reports the row: no numpy overflow warnings
-    assert [w.category for w in caught] == [ExplosiveWarning]
-    others = np.arange(G) != bad
-    for comp, ok in zip(decomp.components, clean.components):
-        assert np.isnan(comp[bad])
-        np.testing.assert_array_equal(comp[others], ok[others])
-    assert not np.isfinite(decomp.residual_component[bad])
     y = rng.standard_normal(G)
-    got = estimate_weights(y, decomp.components)
-    assert got.n_rows == G - (cfg.H - 1) - 1
-    y[bad] = np.nan
-    want = estimate_weights(y, clean.components)
-    np.testing.assert_array_equal(got.weights, want.weights)
+    bad = cfg.H + 20
+    for explosive in (
+        {bad: 5.0},  # 5^h overflows to inf from h = 441, inside the 512 lags
+        {100: 1.1, bad: 5.0},  # the first and the last block: one warning each
+        {510: 1.1, bad: 5.0},  # one block, one warning
+    ):
+        phi = phi1.copy()
+        phi[list(explosive)] = list(explosive.values())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            decomp = decompose(make_fit(phi, eps), cfg)
+        # the ExplosiveWarnings alone report the rows: no numpy overflow warnings
+        with np.errstate(over="ignore"):
+            totals = {row: float(np.abs(loop_ar_to_ma([value], cfg.H)).sum()) for row, value in explosive.items()}
+        largest = {}
+        for row, total in totals.items():
+            largest[row // size] = max(largest.get(row // size, 0.0), total)
+        assert [w.category for w in caught] == [ExplosiveWarning] * len(largest)
+        for w, (_, total) in zip(caught, sorted(largest.items())):
+            assert str(w.message).startswith(f"MA weights exceed overflow guard (max sum |alpha| = {total:.3g})")
+        others = ~np.isin(np.arange(G), list(explosive))
+        for comp, ok in zip(decomp.components, clean.components):
+            assert np.isnan(comp[bad])
+            np.testing.assert_array_equal(comp[others], ok[others])
+        assert not np.isfinite(decomp.residual_component[bad])
+        got = estimate_weights(y, decomp.components)
+        assert got.n_rows == G - (cfg.H - 1) - 1
+        want = estimate_weights(np.where(np.arange(G) == bad, np.nan, y), clean.components)
+        np.testing.assert_array_equal(got.weights, want.weights)
+
+
+def whole_array_chain(fit, cfg):
+    """The Wold step over every row at once, then the components."""
+    betas, gamma = haar_coefficients(ar_to_ma(fit.phi[:, 1:], cfg.H), cfg)
+    innovations, low_pass = haar_innovations(fit.residuals, cfg.J)
+    components, residual = scale_components(betas, gamma, innovations, low_pass, cfg)
+    return [*betas, gamma, *innovations, low_pass, *components, residual]
+
+
+BLOCK_G = 40
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, BLOCK_G - 1, BLOCK_G, BLOCK_G + 5])
+@pytest.mark.parametrize("p", [1, 3])
+def test_row_blocks_equal_the_whole_array_chain(monkeypatch, size, p):
+    """`decompose` inverts blocks of `size` rows and gives every array bit for
+    bit as the whole-array chain, with an explosive row on each side of the
+    first block edge and a NaN residual."""
+    cfg = MultiscaleConfig(J=3, N=2)
+    rng = np.random.default_rng(49)
+    phi = rng.uniform(-0.3, 0.3, (BLOCK_G, p))
+    phi[[size - 1, size] if size < BLOCK_G else [BLOCK_G - 1], 0] = 1e25  # overflows within the 16 lags
+    eps = rng.standard_normal(BLOCK_G)
+    eps[30] = np.nan
+    fit = make_fit(phi, eps)
+    calls = []
+
+    def counted(phi_rows, H):
+        calls.append(len(phi_rows))
+        return ar_to_ma(phi_rows, H)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExplosiveWarning)
+        want = whole_array_chain(fit, cfg)
+        monkeypatch.setattr(wold, "WOLD_BLOCK_BYTES", size * 8 * (cfg.H + 1))
+        monkeypatch.setattr(wold, "ar_to_ma", counted)
+        decomp = decompose(fit, cfg)
+    assert calls == [min(size, BLOCK_G - start) for start in range(0, BLOCK_G, size)]
+    got = [*decomp.betas, decomp.gamma, *decomp.innovations, decomp.low_pass,
+           *decomp.components, decomp.residual_component]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert np.isnan(decomp.components[0][30:]).all()
+
+
+def test_decompose_memory_is_its_output_and_a_few_blocks(monkeypatch):
+    """Past the arrays it returns, `decompose` holds a few blocks of MA
+    weights, however many rows the fit has.  Both sizes stay below H rows,
+    so no component has a full history and `scale_components`, which works
+    on whole arrays, makes no window product."""
+    cfg = MultiscaleConfig(J=7, N=4)
+    budget = 4 * 8 * (cfg.H + 1)  # four rows a block
+    monkeypatch.setattr(wold, "WOLD_BLOCK_BYTES", budget)
+    rng = np.random.default_rng(50)
+    for G in (120, 480):
+        fit = make_fit(rng.uniform(-0.5, 0.5, (G, 2)), rng.standard_normal(G))
+        tracemalloc.start()
+        try:
+            decomp = decompose(fit, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = [*decomp.betas, decomp.gamma, *decomp.innovations, decomp.low_pass,
+                    *decomp.components, decomp.residual_component]
+        assert peak - sum(a.nbytes for a in returned) < 6 * budget, G
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +872,6 @@ def test_single_scale_loading_takes_full_share():
     decomp = MultiscaleDecomposition(
         config=cfg,
         grid=np.linspace(0.25, 1.0, G),
-        alpha=rows,
         betas=betas,
         gamma=gamma,
         innovations=[np.zeros(G)] * cfg.J,
@@ -818,7 +902,6 @@ def test_signed_negative_denominator_flagged():
     decomp = MultiscaleDecomposition(
         config=cfg,
         grid=np.linspace(0.5, 1.0, 3),
-        alpha=rows,
         betas=betas,
         gamma=gamma,
         innovations=[np.zeros(3)] * cfg.J,
