@@ -58,10 +58,10 @@ def har_terms(values: np.ndarray, t: int) -> tuple[float, float, float]:
         raise ValueError(f"need t >= {HAR_LAGS[2]}, got t={t}")
     if t > len(values):
         raise ValueError(f"t={t} beyond series length {len(values)}")
-    i = t - 1
-    daily = float(values[i])
-    weekly = float(np.mean(values[i - 4 : i + 1]))
-    monthly = float(np.mean(values[i - 21 : i + 1]))
+    _, week, month = HAR_LAGS
+    daily = float(values[t - 1])
+    weekly = float(np.mean(values[t - week : t]))
+    monthly = float(np.mean(values[t - month : t]))
     return daily, weekly, monthly
 
 
@@ -71,10 +71,11 @@ def _har_design(values: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray, np.
     if T - h < HAR_LAGS[2]:
         raise EstimationError(f"window of {T} observations too short for horizon {h}")
     t_idx = np.arange(HAR_LAGS[2] - 1, T - h)  # 0-based predictor rows
+    _, week, month = HAR_LAGS
     daily = values[t_idx]
     csum = np.concatenate(([0.0], np.cumsum(values)))
-    weekly = (csum[t_idx + 1] - csum[t_idx - 4]) / 5.0
-    monthly = (csum[t_idx + 1] - csum[t_idx - 21]) / 22.0
+    weekly = (csum[t_idx + 1] - csum[t_idx + 1 - week]) / float(week)
+    monthly = (csum[t_idx + 1] - csum[t_idx + 1 - month]) / float(month)
     X = np.column_stack([np.ones(len(t_idx)), daily, weekly, monthly])
     y = values[t_idx + h]
     tau = (t_idx + 1).astype(float) / T

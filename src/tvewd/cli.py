@@ -22,7 +22,7 @@ import numpy as np
 
 from . import benchmarks, evaluate, forecast, locreg, rv, sim, wold
 from .locreg import KernelSpec
-from .series import atomic_write, format_value, load_series, store_series, write_csv
+from .series import _check_integer, atomic_write, format_value, load_series, store_series, write_csv
 from .wold import MultiscaleConfig
 
 __all__ = ["main"]
@@ -32,14 +32,10 @@ class ConfigError(ValueError):
     """Invalid configuration or usage."""
 
 
+# The paper's two sample periods share the built-in defaults and differ only
+# in their per-series lag tables.
 PRESETS: dict[str, dict] = {
     "period-2010": {
-        "window": 700,
-        "J": 7,
-        "N": 4,
-        "bandwidth": 0.3,
-        "kernel": "epanechnikov",
-        "horizons": [1, 5, 22],
         "series_lags": {
             "CL": {"1": 2, "5": 6, "22": 6},
             "NG": {"1": 5, "5": 5, "22": 5},
@@ -47,12 +43,6 @@ PRESETS: dict[str, dict] = {
         },
     },
     "period-1993": {
-        "window": 700,
-        "J": 7,
-        "N": 4,
-        "bandwidth": 0.3,
-        "kernel": "epanechnikov",
-        "horizons": [1, 5, 22],
         "series_lags": {
             "CL": {"1": 3, "5": 3, "22": 3},
             "NG": {"1": 5, "5": 5, "22": 3},
@@ -177,12 +167,11 @@ def _config_values():
         raise ConfigError(str(exc)) from exc
 
 
-def _integer(value: Any, key: str) -> int:
-    """An integer setting: a string converts as int() does, and a boolean or
-    a number that is not integral is a config error."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+def _list(cfg: dict, key: str) -> list:
+    """A list setting; a config value that is not a JSON array is refused."""
+    if not isinstance(cfg[key], list):
+        raise ConfigError(f"{key} must be a list, got {cfg[key]!r}")
+    return cfg[key]
 
 
 def _kernel(cfg: dict) -> KernelSpec:
@@ -190,7 +179,7 @@ def _kernel(cfg: dict) -> KernelSpec:
 
 
 def _scales(cfg: dict) -> MultiscaleConfig:
-    return MultiscaleConfig(J=_integer(cfg["J"], "J"), N=_integer(cfg["N"], "N"))
+    return MultiscaleConfig(J=cfg["J"], N=cfg["N"])
 
 
 def _lags(cfg: dict, horizons: tuple[int, ...]) -> dict[int, int]:
@@ -207,13 +196,14 @@ def _lags(cfg: dict, horizons: tuple[int, ...]) -> dict[int, int]:
             )
         lags, source = series_lags[key], f"series_lags[{key!r}]"
     if lags is None:
-        return {h: _integer(cfg["p"], "p") for h in horizons}
+        return dict.fromkeys(horizons, cfg["p"])
     if not isinstance(lags, dict):
         raise ConfigError(f"{source} must map horizons to AR orders, got {lags!r}")
     for h in horizons:
         if str(h) not in lags:
             raise ConfigError(f"lag mapping has no entry for horizon {h}")
-    return {h: _integer(lags[str(h)], f"{source}['{h}']") for h in horizons}
+        _check_integer(lags[str(h)], f"{source}['{h}']")
+    return {h: lags[str(h)] for h in horizons}
 
 
 def _model_specs(cfg: dict, names: list[str], horizons: tuple[int, ...]) -> list[benchmarks.ModelSpec]:
@@ -226,14 +216,10 @@ def _model_specs(cfg: dict, names: list[str], horizons: tuple[int, ...]) -> list
 
 def _plan(cfg: dict, window: Any, step: Any = 1, max_origins: Any = None) -> evaluate.RollingPlan:
     """The configured horizons and the given layout as a rolling plan; a
-    value the plan refuses, or one that is not an integer, is a config error."""
+    value the plan refuses is a config error."""
+    horizons = tuple(_list(cfg, "horizons"))
     with _config_values():
-        return evaluate.RollingPlan(
-            window=_integer(window, "window"),
-            step=_integer(step, "step"),
-            horizons=tuple(_integer(h, "horizon") for h in cfg["horizons"]),
-            max_origins=None if max_origins is None else _integer(max_origins, "max_origins"),
-        )
+        return evaluate.RollingPlan(window=window, step=step, horizons=horizons, max_origins=max_origins)
 
 
 def _require(cfg: dict, key: str, command: str) -> str:
@@ -247,10 +233,10 @@ def cmd_rv(cfg: dict) -> int:
     out = _require(cfg, "output", "rv")
     with _config_values():
         calendar = rv.TradingCalendar(
-            excluded_dates=tuple(cfg["excluded_dates"]),
+            excluded_dates=tuple(_list(cfg, "excluded_dates")),
             session_cutoff=cfg["session_cutoff"],
-            open_offset_minutes=_integer(cfg["open_offset_minutes"], "open_offset_minutes"),
-            bins_per_day=_integer(cfg["bins_per_day"], "bins_per_day"),
+            open_offset_minutes=cfg["open_offset_minutes"],
+            bins_per_day=cfg["bins_per_day"],
         )
     vol, raw, warnings = rv.stream_rv(path, calendar, label=cfg.get("label") or "rv")
     store_series(vol, out)
@@ -267,12 +253,12 @@ def cmd_decompose(cfg: dict) -> int:
     out = _require(cfg, "output", "decompose")
     series = load_series(path)
     with _config_values():  # the settings of the model whose fit is decomposed
-        spec = benchmarks.ModelSpec("TVEWD", p=_integer(cfg["p"], "p"), kernel=_kernel(cfg), scales=_scales(cfg))
-        share_k = _integer(cfg["share_k"], "share_k")
+        spec = benchmarks.ModelSpec("TVEWD", p=cfg["p"], kernel=_kernel(cfg), scales=_scales(cfg))
+        _check_integer(cfg["share_k"], "share_k")
     fit = locreg.fit_tvp_ar(series, spec.p, spec.kernel)
     decomp = wold.decompose(fit, spec.scales, dates=series.dates[spec.p:])
     with _config_values():  # persistence_shares raises ValueError only for its mode and k_index
-        shares = wold.persistence_shares(decomp, mode=cfg["share_mode"], k_index=share_k)
+        shares = wold.persistence_shares(decomp, mode=cfg["share_mode"], k_index=cfg["share_k"])
     wold.store_beta_surface(decomp, out)
     if cfg.get("shares_output"):
         wold.store_shares(shares, cfg["shares_output"])
@@ -311,11 +297,10 @@ def cmd_evaluate(cfg: dict) -> int:
     out = _require(cfg, "output", "evaluate")
     series = load_series(path)
     plan = _plan(cfg, cfg["window"], cfg["step"], cfg.get("max_origins"))
-    models = _model_specs(cfg, list(cfg["models"]), plan.horizons)
+    models = _model_specs(cfg, _list(cfg, "models"), plan.horizons)
     with _config_values():
-        jobs = _integer(cfg["jobs"], "jobs")
-        evaluate.check_evaluation(len(series), models, plan, cfg["benchmark"], jobs)
-    report = evaluate.rolling_evaluate(series, models, plan, benchmark=cfg["benchmark"], jobs=jobs)
+        evaluate.check_evaluation(len(series), models, plan, cfg["benchmark"], cfg["jobs"])
+    report = evaluate.rolling_evaluate(series, models, plan, benchmark=cfg["benchmark"], jobs=cfg["jobs"])
     evaluate.store_report(report, out)
     if cfg.get("forecasts_output"):
         evaluate.store_forecast_records(report, cfg["forecasts_output"])
@@ -329,8 +314,10 @@ def cmd_evaluate(cfg: dict) -> int:
 def cmd_simulate(cfg: dict) -> int:
     scenario_path = _require(cfg, "scenario", "simulate")
     out = _require(cfg, "output", "simulate")
-    with _config_values():
-        seed = None if cfg.get("seed") is None else _integer(cfg["seed"], "seed")
+    seed = cfg.get("seed")
+    if seed is not None:
+        with _config_values():  # refused before the scenario file is read
+            _check_integer(seed, "seed")
     scenario = sim.load_scenario(scenario_path)
     if seed is not None:
         scenario = dataclasses.replace(scenario, seed=seed)

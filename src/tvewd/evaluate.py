@@ -217,7 +217,7 @@ def check_evaluation(
 ) -> None:
     """Raise ValueError unless the models' display names are distinct and
     include the benchmark, a series of n_obs observations holds the plan's
-    window plus its shortest horizon, and at least one worker is asked for."""
+    window plus its shortest horizon, and jobs is an integer of at least 1."""
     names = [m.display for m in models]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate model names: {names}")
@@ -228,6 +228,7 @@ def check_evaluation(
             f"series of {n_obs} observations cannot support window {plan.window} "
             f"with horizons {plan.horizons}"
         )
+    _check_integer(jobs, "jobs")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 

@@ -209,19 +209,22 @@ def store_scenario(scenario: TvpArScenario, path: str) -> None:
 
 
 def load_scenario(path: str) -> TvpArScenario:
-    """Load a scenario JSON written by store_scenario."""
+    """Load a scenario JSON written by store_scenario.
+
+    p, T and coefficients are required; a key the file leaves out takes
+    its TvpArScenario default.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     known = {"p", "T", "seed", "label", "intercept", "coefficients", "sigma"}
     unknown = sorted(set(payload) - known)
     if unknown:
         raise ValueError(f"unknown scenario keys: {unknown}")
-    return TvpArScenario(
-        p=payload["p"],
-        T=payload["T"],
-        seed=payload.get("seed", 0),
-        label=str(payload.get("label", "sim")),
-        intercept=_curve_from_dict(payload.get("intercept", {"kind": "constant", "value": 0.0})),
-        coefficients=tuple(_curve_from_dict(c) for c in payload["coefficients"]),
-        sigma=_curve_from_dict(payload.get("sigma", {"kind": "constant", "value": 1.0})),
-    )
+    for key in ("p", "T", "coefficients"):
+        if key not in payload:
+            raise ValueError(f"scenario is missing required key {key!r}")
+    fields = dict(payload, coefficients=tuple(_curve_from_dict(c) for c in payload["coefficients"]))
+    fields.update((k, _curve_from_dict(payload[k])) for k in ("intercept", "sigma") if k in payload)
+    if "label" in payload:
+        fields["label"] = str(payload["label"])
+    return TvpArScenario(**fields)

@@ -346,6 +346,7 @@ def persistence_shares(
     """
     if mode not in ("absolute", "signed"):
         raise ValueError(f"mode must be 'absolute' or 'signed', got {mode!r}")
+    _check_integer(k_index, "k_index")
     if k_index < 0:
         raise ValueError(f"k_index must be >= 0, got {k_index}")
     for j, b in enumerate(decomp.betas, start=1):

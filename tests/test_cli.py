@@ -103,9 +103,16 @@ def test_print_config_precedence(tmp_path, capsys):
     resolved = json.loads(capsys.readouterr().out)
     assert resolved["bandwidth"] == 0.1  # flag beats config file
     assert resolved["window"] == 400  # config file beats preset
-    assert resolved["J"] == 7  # preset beats defaults
+    assert resolved["J"] == 7  # a default the preset leaves alone
     assert resolved["horizons"] == [1, 5, 22]
-    assert resolved["series_lags"]["CL"] == {"1": 2, "5": 6, "22": 6}
+    assert resolved["series_lags"]["CL"] == {"1": 2, "5": 6, "22": 6}  # preset beats defaults
+
+
+def test_presets_restate_no_default():
+    """A preset holds only what differs from the built-in defaults."""
+    for name, preset in cli.PRESETS.items():
+        restated = sorted(key for key, value in preset.items() if value == cli.OPTIONS[key].default)
+        assert restated == [], name
 
 
 COMMON_KEYS = {"input", "output"}
@@ -293,15 +300,21 @@ def test_simulate_seed_override_and_truth_output(tmp_path):
 
 
 def test_simulate_rejects_malformed_scenario(tmp_path, capsys):
+    """An unknown or a missing scenario key exits 1 (a missing one used to
+    exit with a bare KeyError record) and writes nothing."""
     scen = TvpArScenario(p=1, T=50, coefficients=(constant(0.5),), seed=1)
     scen_path = tmp_path / "scen.json"
     store_scenario(scen, str(scen_path))
-    payload = json.loads(scen_path.read_text())
-    payload["burn"] = 5
-    scen_path.write_text(json.dumps(payload))
-    code = main(["simulate", "--scenario", str(scen_path), "--output", str(tmp_path / "o.csv")])
-    assert code == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    stored = json.loads(scen_path.read_text())
+    for payload, message in [
+        ({**stored, "burn": 5}, "unknown scenario keys: ['burn']"),
+        ({k: v for k, v in stored.items() if k != "p"}, "scenario is missing required key 'p'"),
+    ]:
+        scen_path.write_text(json.dumps(payload))
+        code = main(["simulate", "--scenario", str(scen_path), "--output", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+        assert [p.name for p in tmp_path.iterdir()] == ["scen.json"]
 
 
 @pytest.mark.parametrize("key, value", [("T", 200.7), ("p", 1.9)])
@@ -327,13 +340,14 @@ def test_simulate_refuses_a_fractional_scenario_count(tmp_path, capsys, key, val
     [
         (2.5, "seed must be an integer, got 2.5"),
         (True, "seed must be an integer, got True"),
-        ("abc", "invalid literal for int() with base 10: 'abc'"),
+        ("abc", "seed must be an integer, got 'abc'"),
+        ("7", "seed must be an integer, got '7'"),
     ],
 )
 def test_simulate_seed_errors_are_config_errors_and_write_nothing(tmp_path, capsys, seed, message):
-    """A config seed converts like every other integer setting.  It used to
-    go through a bare int(): 2.5 ran with seed 2, true with seed 1, and
-    "abc" exited 1 with a ValueError record."""
+    """A config seed must be a JSON integer, like every other integer
+    setting.  It used to go through a bare int(): 2.5 ran with seed 2, true
+    with seed 1, and "abc" exited 1 with a ValueError record."""
     scen = TvpArScenario(p=1, T=100, coefficients=(constant(0.5),), seed=3)
     scen_path = tmp_path / "scen.json"
     store_scenario(scen, str(scen_path))
@@ -380,14 +394,16 @@ def test_rv_command_matches_library_pipeline(tmp_path, capsys):
 
 
 RV_ERRORS = {
-    "text bins": ({"bins_per_day": "abc"}, "invalid literal for int() with base 10: 'abc'"),
+    "text bins": ({"bins_per_day": "abc"}, "bins_per_day must be an integer, got 'abc'"),
+    "numeric text bins": ({"bins_per_day": "276"}, "bins_per_day must be an integer, got '276'"),
     "zero bins": ({"bins_per_day": 0}, "bins_per_day must be >= 1"),
     "negative open offset": ({"open_offset_minutes": -1}, "open_offset_minutes must be >= 0"),
     "cutoff out of range": ({"session_cutoff": "25:00"}, "time-of-day out of range: '25:00'"),
     "cutoff without minutes": ({"session_cutoff": "18"}, "bad time-of-day '18', expected HH:MM"),
     "numeric cutoff": ({"session_cutoff": 5}, "bad time-of-day 5, expected HH:MM"),
     "null cutoff": ({"session_cutoff": None}, "bad time-of-day None, expected HH:MM"),
-    "scalar excluded dates": ({"excluded_dates": 5}, "'int' object is not iterable"),
+    "scalar excluded dates": ({"excluded_dates": 5}, "excluded_dates must be a list, got 5"),
+    "text excluded dates": ({"excluded_dates": "2021-01-01"}, "excluded_dates must be a list, got '2021-01-01'"),
     "fractional bins": ({"bins_per_day": 2.5}, "bins_per_day must be an integer, got 2.5"),
     "boolean open offset": ({"open_offset_minutes": True}, "open_offset_minutes must be an integer, got True"),
 }
@@ -450,7 +466,7 @@ DECOMPOSE_ERRORS = {
     "unknown share mode": ({"share_mode": "bogus"}, "mode must be 'absolute' or 'signed', got 'bogus'"),
     "share translate out of range": ({"share_k": 99}, "k_index 99 out of range for scale 3"),
     "negative share translate": ({"share_k": -1}, "k_index must be >= 0, got -1"),
-    "text order": ({"p": "abc"}, "invalid literal for int() with base 10: 'abc'"),
+    "text order": ({"p": "abc"}, "p must be an integer, got 'abc'"),
     "zero order": ({"p": 0}, "AR order must be >= 1, got 0"),
     "unknown kernel": (
         {"kernel": "tri"}, "unknown kernel family 'tri', expected one of ('epanechnikov', 'gaussian', 'uniform')"
@@ -878,13 +894,17 @@ PLAN_ERRORS = {
     "scalar series lags": (
         [], {"series": "CL", "series_lags": {"CL": 3}}, "series_lags['CL'] must map horizons to AR orders, got 3"
     ),
-    "scalar horizons": ([], {"horizons": 5}, "'int' object is not iterable"),
-    "text window": ([], {"window": "abc"}, "invalid literal for int() with base 10: 'abc'"),
+    "scalar horizons": ([], {"horizons": 5}, "horizons must be a list, got 5"),
+    "text horizons": ([], {"horizons": "15"}, "horizons must be a list, got '15'"),
+    "text window": ([], {"window": "abc"}, "window must be an integer, got 'abc'"),
+    "numeric text window": ([], {"window": "300"}, "window must be an integer, got '300'"),
+    "integral float window": ([], {"window": 300.0}, "window must be an integer, got 300.0"),
     "unknown model": (["--model", "XGB"], None, f"unknown model 'XGB', expected one of {MODEL_NAMES}"),
-    "text order": ([], {"p": "abc"}, "invalid literal for int() with base 10: 'abc'"),
+    "text order": ([], {"p": "abc"}, "p must be an integer, got 'abc'"),
+    "numeric text order": ([], {"p": "2"}, "p must be an integer, got '2'"),
     "order zero": (["--p", "0"], None, "AR order must be >= 1, got 0"),
     "order zero in lags": ([], {"lags": {"1": 2, "5": 0, "22": 2}}, "AR order must be >= 1, got 0"),
-    "text lag": (["--horizon", "1"], {"lags": {"1": "x"}}, "invalid literal for int() with base 10: 'x'"),
+    "text lag": (["--horizon", "1"], {"lags": {"1": "x"}}, "lags['1'] must be an integer, got 'x'"),
     "scalar series lag maps": ([], {"series": "CL", "series_lags": 3}, "series_lags must map series to lag maps, got 3"),
     "text bandwidth": ([], {"bandwidth": "wide"}, "could not convert string to float: 'wide'"),
     "wide bandwidth": ([], {"bandwidth": 2.0}, "bandwidth must lie in (0, 1], got 2.0"),
@@ -915,7 +935,9 @@ EVALUATE_ERRORS = {
     "window beyond series": (
         ["--window", "830"], None, "series of 830 observations cannot support window 830 with horizons (1, 5, 22)"
     ),
-    "text jobs": ([], {"jobs": "abc"}, "invalid literal for int() with base 10: 'abc'"),
+    "text jobs": ([], {"jobs": "abc"}, "jobs must be an integer, got 'abc'"),
+    "integral float jobs": ([], {"jobs": 2.0}, "jobs must be an integer, got 2.0"),
+    "text models": ([], {"models": "HAR"}, "models must be a list, got 'HAR'"),
     "zero jobs": (["--jobs", "0"], None, "jobs must be >= 1, got 0"),
     "negative jobs": (["--jobs", "-3"], None, "jobs must be >= 1, got -3"),
     "fractional jobs": ([], {"jobs": 2.7}, "jobs must be an integer, got 2.7"),

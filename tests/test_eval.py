@@ -432,6 +432,11 @@ def test_harness_input_validation():
     for jobs in (0, -3):
         with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
             rolling_evaluate(series, models, plan, benchmark="TVAR", jobs=jobs)
+    # 1.5 used to die in the process pool and True to run serially
+    for jobs in (1.5, True):
+        with pytest.raises(ValueError, match=f"^jobs must be an integer, got {jobs}$"):
+            rolling_evaluate(series, models, plan, benchmark="TVAR", jobs=jobs)
+    assert rolling_evaluate(series, models, plan, benchmark="TVAR", jobs=np.int64(1)).n_origins == 40
 
 
 def test_records_carry_realized_targets_and_horizon_filter():

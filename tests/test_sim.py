@@ -256,6 +256,26 @@ def test_load_scenario_rejects_unknown_keys(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("key", ["p", "T", "coefficients"])
+def test_load_scenario_names_a_missing_required_key(tmp_path, key):
+    """A missing required key used to surface as a bare KeyError."""
+    path = str(tmp_path / "scenario.json")
+    store_scenario(TvpArScenario(p=1, T=50, coefficients=(constant(0.5),)), path)
+    with open(path) as fh:
+        payload = json.load(fh)
+    del payload[key]
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(ValueError, match=f"^scenario is missing required key '{key}'$"):
+        load_scenario(path)
+
+
+def test_load_scenario_leaves_unset_keys_at_their_defaults(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"p": 1, "T": 80, "coefficients": [{"kind": "constant", "value": 0.4}]}))
+    assert load_scenario(str(path)) == TvpArScenario(p=1, T=80, coefficients=(constant(0.4),))
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("T", 200.7), ("T", 200.0), ("T", True), ("p", 1.9), ("p", False), ("seed", 2.5), ("seed", "7")],

@@ -926,6 +926,11 @@ def test_share_options_validated():
     # differs from scale to scale
     with pytest.raises(ValueError, match="k_index must be >= 0, got -1"):
         persistence_shares(decomp, k_index=-1)
+    # 1.5 used to raise IndexError and True a numpy concatenation error
+    for k_index in (1.5, True):
+        with pytest.raises(ValueError, match=f"^k_index must be an integer, got {k_index}$"):
+            persistence_shares(decomp, k_index=k_index)
+    assert persistence_shares(decomp, k_index=np.int64(1)).k_index == 1
 
 
 # ---------------------------------------------------------------------------
