@@ -175,7 +175,7 @@ def _list(cfg: dict, key: str) -> list:
 
 
 def _kernel(cfg: dict) -> KernelSpec:
-    return KernelSpec(family=cfg["kernel"], bandwidth=float(cfg["bandwidth"]))
+    return KernelSpec(family=cfg["kernel"], bandwidth=cfg["bandwidth"])
 
 
 def _scales(cfg: dict) -> MultiscaleConfig:
@@ -183,13 +183,15 @@ def _scales(cfg: dict) -> MultiscaleConfig:
 
 
 def _lags(cfg: dict, horizons: tuple[int, ...]) -> dict[int, int]:
-    """Per-horizon AR orders: explicit lags map > preset series map > flat p."""
+    """Per-horizon AR orders: explicit lags map > preset series map (which needs a series) > flat p."""
     lags, source = cfg.get("lags"), "lags"
-    if lags is None and cfg.get("series") is not None:
+    key = cfg.get("series")
+    if lags is None and (key is not None or cfg.get("series_lags") is not None):
         series_lags = cfg.get("series_lags", {})
         if not isinstance(series_lags, dict):
             raise ConfigError(f"series_lags must map series to lag maps, got {series_lags!r}")
-        key = cfg["series"]
+        if key is None:
+            raise ConfigError(f"series_lags needs 'series' to pick a lag map; available: {sorted(series_lags)}")
         if key not in series_lags:
             raise ConfigError(
                 f"series {key!r} has no lag mapping; available: {sorted(series_lags)}"

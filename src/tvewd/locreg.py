@@ -14,6 +14,7 @@ reused by the benchmark models for arbitrary regressor designs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ __all__ = [
 ]
 
 COND_THRESHOLD = 1e10
-KERNEL_FAMILIES = ("epanechnikov", "gaussian", "uniform")
+KERNEL_FAMILIES = ("epanechnikov", "uniform")
 
 # Batched solver layout.  Every chunk has GRID_CHUNK rows (the last one is
 # padded) and its moments are summed over observation blocks on a fixed
@@ -82,8 +83,11 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}, expected one of {KERNEL_FAMILIES}")
+        if isinstance(self.bandwidth, bool) or not isinstance(self.bandwidth, numbers.Real):
+            raise ValueError(f"bandwidth must be a number, got {self.bandwidth!r}")
         if not (0.0 < self.bandwidth <= 1.0):
             raise ValueError(f"bandwidth must lie in (0, 1], got {self.bandwidth}")
+        object.__setattr__(self, "bandwidth", float(self.bandwidth))
 
 
 def kernel_weights(x: np.ndarray, family: str) -> np.ndarray:
@@ -101,9 +105,6 @@ def _kernel_weights(x: np.ndarray, family: str, out: np.ndarray) -> np.ndarray:
         np.subtract(1.0, out, out=out)
         out *= 0.75
         return np.fmax(out, 0.0, out=out)
-    if family == "gaussian":
-        out[...] = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-        return out
     if family == "uniform":
         out[...] = np.where(np.abs(x) <= 1.0, 0.5, 0.0)
         return out
@@ -271,7 +272,6 @@ def _local_linear_grid(
     P[:, m:, m:] = b * M
     Pt = np.swapaxes(P, 1, 2)[:, None]
     P = P[:, None]
-    compact = kernel.family != "gaussian"
     C = GRID_CHUNK
     G = len(ugrid)
     levels = np.empty((nb, G, m))
@@ -284,10 +284,9 @@ def _local_linear_grid(
         k = len(u)
         if k < C:
             u = np.concatenate([u, np.full(C - k, u[-1])])
-        lo, hi = 0, n
-        if compact:  # a 1% margin keeps every point whose rounded |d| is <= 1
-            lo = int(np.searchsorted(tau, u.min() - 1.01 * b, side="left"))
-            hi = int(np.searchsorted(tau, u.max() + 1.01 * b, side="right"))
+        # every family is 0 outside [-1, 1]; a 1% margin keeps every point whose rounded |d| is <= 1
+        lo = int(np.searchsorted(tau, u.min() - 1.01 * b, side="left"))
+        hi = int(np.searchsorted(tau, u.max() + 1.01 * b, side="right"))
         moments = np.zeros((nb, 3 * C, Q.shape[2]))
         active = np.zeros(C, dtype=np.int64)
         for s in range(lo - lo % COLUMN_BLOCK, hi, COLUMN_BLOCK):

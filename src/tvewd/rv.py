@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NoReturn
 from warnings import catch_warnings, filterwarnings
@@ -60,7 +61,8 @@ class TradingCalendar:
     """Session and exclusion rules for tick data.
 
     Attributes:
-        excluded_dates: explicit ISO dates to drop (e.g. federal holidays).
+        excluded_dates: explicit ISO dates to drop (e.g. federal holidays),
+            as strings or datetime64 values; a number or bool is refused.
         session_cutoff: HH:MM local clock at which a new trading day starts.
             "00:00" means plain calendar days; "18:00" assigns ticks from
             18:00 onward to the next calendar date's session.
@@ -83,6 +85,9 @@ class TradingCalendar:
             raise ValueError("bins_per_day must be >= 1")
         if self.open_offset_minutes < 0:
             raise ValueError("open_offset_minutes must be >= 0")
+        for day in self.excluded_dates:  # numpy would read a number as days after 1970-01-01
+            if isinstance(day, numbers.Number):
+                raise ValueError(f"excluded_dates entries must be dates, got {day!r}")
         self._excluded = np.array(self.excluded_dates, dtype="datetime64[D]")
 
     def is_excluded(self, days: np.ndarray) -> np.ndarray:

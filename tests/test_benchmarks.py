@@ -16,7 +16,7 @@ from tvewd.benchmarks import (
     tvhar_fit_forecast,
 )
 from tvewd.forecast import tvewd_forecast_window
-from tvewd.locreg import _MODEL_FAILURES, EstimationError, KernelSpec, fit_tvp_ar, local_level
+from tvewd.locreg import _MODEL_FAILURES, KERNEL_FAMILIES, EstimationError, KernelSpec, fit_tvp_ar, local_level
 from tvewd.wold import MultiscaleConfig
 
 KERN = KernelSpec("epanechnikov", 0.3)
@@ -186,7 +186,7 @@ def test_tvar_boundary_route_equals_full_fit_route(p):
     horizons = (1, 5, 22)
     for trial in range(50):
         T = int(rng.integers(150, 800))
-        kernel = KernelSpec(str(rng.choice(["epanechnikov", "gaussian", "uniform"])), float(rng.uniform(0.15, 1.0)))
+        kernel = KernelSpec(str(rng.choice(KERNEL_FAMILIES)), float(rng.uniform(0.15, 1.0)))
         v = ar1_path(float(rng.uniform(0.0, 0.95)), T, seed=1000 * p + trial, level=float(rng.uniform(1.0, 20.0)))
         out = tvar_forecast(v, p, horizons, kernel)
         expected = full_fit_tvar(v, p, horizons, kernel)

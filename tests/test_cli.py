@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -15,12 +16,16 @@ from tvewd import cli
 from tvewd.cli import main
 from tvewd.locreg import KernelSpec
 from tvewd.series import VolatilitySeries, business_dates, load_series, store_series
-from tvewd.sim import TvpArScenario, constant, simulate, store_scenario
+from tvewd.sim import Curve, TvpArScenario, constant, simulate, store_scenario
 from tvewd.wold import MultiscaleConfig
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_REPORT = DATA_DIR / "golden_report.csv"
 PRINT_CONFIG = DATA_DIR / "print_config.json"
+PAPER_SCENARIO = DATA_DIR / "paper_scenario.json"
+PAPER_SERIES = DATA_DIR / "paper_series.csv"
+PAPER_REPORT = DATA_DIR / "paper_report.csv"
+PAPER_FORECASTS = DATA_DIR / "paper_forecasts.csv"
 
 
 def write_series(path, values, start="2010-01-04", label="test"):
@@ -78,6 +83,43 @@ def regenerate_golden(target=GOLDEN_REPORT):
         code = run_golden_evaluate(series_csv, out_csv)
         assert code == 0
         target.write_text(out_csv.read_text())
+
+
+def paper_scenario():
+    """Criterion 08's drifting persistence and level over 830 days."""
+    return TvpArScenario(
+        p=1,
+        T=830,
+        coefficients=(Curve("sinusoid", {"base": 0.775, "amplitude": 0.175, "frequency": 0.75}),),
+        intercept=Curve("sinusoid", {"base": 2.25, "amplitude": -1.75, "frequency": 0.75}),
+        seed=2024,
+    )
+
+
+def run_paper_evaluate(series_csv, out_dir, jobs=1):
+    """`tvewd evaluate` of all five models at the paper's geometry (window
+    700, the period-2010 CL lags {1: 2, 5: 6, 22: 6}, H = 512) over 40
+    origins: one block of 32 and one of 8.  Returns the report and
+    forecasts paths."""
+    report, forecasts, cfg = out_dir / "report.csv", out_dir / "forecasts.csv", out_dir / "paper.json"
+    cfg.write_text(json.dumps({"max_origins": 40, "forecasts_output": str(forecasts)}))
+    argv = ["evaluate", "--input", str(series_csv), "--output", str(report), "--config", str(cfg),
+            "--preset", "period-2010", "--series", "CL", "--jobs", str(jobs)]
+    assert main(argv) == 0
+    return report, forecasts
+
+
+def regenerate_paper_golden():
+    """Rebuild the committed paper-geometry scenario, series, report and
+    forecasts (not a test)."""
+    import tempfile
+
+    store_scenario(paper_scenario(), str(PAPER_SCENARIO))
+    assert main(["simulate", "--scenario", str(PAPER_SCENARIO), "--output", str(PAPER_SERIES)]) == 0
+    with tempfile.TemporaryDirectory() as tmp:
+        report, forecasts = run_paper_evaluate(PAPER_SERIES, Path(tmp))
+        PAPER_REPORT.write_text(report.read_text())
+        PAPER_FORECASTS.write_text(forecasts.read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +446,9 @@ RV_ERRORS = {
     "null cutoff": ({"session_cutoff": None}, "bad time-of-day None, expected HH:MM"),
     "scalar excluded dates": ({"excluded_dates": 5}, "excluded_dates must be a list, got 5"),
     "text excluded dates": ({"excluded_dates": "2021-01-01"}, "excluded_dates must be a list, got '2021-01-01'"),
+    "numeric excluded date": ({"excluded_dates": ["2021-07-05", 5]}, "excluded_dates entries must be dates, got 5"),
+    "boolean excluded date": ({"excluded_dates": [True]}, "excluded_dates entries must be dates, got True"),
+    "fractional excluded date": ({"excluded_dates": [5.5]}, "excluded_dates entries must be dates, got 5.5"),
     "fractional bins": ({"bins_per_day": 2.5}, "bins_per_day must be an integer, got 2.5"),
     "boolean open offset": ({"open_offset_minutes": True}, "open_offset_minutes must be an integer, got True"),
 }
@@ -469,7 +514,7 @@ DECOMPOSE_ERRORS = {
     "text order": ({"p": "abc"}, "p must be an integer, got 'abc'"),
     "zero order": ({"p": 0}, "AR order must be >= 1, got 0"),
     "unknown kernel": (
-        {"kernel": "tri"}, "unknown kernel family 'tri', expected one of ('epanechnikov', 'gaussian', 'uniform')"
+        {"kernel": "tri"}, "unknown kernel family 'tri', expected one of ('epanechnikov', 'uniform')"
     ),
     "zero depth": ({"J": 0}, "J must be >= 1, got 0"),
     "fractional order": ({"p": 1.9}, "p must be an integer, got 1.9"),
@@ -568,6 +613,21 @@ def test_forecast_preset_lag_mapping(tmp_path):
     # the preset window of 700 observations is applied from the series end
     cells = out.read_text().splitlines()[1].split(",")
     assert float(cells[4]) == spec.forecast_all(series.values[-700:], (1,))[1]
+
+
+def test_explicit_lags_beat_a_preset_without_series(tmp_path):
+    """A lag map in the config picks the AR orders, so a preset then needs no series."""
+    series_csv = tmp_path / "series.csv"
+    write_series(series_csv, ar1_values(800, seed=43))
+    (tmp_path / "cfg.json").write_text(json.dumps({"lags": {"1": 2}}))
+    outputs = []
+    for preset in ([], ["--preset", "period-2010"]):
+        out = tmp_path / f"fc{len(outputs)}.csv"
+        argv = ["forecast", "--input", str(series_csv), "--output", str(out), "--config", str(tmp_path / "cfg.json"),
+                "--model", "TVAR", "--horizon", "1"]
+        assert main(argv + preset) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("model", ["TVEWD", "EWD", "TVAR", "HAR", "TVHAR"])
@@ -704,6 +764,45 @@ def test_evaluate_matches_golden_report(tmp_path):
     out = tmp_path / "report.csv"
     assert run_golden_evaluate(series_csv, out) == 0
     compare_report_csv(out, GOLDEN_REPORT)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_evaluate_matches_paper_geometry_golden(tmp_path, jobs):
+    """Every model's forecasts at window 700, H = 512 and p in {2, 6}, on the
+    committed series, match the committed report and forecasts to 1e-9."""
+    report, forecasts = run_paper_evaluate(PAPER_SERIES, tmp_path, jobs)
+    compare_report_csv(report, PAPER_REPORT)
+    compare_report_csv(forecasts, PAPER_FORECASTS)
+
+
+@pytest.mark.filterwarnings("ignore::tvewd.wold.ExplosiveWarning")
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_constant_stretch_pins_its_failures(tmp_path, capsys, jobs):
+    """A constant stretch makes the local systems that cover it singular.
+    Each model's failures, by exception class and message, are counted
+    over the 60 origins; the condition numbers in the messages are rounding
+    noise of a singular system, so they are not pinned."""
+    values = ar1_values(160, seed=2024)
+    values[70:120] = values[70]
+    series_csv = tmp_path / "series.csv"
+    write_series(series_csv, values)
+    argv = ["evaluate", "--input", str(series_csv), "--output", str(tmp_path / "report.csv"),
+            "--models", "TVEWD,TVAR,EWD,HAR,TVHAR", "--benchmark", "HAR", "--window", "100",
+            "--horizon", "1,5", "--jobs", str(jobs)]
+    assert main(argv) == 0
+    listed = capsys.readouterr().out.split("failures:\n")[1].split("\n\n")[0].splitlines()
+    failures = Counter()
+    for line in listed:
+        count, message = re.fullmatch(r"  \[(\d+)x\] (.*)", line).groups()
+        if "singular local system" in message:
+            message, cond = message.split(": condition number ")
+            assert re.fullmatch(r"\S+ exceeds 1e\+10", cond)
+        failures[message] += int(count)
+    short = "EstimationError: only 0 usable rows for 7 scale weights; window too short for the configured decomposition depth"
+    singular = "EstimationError: singular local system at u="
+    expected = Counter({f"EWD: {short}": 60, f"TVEWD: {short}": 37, f"TVAR: {singular}1": 23, f"TVHAR: {singular}1": 32})
+    expected.update(f"TVEWD: {singular}{u / 100:g}" for u in [79, *range(79, 101)])
+    assert failures == expected
 
 
 def test_evaluate_parallel_identical_output(tmp_path):
@@ -906,10 +1005,24 @@ PLAN_ERRORS = {
     "order zero in lags": ([], {"lags": {"1": 2, "5": 0, "22": 2}}, "AR order must be >= 1, got 0"),
     "text lag": (["--horizon", "1"], {"lags": {"1": "x"}}, "lags['1'] must be an integer, got 'x'"),
     "scalar series lag maps": ([], {"series": "CL", "series_lags": 3}, "series_lags must map series to lag maps, got 3"),
-    "text bandwidth": ([], {"bandwidth": "wide"}, "could not convert string to float: 'wide'"),
+    "text bandwidth": ([], {"bandwidth": "wide"}, "bandwidth must be a number, got 'wide'"),
+    "boolean bandwidth": ([], {"bandwidth": True}, "bandwidth must be a number, got True"),
+    "numeric text bandwidth": ([], {"bandwidth": "0.3"}, "bandwidth must be a number, got '0.3'"),
+    "null bandwidth": ([], {"bandwidth": None}, "bandwidth must be a number, got None"),
+    "list bandwidth": ([], {"bandwidth": [0.3]}, "bandwidth must be a number, got [0.3]"),
     "wide bandwidth": ([], {"bandwidth": 2.0}, "bandwidth must lie in (0, 1], got 2.0"),
     "unknown kernel": (
-        [], {"kernel": "tri"}, "unknown kernel family 'tri', expected one of ('epanechnikov', 'gaussian', 'uniform')"
+        [], {"kernel": "tri"}, "unknown kernel family 'tri', expected one of ('epanechnikov', 'uniform')"
+    ),
+    "gaussian kernel": (
+        [], {"kernel": "gaussian"}, "unknown kernel family 'gaussian', expected one of ('epanechnikov', 'uniform')"
+    ),
+    "preset without series": (
+        ["--preset", "period-2010"], None, "series_lags needs 'series' to pick a lag map; available: ['CL', 'NG', 'RB']"
+    ),
+    "series lags without series": (
+        [], {"series_lags": {"HU": {"1": 2, "5": 5, "22": 5}}},
+        "series_lags needs 'series' to pick a lag map; available: ['HU']",
     ),
     "zero depth": ([], {"J": 0}, "J must be >= 1, got 0"),
     "fractional window": ([], {"window": 100.7}, "window must be an integer, got 100.7"),

@@ -109,6 +109,16 @@ def test_calendar_refuses_non_integer_counts(field, value):
     TradingCalendar(**{field: np.int64(3)})  # NumPy integers pass
 
 
+@pytest.mark.parametrize("day", [5, True, 5.5, np.int64(5)])
+def test_calendar_refuses_numbers_as_excluded_dates(day):
+    """numpy reads a number as days after 1970-01-01, which excludes no real session."""
+    with pytest.raises(ValueError, match=f"^{re.escape(f'excluded_dates entries must be dates, got {day!r}')}$"):
+        TradingCalendar(excluded_dates=("2021-07-05", day))
+    cal = TradingCalendar(excluded_dates=("2021-07-05", np.datetime64("2021-07-06")))
+    days = np.array(["2021-07-05", "2021-07-06", "2021-07-07"], dtype="datetime64[D]")
+    assert cal.is_excluded(days).tolist() == [True, True, False]
+
+
 @pytest.mark.parametrize(
     "day", ["2020-12-24", "2020-12-25", "2020-12-26", "2020-12-31", "2021-01-01", "2021-01-02"]
 )

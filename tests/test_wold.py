@@ -24,7 +24,7 @@ from tvewd.forecast import (
     forecast_scale,
     tvewd_forecast_window,
 )
-from tvewd.locreg import KernelSpec, TvpArFit, fit_tvp_ar, local_level
+from tvewd.locreg import KERNEL_FAMILIES, KernelSpec, TvpArFit, fit_tvp_ar, local_level
 from tvewd.wold import (
     ExplosiveWarning,
     MultiscaleConfig,
@@ -794,7 +794,7 @@ HORIZONS = (1, 5, 22)
 @settings(max_examples=6, deadline=None)
 @given(
     extra=st.integers(40, 200),
-    family=st.sampled_from(["epanechnikov", "gaussian", "uniform"]),
+    family=st.sampled_from(KERNEL_FAMILIES),
     seed=SEEDS,
 )
 def test_trailing_row_forecasts_equal_full_row_route(p, extra, family, seed):
