@@ -186,9 +186,9 @@ class ModelSpec:
     p is the AR order of TVAR, EWD and TVEWD: one order for every horizon,
     or a per-horizon map {h: p}, which is stored as (h, p) pairs sorted by h
     so that the spec stays hashable.  Horizons that share an order share one
-    window fit.  HAR and TVHAR do not read p but group their horizons the
-    same way, so that every model counts a failure once per order.  Every
-    order must be an integer (not a bool) and at least 1.
+    window fit.  HAR and TVHAR do not read p: they are direct h-step
+    regressions, one fit per horizon, so a map need not cover their
+    horizons.  Every order must be an integer (not a bool) and at least 1.
     """
 
     name: str
@@ -214,7 +214,11 @@ class ModelSpec:
         return self.label or self.name
 
     def horizon_groups(self, horizons: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
-        """The requested horizons grouped by AR order, in order of first appearance."""
+        """The requested horizons grouped by fit, in order of first appearance:
+        by AR order for TVAR, EWD and TVEWD, and one horizon per group, keyed
+        by itself, for HAR and TVHAR."""
+        if self.name in ("HAR", "TVHAR"):
+            return {h: (h,) for h in horizons}
         orders = dict(self.p) if isinstance(self.p, tuple) else dict.fromkeys(horizons, self.p)
         missing = [h for h in horizons if h not in orders]
         if missing:
@@ -227,14 +231,15 @@ class ModelSpec:
     def forecast_all(self, values: np.ndarray, horizons: tuple[int, ...]) -> dict[int, float] | list:
         """Point forecasts for every horizon from one in-sample window.
 
-        The window is fitted once per distinct AR order among the requested
-        horizons, and each order fails or succeeds on its own.
+        The window is fitted once per group of `horizon_groups` (per AR
+        order for TVAR, EWD and TVEWD, per horizon for HAR and TVHAR), and
+        each group fails or succeeds on its own.
 
         `values` may also be a (B, n) stack of windows of one length.  The
         result then holds one `(forecasts, failures)` pair per window: the
-        forecasts of every order that succeeded, and the model failure
+        forecasts of every group that succeeded, and the model failure
         (EstimationError, LinAlgError, FloatingPointError or ValueError) of
-        each order that failed, in `horizon_groups` order.  A one-window
+        each group that failed, in `horizon_groups` order.  A one-window
         call returns that pair's forecasts or raises its first failure.
         Other exceptions propagate.  TVEWD fits and levels the stack
         together (`tvewd_forecast_window`); the other models run window by
@@ -257,7 +262,7 @@ class ModelSpec:
         return forecasts
 
     def _forecast_order(self, windows: np.ndarray, p: int, horizons: tuple[int, ...]) -> list:
-        """Per window: forecasts for horizons that share the AR order p, or the model failure."""
+        """Per window: forecasts for one `horizon_groups` group with key p, or the model failure."""
         if self.name == "TVEWD":
             return [
                 points if isinstance(points, Exception) else {pt.horizon: pt.value for pt in points}
@@ -266,7 +271,7 @@ class ModelSpec:
         return [_attempt(self._forecast_window, values, p, horizons) for values in windows]
 
     def _forecast_window(self, values: np.ndarray, p: int, horizons: tuple[int, ...]) -> dict:
-        """HAR, TVHAR, TVAR or EWD forecasts from one window for horizons that share the AR order p."""
+        """HAR, TVHAR, TVAR or EWD forecasts from one window for one group with key p."""
         if self.name == "HAR":
             return {h: har_fit_forecast(values, h)[0] for h in horizons}
         if self.name == "TVHAR":

@@ -3,7 +3,9 @@
 Subcommands: rv, decompose, forecast, evaluate, simulate.  Options resolve
 in precedence order: built-in defaults < --preset bundle < --config JSON
 file < explicit command-line flags; each option is declared once, in
-OPTIONS.  Unknown config keys are rejected by name.  All file outputs are
+OPTIONS.  A setting is offered only where it is read: a command offers the
+flag of every key it accepts, and --preset only if some preset sets one of
+its keys.  Unknown config keys are rejected by name.  All file outputs are
 written atomically; failures exit non-zero with a machine-readable JSON
 error record on stderr.
 """
@@ -56,14 +58,14 @@ class Option:
     """One config key: the commands that accept it and its built-in default
     (None when it has none).
 
-    A key with a flag also names the commands that offer the flag, its
-    argparse keywords, its name when that is not --<key>, and how the flag's
-    text becomes the value (a None result leaves the key unset).
+    A key with a flag is offered as that flag by every command that accepts
+    it.  It names the flag's argparse keywords, its name when that is not
+    --<key>, and how the flag's text becomes the value (a None result
+    leaves the key unset).
     """
 
     commands: tuple[str, ...]
     default: Any = None
-    flag_for: tuple[str, ...] = ()
     flag: dict = field(default_factory=dict)
     name: str | None = None
     parse: Callable[[str], Any] | None = None
@@ -75,36 +77,30 @@ PREDICT = ("forecast", "evaluate")
 
 # Every option of every command.  Table order is the flags' order in --help.
 OPTIONS: dict[str, Option] = {
-    "input": Option(ALL, flag_for=ALL, flag={"help": "input CSV path"}),
-    "output": Option(ALL, flag_for=ALL, flag={"help": "output path"}),
-    "seed": Option(("simulate",), flag_for=("simulate",), flag={"type": int, "help": "scenario seed override"}),
-    "jobs": Option(
-        ("evaluate",), 1, flag_for=("evaluate",), flag={"type": int, "help": "parallel workers for rolling origins"}
-    ),
+    "input": Option(ALL, flag={"help": "input CSV path"}),
+    "output": Option(ALL, flag={"help": "output path"}),
+    "seed": Option(("simulate",), flag={"type": int, "help": "scenario seed override"}),
+    "jobs": Option(("evaluate",), 1, flag={"type": int, "help": "parallel workers for rolling origins"}),
     "horizons": Option(
-        PREDICT, [1, 5, 22], flag_for=PREDICT, name="--horizon",
+        PREDICT, [1, 5, 22], name="--horizon",
         flag={"metavar": "HORIZON", "help": "comma-separated horizons, e.g. 1,5,22"},
         parse=lambda text: [int(h) for h in text.split(",")] if text else None,
     ),
-    "window": Option(PREDICT, 700, flag_for=PREDICT, flag={"type": int, "help": "in-sample window length"}),
-    "p": Option(FIT, 1, flag_for=PREDICT, flag={"type": int, "help": "autoregressive order"}),
+    "window": Option(PREDICT, 700, flag={"type": int, "help": "in-sample window length"}),
+    "p": Option(FIT, 1, flag={"type": int, "help": "autoregressive order"}),
     "kernel": Option(FIT, "epanechnikov"),
-    "bandwidth": Option(
-        FIT, 0.3, flag_for=PREDICT, flag={"type": float, "help": "kernel bandwidth in rescaled time"}
-    ),
+    "bandwidth": Option(FIT, 0.3, flag={"type": float, "help": "kernel bandwidth in rescaled time"}),
     "J": Option(FIT, 7),
     "N": Option(FIT, 4),
-    "series": Option(PREDICT, flag_for=PREDICT, flag={"help": "series key for preset lag mappings (e.g. CL)"}),
+    "series": Option(PREDICT, flag={"help": "series key for preset lag mappings (e.g. CL)"}),
     **dict.fromkeys(("lags", "series_lags"), Option(PREDICT)),
-    "model": Option(("forecast",), "TVEWD", flag_for=("forecast",), flag={"help": "model name (default TVEWD)"}),
+    "model": Option(("forecast",), "TVEWD", flag={"help": "model name (default TVEWD)"}),
     "models": Option(
-        ("evaluate",), ["TVEWD", "TVHAR", "TVAR", "HAR", "EWD"], flag_for=("evaluate",),
+        ("evaluate",), ["TVEWD", "TVHAR", "TVAR", "HAR", "EWD"],
         flag={"help": "comma-separated model names"}, parse=lambda text: text.split(","),
     ),
-    "benchmark": Option(
-        ("evaluate",), "TVHAR", flag_for=("evaluate",), flag={"help": "benchmark model name (default TVHAR)"}
-    ),
-    "step": Option(("evaluate",), 1, flag_for=("evaluate",), flag={"type": int, "help": "origin step"}),
+    "benchmark": Option(("evaluate",), "TVHAR", flag={"help": "benchmark model name (default TVHAR)"}),
+    "step": Option(("evaluate",), 1, flag={"type": int, "help": "origin step"}),
     **dict.fromkeys(("max_origins", "forecasts_output", "table_output"), Option(("evaluate",))),
     "share_mode": Option(("decompose",), "absolute"),
     "share_k": Option(("decompose",), 0),
@@ -114,7 +110,7 @@ OPTIONS: dict[str, Option] = {
     "bins_per_day": Option(("rv",), 288),
     "open_offset_minutes": Option(("rv",), 0),
     "excluded_dates": Option(("rv",), []),
-    "scenario": Option(("simulate",), flag_for=("simulate",), flag={"help": "scenario JSON path"}),
+    "scenario": Option(("simulate",), flag={"help": "scenario JSON path"}),
     "truth_output": Option(("simulate",)),
 }
 
@@ -135,10 +131,11 @@ def _load_config_file(path: str) -> dict:
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
     options = {k: opt for k, opt in OPTIONS.items() if command in opt.commands}
     cfg = {k: opt.default for k, opt in options.items() if opt.default is not None}
-    if args.preset:
-        if args.preset not in PRESETS:
-            raise ConfigError(f"unknown preset {args.preset!r}, expected one of {sorted(PRESETS)}")
-        cfg.update((k, v) for k, v in PRESETS[args.preset].items() if k in options)
+    preset = getattr(args, "preset", None)  # offered only where a preset sets an accepted key
+    if preset:
+        if preset not in PRESETS:
+            raise ConfigError(f"unknown preset {preset!r}, expected one of {sorted(PRESETS)}")
+        cfg.update((k, v) for k, v in PRESETS[preset].items() if k in options)
     if args.config:
         file_cfg = _load_config_file(args.config)
         unknown = sorted(set(file_cfg) - set(options))
@@ -146,7 +143,7 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
             raise ConfigError(f"unknown config key {unknown[0]!r} for command {command!r}")
         cfg.update(file_cfg)
     for key, opt in options.items():
-        if command in opt.flag_for:
+        if opt.flag:
             value = getattr(args, key)
             if value is not None and opt.parse:
                 with _config_values():  # a flag's text that does not convert
@@ -360,9 +357,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, desc in descriptions.items():
         sp = sub.add_parser(name, help=desc, description=desc)
         sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--preset", help=f"named option bundle: {', '.join(sorted(PRESETS))}")
+        if any(name in OPTIONS[key].commands for preset in PRESETS.values() for key in preset):
+            sp.add_argument("--preset", help=f"named option bundle: {', '.join(sorted(PRESETS))}")
         for key, opt in OPTIONS.items():
-            if name in opt.flag_for:
+            if opt.flag and name in opt.commands:
                 sp.add_argument(opt.name or f"--{key}", dest=key, **opt.flag)
         sp.add_argument("--print-config", action="store_true", help="print resolved config and exit")
     return parser

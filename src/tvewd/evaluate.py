@@ -217,7 +217,9 @@ def check_evaluation(
 ) -> None:
     """Raise ValueError unless the models' display names are distinct and
     include the benchmark, a series of n_obs observations holds the plan's
-    window plus its shortest horizon, and jobs is an integer of at least 1."""
+    window plus its shortest horizon, the window leaves every EWD and TVEWD
+    fit at least J rows with a full H-lag shock history (window >=
+    H + p + J - 1 for each AR order p), and jobs is an integer of at least 1."""
     names = [m.display for m in models]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate model names: {names}")
@@ -228,6 +230,15 @@ def check_evaluation(
             f"series of {n_obs} observations cannot support window {plan.window} "
             f"with horizons {plan.horizons}"
         )
+    for m in models:
+        if isinstance(m, ModelSpec) and m.name in ("EWD", "TVEWD"):
+            p, (J, N) = max(m.horizon_groups(plan.horizons)), (m.scales.J, m.scales.N)
+            need = m.scales.H + p + J - 1
+            if plan.window < need:
+                raise ValueError(
+                    f"{m.display}: window {plan.window} is too short for p={p} at J={J}, N={N}; "
+                    f"it needs at least {need}"
+                )
     _check_integer(jobs, "jobs")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -258,14 +269,15 @@ def rolling_evaluate(
     is called once per block, with the block's windows as one strided stack
     of the series and the horizons every origin of the block can score
     (`ModelSpec.forecast_all`).  It returns one `(forecasts, failures)`
-    pair per window, bit for bit what one-window calls per AR order give.
+    pair per window, bit for bit what one-window calls per fit give.
 
     Model failures at an origin (EstimationError, LinAlgError,
     FloatingPointError or ValueError) are recorded and the affected
     forecasts are treated as missing.  A model fails or succeeds once per
-    AR order of its horizons, so a failing order costs only its own
-    horizons and counts once; an order with no horizon left at an origin
-    is not fitted.  Ratio and DM columns pair each model
+    fit: per AR order of its horizons for TVAR, EWD and TVEWD, and per
+    horizon for HAR and TVHAR.  So a failing fit costs only its own
+    horizons and counts once; a fit with no horizon left at an origin is
+    not run.  Ratio and DM columns pair each model
     with the benchmark on origins where both produced a forecast; with no
     such origin the ratios are NaN and no DM test is run.  Any other
     exception propagates.

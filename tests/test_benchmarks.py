@@ -268,6 +268,30 @@ def test_model_spec_validation_and_display():
     assert ModelSpec(name="TVAR", p={1: np.int64(2)}).p == ((1, 2),)
 
 
+def test_har_models_fit_and_fail_each_horizon_on_its_own():
+    """HAR and TVHAR are direct h-step regressions, one fit per horizon: a
+    lag map need not cover their horizons, and a horizon whose regression
+    fails costs no other horizon.  After a constant stretch the h = 5
+    regression is singular at four windows where the h = 1 one is not."""
+    values = ar1_path(0.6, 160, seed=2024, level=10.0)
+    values[70:120] = values[70]
+    windows = sliding_window_view(values, 100)[:60].copy()
+    pairs = ModelSpec(name="TVHAR", p={1: 2, 5: 2}, kernel=KERN).forecast_all(windows, (1, 5))
+    kept = [i for i, (forecasts, _) in enumerate(pairs) if list(forecasts) == [1]]
+    assert kept == [28, 29, 30, 31]
+    for i in kept:
+        forecasts, failures = pairs[i]
+        assert forecasts[1].hex() == tvhar_fit_forecast(windows[i], 1, KERN)[0].hex()
+        assert [str(exc).startswith("singular local system at u=1") for exc in failures] == [True]
+    window = ar1_path(0.6, 400, seed=79)
+    for name in ("HAR", "TVHAR"):
+        spec = ModelSpec(name=name, p={1: 2}, kernel=KERN)
+        assert spec.horizon_groups((1, 5)) == {1: (1,), 5: (5,)}
+        assert sorted(spec.forecast_all(window, (1, 5))) == [1, 5]
+    with pytest.raises(ValueError, match="no AR order for horizons \\[5\\]"):
+        ModelSpec(name="TVAR", p={1: 2}).forecast_all(window, (1, 5))
+
+
 def test_model_spec_dispatch_matches_direct_calls():
     v = ar1_path(0.6, 400, seed=80, level=10.0)
     horizons = (1, 5)

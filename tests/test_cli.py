@@ -171,11 +171,12 @@ ACCEPTED_KEYS = {
     "simulate": COMMON_KEYS | {"seed", "scenario", "truth_output"},
 }
 
-COMMON_FLAGS = {"-h", "--help", "--config", "--preset", "--print-config", "--input", "--output"}
-PREDICT_FLAGS = {"--horizon", "--window", "--p", "--bandwidth", "--series"}
+COMMON_FLAGS = {"-h", "--help", "--config", "--print-config", "--input", "--output"}
+FIT_FLAGS = {"--p", "--bandwidth"}
+PREDICT_FLAGS = FIT_FLAGS | {"--preset", "--horizon", "--window", "--series"}
 OFFERED_FLAGS = {
     "rv": COMMON_FLAGS,
-    "decompose": COMMON_FLAGS,
+    "decompose": COMMON_FLAGS | FIT_FLAGS,
     "forecast": COMMON_FLAGS | PREDICT_FLAGS | {"--model"},
     "evaluate": COMMON_FLAGS | PREDICT_FLAGS | {"--jobs", "--models", "--benchmark", "--step"},
     "simulate": COMMON_FLAGS | {"--seed", "--scenario"},
@@ -183,14 +184,14 @@ OFFERED_FLAGS = {
 
 # every flag a command offers, set away from its default
 FLAG_HEAVY = {
-    "rv": ["--preset", "period-2010"],
-    "decompose": ["--preset", "period-1993"],
+    "rv": [],
+    "decompose": ["--p", "2", "--bandwidth", "0.25"],
     "forecast": ["--preset", "period-1993", "--horizon", "22,1", "--window", "300", "--p", "2",
                  "--bandwidth", "0.25", "--series", "HU", "--model", "EWD"],
     "evaluate": ["--preset", "period-2010", "--horizon", "5", "--window", "200", "--p", "3",
                  "--bandwidth", "0.2", "--series", "RB", "--models", "TVAR,HAR", "--benchmark", "HAR",
                  "--step", "2"],
-    "simulate": ["--preset", "period-2010", "--scenario", "scen.json"],
+    "simulate": ["--scenario", "scen.json"],
 }
 
 
@@ -201,13 +202,17 @@ def print_config_cases(command, config_path):
     command accepts, so the output shows the accepted keys and that flags
     beat the config file.
     """
-    series = "--series" in OFFERED_FLAGS[command]
     seed = ["--seed", "7"] if "--seed" in OFFERED_FLAGS[command] else []
     jobs = ["--jobs", "3"] if "--jobs" in OFFERED_FLAGS[command] else []
+    presets = {}
+    if "--preset" in OFFERED_FLAGS[command]:
+        presets = {
+            f"{command} period-2010": [command, "--preset", "period-2010", "--series", "CL"],
+            f"{command} period-1993": [command, "--preset", "period-1993", "--series", "NG"],
+        }
     return {
         f"{command} plain": [command],
-        f"{command} period-2010": [command, "--preset", "period-2010"] + (["--series", "CL"] if series else []),
-        f"{command} period-1993": [command, "--preset", "period-1993"] + (["--series", "NG"] if series else []),
+        **presets,
         f"{command} flags": [command, "--config", str(config_path), "--input", "in.csv", "--output", "out.csv",
                              *seed, *jobs, *FLAG_HEAVY[command]],
     }
@@ -221,9 +226,10 @@ def write_every_key_config(path, command):
 def test_print_config_matches_the_pinned_output(tmp_path, capsys, command):
     """The resolved configuration of each command, preset and flag mix is
     byte-identical to the output pinned before the option table existed,
-    but for three differences: `forecast` now also prints its default
+    but for four differences: `forecast` now also prints its default
     model, `seed` and `jobs` are keys only of the commands that read them,
-    and `weight_window` is a key of no command."""
+    `weight_window` is a key of no command, and `decompose` offers the
+    `--p` and `--bandwidth` flags of the keys it reads."""
     pinned = json.loads(PRINT_CONFIG.read_text())
     config_path = tmp_path / "cfg.json"
     write_every_key_config(config_path, command)
@@ -232,6 +238,8 @@ def test_print_config_matches_the_pinned_output(tmp_path, capsys, command):
         resolved = json.loads(pinned[case])
         if command == "forecast":
             resolved.setdefault("model", "TVEWD")
+        if case == "decompose flags":
+            resolved.update(p=2, bandwidth=0.25)
         for key in {"seed", "jobs", "weight_window"} - ACCEPTED_KEYS[command]:
             resolved.pop(key, None)
         expected = json.dumps(resolved, indent=2, sort_keys=True) + "\n"
@@ -255,6 +263,31 @@ def test_each_command_offers_exactly_its_flags():
         for name, sp in sub.choices.items()
     }
     assert offered == OFFERED_FLAGS
+
+
+# one value per flag, away from its default
+AWAY_FROM_DEFAULT = {
+    "--preset": "period-2010", "--input": "in.csv", "--output": "out.csv", "--seed": "7", "--jobs": "3",
+    "--horizon": "5", "--window": "300", "--p": "2", "--bandwidth": "0.25", "--series": "CL",
+    "--model": "EWD", "--models": "TVAR,HAR", "--benchmark": "HAR", "--step": "2", "--scenario": "scen.json",
+}
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTED_KEYS))
+def test_every_offered_flag_changes_the_resolved_config(tmp_path, capsys, command):
+    """A command offers a flag only where the flag's setting is read: each
+    flag set away from its default changes the resolved configuration."""
+    parser = cli._build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for action in sub.choices[command]._actions for flag in action.option_strings}
+    config_path = tmp_path / "cfg.json"
+    write_every_key_config(config_path, command)
+    values = {**AWAY_FROM_DEFAULT, "--config": str(config_path)}
+    assert main([command, "--print-config"]) == 0
+    plain = capsys.readouterr().out
+    for flag in sorted(flags - {"-h", "--help", "--print-config"}):
+        assert main([command, flag, values[flag], "--print-config"]) == 0, flag
+        assert capsys.readouterr().out != plain, flag
 
 
 @pytest.mark.parametrize("command", sorted(ACCEPTED_KEYS))
@@ -284,6 +317,14 @@ def test_unknown_preset_rejected(capsys):
     assert code == 2
     record = json.loads(capsys.readouterr().err)
     assert "period-2020" in record["message"]
+
+
+@pytest.mark.parametrize("command", ["rv", "decompose", "simulate"])
+def test_preset_is_an_unknown_flag_where_no_preset_key_is_read(capsys, command):
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--preset", "period-2010", "--print-config"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --preset period-2010" in capsys.readouterr().err
 
 
 def test_missing_required_input(capsys):
@@ -780,15 +821,19 @@ def test_evaluate_matches_paper_geometry_golden(tmp_path, jobs):
 def test_a_constant_stretch_pins_its_failures(tmp_path, capsys, jobs):
     """A constant stretch makes the local systems that cover it singular.
     Each model's failures, by exception class and message, are counted
-    over the 60 origins; the condition numbers in the messages are rounding
-    noise of a singular system, so they are not pinned."""
+    over the 60 origins, at a scale depth a window of 100 supports; the
+    condition numbers in the messages are rounding noise of a singular
+    system, so they are not pinned.  TVHAR fails per horizon: 28 times at
+    h = 1 and 32 times at h = 5."""
     values = ar1_values(160, seed=2024)
     values[70:120] = values[70]
     series_csv = tmp_path / "series.csv"
     write_series(series_csv, values)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"J": 3, "N": 4}))
     argv = ["evaluate", "--input", str(series_csv), "--output", str(tmp_path / "report.csv"),
-            "--models", "TVEWD,TVAR,EWD,HAR,TVHAR", "--benchmark", "HAR", "--window", "100",
-            "--horizon", "1,5", "--jobs", str(jobs)]
+            "--config", str(cfg), "--models", "TVEWD,TVAR,EWD,HAR,TVHAR", "--benchmark", "HAR",
+            "--window", "100", "--horizon", "1,5", "--jobs", str(jobs)]
     assert main(argv) == 0
     listed = capsys.readouterr().out.split("failures:\n")[1].split("\n\n")[0].splitlines()
     failures = Counter()
@@ -798,9 +843,8 @@ def test_a_constant_stretch_pins_its_failures(tmp_path, capsys, jobs):
             message, cond = message.split(": condition number ")
             assert re.fullmatch(r"\S+ exceeds 1e\+10", cond)
         failures[message] += int(count)
-    short = "EstimationError: only 0 usable rows for 7 scale weights; window too short for the configured decomposition depth"
     singular = "EstimationError: singular local system at u="
-    expected = Counter({f"EWD: {short}": 60, f"TVEWD: {short}": 37, f"TVAR: {singular}1": 23, f"TVHAR: {singular}1": 32})
+    expected = Counter({f"TVAR: {singular}1": 23, f"TVHAR: {singular}1": 60})
     expected.update(f"TVEWD: {singular}{u / 100:g}" for u in [79, *range(79, 101)])
     assert failures == expected
 
@@ -887,14 +931,15 @@ def test_evaluate_lag_mapping_groups_horizons(tmp_path):
     assert horizons == {"1", "5"}
 
 
-def evaluate_with_lags(tmp_path, name, lags, models, window, horizons):
-    """Run `tvewd evaluate` on the golden series with a lag map; returns
-    the report CSV text and the forecasts CSV lines."""
+def evaluate_with_lags(tmp_path, name, lags, models, window, horizons, **settings):
+    """Run `tvewd evaluate` on the golden series with a lag map and any
+    further config settings; returns the report CSV text and the forecasts
+    CSV lines."""
     series_csv = tmp_path / "series.csv"
     build_eval_series(series_csv)
     fc_csv = tmp_path / f"{name}.fc.csv"
     cfg = tmp_path / f"{name}.json"
-    cfg.write_text(json.dumps({"lags": lags, "forecasts_output": str(fc_csv)}))
+    cfg.write_text(json.dumps({"lags": lags, "forecasts_output": str(fc_csv), **settings}))
     out = tmp_path / f"{name}.report.csv"
     argv = ["evaluate", "--input", str(series_csv), "--output", str(out), "--config", str(cfg),
             "--models", models, "--benchmark", "HAR", "--window", str(window), "--horizon", horizons]
@@ -922,21 +967,17 @@ def test_evaluate_origin_count_does_not_depend_on_horizon_order(tmp_path, capsys
 def test_evaluate_isolates_failures_per_ar_order(tmp_path, capsys):
     """A window too short for p = 6 costs only the horizons mapped to p = 6,
     and counts once per origin that still has such a horizon."""
-    _, records = evaluate_with_lags(tmp_path, "w", {"1": 2, "5": 6}, "TVEWD,TVAR,HAR", 120, "1,5")
+    _, records = evaluate_with_lags(tmp_path, "w", {"1": 2, "5": 6}, "TVEWD,TVAR,HAR", 120, "1,5", J=3, N=4)
     table = capsys.readouterr().out
     counts = Counter((model, int(h)) for _, _, h, model, _ in (r.split(",") for r in records[1:]))
     assert (counts["TVAR", 1], counts["TVAR", 5]) == (40, 0)
+    assert (counts["TVEWD", 1], counts["TVEWD", 5]) == (40, 0)
     assert (counts["HAR", 1], counts["HAR", 5]) == (40, 36)
     too_short = "EstimationError: series too short: 120 observations for p=6 (need more than 140)"
     failures = [line.strip() for line in table.split("failures:\n")[1].split("\n\n")[0].splitlines()]
     # the p = 6 group has no horizon at the last 4 of the 40 origins, so it
     # is neither fitted nor counted there
-    assert failures == [
-        f"[36x] TVAR: {too_short}",
-        "[40x] TVEWD: EstimationError: only 0 usable rows for 7 scale weights; "
-        "window too short for the configured decomposition depth",
-        f"[36x] TVEWD: {too_short}",
-    ]
+    assert failures == [f"[36x] TVAR: {too_short}", f"[36x] TVEWD: {too_short}"]
 
 
 @pytest.mark.parametrize("max_origins", [0, -3])
@@ -1047,6 +1088,9 @@ EVALUATE_ERRORS = {
     "repeated model": (["--models", "HAR,HAR", "--benchmark", "HAR"], None, "duplicate model names: ['HAR', 'HAR']"),
     "window beyond series": (
         ["--window", "830"], None, "series of 830 observations cannot support window 830 with horizons (1, 5, 22)"
+    ),
+    "window short for the scale depth": (
+        ["--window", "100"], None, "TVEWD: window 100 is too short for p=1 at J=7, N=4; it needs at least 519"
     ),
     "text jobs": ([], {"jobs": "abc"}, "jobs must be an integer, got 'abc'"),
     "integral float jobs": ([], {"jobs": 2.0}, "jobs must be an integer, got 2.0"),

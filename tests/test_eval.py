@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from tvewd.evaluate import (
     BLOCK_ORIGINS,
     DMResult,
     RollingPlan,
+    check_evaluation,
     dm_test,
     format_report,
     grid_search,
@@ -24,8 +26,10 @@ from tvewd.evaluate import (
     store_report,
 )
 from tvewd.locreg import _MODEL_FAILURES, EstimationError, KernelSpec
-from tvewd.series import VolatilitySeries, business_dates
+from tvewd.series import VolatilitySeries, business_dates, load_series
 from tvewd.wold import MultiscaleConfig
+
+PAPER_SERIES = Path(__file__).parent / "data" / "paper_series.csv"
 
 KERN = KernelSpec("epanechnikov", 0.3)
 
@@ -437,6 +441,34 @@ def test_harness_input_validation():
         with pytest.raises(ValueError, match=f"^jobs must be an integer, got {jobs}$"):
             rolling_evaluate(series, models, plan, benchmark="TVAR", jobs=jobs)
     assert rolling_evaluate(series, models, plan, benchmark="TVAR", jobs=np.int64(1)).n_origins == 40
+
+
+@pytest.mark.parametrize("name", ["TVEWD", "EWD"])
+def test_a_window_too_short_for_the_scale_depth_is_refused(name):
+    """An EWD or TVEWD fit of order p leaves its J scale weights J rows with
+    a full H-lag shock history only if window >= H + p + J - 1: at J = 7,
+    N = 4 (H = 512) that is 519 for p = 1 and 524 for p = 6.  One
+    observation less fails every origin, so the harness refuses it before
+    any fit, naming the largest order."""
+    series = load_series(str(PAPER_SERIES))
+    for p, largest, need in ((1, 1, 519), ({1: 2, 5: 6}, 6, 524)):
+        spec = ModelSpec(name=name, p=p, kernel=KERN)
+        check_evaluation(len(series), [spec], RollingPlan(window=need, horizons=(1, 5)), name, 1)
+        message = f"^{name}: window {need - 1} is too short for p={largest} at J=7, N=4; it needs at least {need}$"
+        with pytest.raises(ValueError, match=message):
+            check_evaluation(len(series), [spec], RollingPlan(window=need - 1, horizons=(1, 5)), name, 1)
+    # the bound is where the forecast starts to fail
+    spec = ModelSpec(name=name, kernel=KERN)
+    assert sorted(spec.forecast_all(series.values[:519], (1,))) == [1]
+    with pytest.raises(EstimationError, match="^only 6 usable rows for 7 scale weights"):
+        spec.forecast_all(series.values[:518], (1,))
+    plan = RollingPlan(window=100, horizons=(1,))
+    models = [ModelSpec(name="HAR"), ModelSpec(name=name, kernel=KERN)]
+    with pytest.raises(ValueError, match="needs at least 519$"):
+        rolling_evaluate(series, models, plan, benchmark="HAR")
+    with pytest.raises(ValueError, match="needs at least 519$"):
+        grid_search(series, models, plan, horizon=1)
+    check_evaluation(len(series), models[:1] + [ModelSpec(name="TVAR", kernel=KERN)], plan, "HAR", 1)
 
 
 def test_records_carry_realized_targets_and_horizon_filter():
