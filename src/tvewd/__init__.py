@@ -31,13 +31,7 @@ from .evaluate import (
     rolling_evaluate,
     significance_marks,
 )
-from .forecast import (
-    ForecastPoint,
-    ScaleWeights,
-    estimate_weights,
-    forecast_scale,
-    tvewd_forecast,
-)
+from .forecast import ScaleWeights, estimate_weights, forecast_scale
 from .locreg import (
     EstimationError,
     KernelSpec,

@@ -8,8 +8,8 @@ Models (names match the forecast CSV contract):
     EWD    time-invariant multiscale pipeline on a global OLS AR(p) fit
     TVEWD  the full time-varying multiscale pipeline
 
-Every model consumes one in-sample window and emits point forecasts for the
-requested horizons.  The rolling evaluation harness drives them through
+Every model consumes one in-sample window and emits one `{h: value}` map of
+point forecasts for the requested horizons.  The rolling evaluation harness drives them through
 `ModelSpec.forecast_all`, one stack of windows per call.
 """
 
@@ -36,6 +36,7 @@ from .wold import MultiscaleConfig, ar_to_ma
 
 __all__ = [
     "MODEL_NAMES",
+    "AR_MODELS",
     "ModelSpec",
     "har_terms",
     "har_fit_forecast",
@@ -45,6 +46,8 @@ __all__ = [
 ]
 
 MODEL_NAMES = ("HAR", "TVHAR", "TVAR", "EWD", "TVEWD")
+# The models that read an AR order; HAR and TVHAR are direct h-step regressions.
+AR_MODELS = ("TVAR", "EWD", "TVEWD")
 HAR_LAGS = (1, 5, 22)
 
 
@@ -173,10 +176,9 @@ def ewd_static_forecast(
     line, _ = _checked_lstsq(np.column_stack([np.ones(T), tau]), values, "singular trend design")
     trend_curve = line[0] + line[1] * tau
     alpha = ar_to_ma(coef[1:], scales.H)
-    points = _multiscale_points(
+    return _multiscale_points(
         alpha, residuals, values[p:] - trend_curve[p:], float(trend_curve[-1]), scales, horizons
     )
-    return {pt.horizon: pt.value for pt in points}
 
 
 @dataclass(frozen=True)
@@ -217,7 +219,7 @@ class ModelSpec:
         """The requested horizons grouped by fit, in order of first appearance:
         by AR order for TVAR, EWD and TVEWD, and one horizon per group, keyed
         by itself, for HAR and TVHAR."""
-        if self.name in ("HAR", "TVHAR"):
+        if self.name not in AR_MODELS:
             return {h: (h,) for h in horizons}
         orders = dict(self.p) if isinstance(self.p, tuple) else dict.fromkeys(horizons, self.p)
         missing = [h for h in horizons if h not in orders]
@@ -228,8 +230,23 @@ class ModelSpec:
             groups.setdefault(orders[h], []).append(h)
         return {p: tuple(hs) for p, hs in groups.items()}
 
+    def check_window(self, window: int, horizons: tuple[int, ...]) -> None:
+        """Raise ValueError unless `window` leaves every EWD or TVEWD fit at
+        least J rows with a full H-lag shock history: window >= H + p + J - 1
+        for each AR order p of the horizons."""
+        if self.name not in ("EWD", "TVEWD"):
+            return
+        p, (J, N) = max(self.horizon_groups(horizons)), (self.scales.J, self.scales.N)
+        need = self.scales.H + p + J - 1
+        if window < need:
+            raise ValueError(
+                f"{self.display}: window {window} is too short for p={p} at J={J}, N={N}; "
+                f"it needs at least {need}"
+            )
+
     def forecast_all(self, values: np.ndarray, horizons: tuple[int, ...]) -> dict[int, float] | list:
-        """Point forecasts for every horizon from one in-sample window.
+        """Point forecasts for every horizon from one in-sample window, as
+        one `{h: value}` map of Python floats, whatever the model.
 
         The window is fitted once per group of `horizon_groups` (per AR
         order for TVAR, EWD and TVEWD, per horizon for HAR and TVHAR), and
@@ -264,10 +281,7 @@ class ModelSpec:
     def _forecast_order(self, windows: np.ndarray, p: int, horizons: tuple[int, ...]) -> list:
         """Per window: forecasts for one `horizon_groups` group with key p, or the model failure."""
         if self.name == "TVEWD":
-            return [
-                points if isinstance(points, Exception) else {pt.horizon: pt.value for pt in points}
-                for points in tvewd_forecast_window(windows, p, self.kernel, self.scales, horizons)
-            ]
+            return tvewd_forecast_window(windows, p, self.kernel, self.scales, horizons)
         return [_attempt(self._forecast_window, values, p, horizons) for values in windows]
 
     def _forecast_window(self, values: np.ndarray, p: int, horizons: tuple[int, ...]) -> dict:

@@ -179,8 +179,9 @@ def _scales(cfg: dict) -> MultiscaleConfig:
     return MultiscaleConfig(J=cfg["J"], N=cfg["N"])
 
 
-def _lags(cfg: dict, horizons: tuple[int, ...]) -> dict[int, int]:
-    """Per-horizon AR orders: explicit lags map > preset series map (which needs a series) > flat p."""
+def _lags(cfg: dict, horizons: tuple[int, ...], reads_order: bool) -> dict[int, int]:
+    """Per-horizon AR orders: explicit lags map > preset series map > flat p.
+    The series map needs a series only when some model reads an AR order."""
     lags, source = cfg.get("lags"), "lags"
     key = cfg.get("series")
     if lags is None and (key is not None or cfg.get("series_lags") is not None):
@@ -188,12 +189,14 @@ def _lags(cfg: dict, horizons: tuple[int, ...]) -> dict[int, int]:
         if not isinstance(series_lags, dict):
             raise ConfigError(f"series_lags must map series to lag maps, got {series_lags!r}")
         if key is None:
-            raise ConfigError(f"series_lags needs 'series' to pick a lag map; available: {sorted(series_lags)}")
-        if key not in series_lags:
+            if reads_order:
+                raise ConfigError(f"series_lags needs 'series' to pick a lag map; available: {sorted(series_lags)}")
+        elif key not in series_lags:
             raise ConfigError(
                 f"series {key!r} has no lag mapping; available: {sorted(series_lags)}"
             )
-        lags, source = series_lags[key], f"series_lags[{key!r}]"
+        else:
+            lags, source = series_lags[key], f"series_lags[{key!r}]"
     if lags is None:
         return dict.fromkeys(horizons, cfg["p"])
     if not isinstance(lags, dict):
@@ -208,8 +211,9 @@ def _lags(cfg: dict, horizons: tuple[int, ...]) -> dict[int, int]:
 def _model_specs(cfg: dict, names: list[str], horizons: tuple[int, ...]) -> list[benchmarks.ModelSpec]:
     """One ModelSpec per name, sharing the configured lags, kernel and scales;
     a value they refuse is a config error."""
+    reads_order = any(n in benchmarks.AR_MODELS for n in names)
     with _config_values():
-        lags, kernel, scales = _lags(cfg, horizons), _kernel(cfg), _scales(cfg)
+        lags, kernel, scales = _lags(cfg, horizons, reads_order), _kernel(cfg), _scales(cfg)
         return [benchmarks.ModelSpec(name=n, p=lags, kernel=kernel, scales=scales) for n in names]
 
 
@@ -279,6 +283,8 @@ def cmd_forecast(cfg: dict) -> int:
     if plan.window > len(series):
         raise ConfigError(f"window {plan.window} exceeds series length {len(series)}")
     (spec,) = _model_specs(cfg, [name], plan.horizons)
+    with _config_values():
+        spec.check_window(plan.window, plan.horizons)
     values_by_h = spec.forecast_all(series.values[-plan.window:], plan.horizons)
     origin = series.dates[-1]
     rows = [

@@ -217,9 +217,9 @@ def check_evaluation(
 ) -> None:
     """Raise ValueError unless the models' display names are distinct and
     include the benchmark, a series of n_obs observations holds the plan's
-    window plus its shortest horizon, the window leaves every EWD and TVEWD
-    fit at least J rows with a full H-lag shock history (window >=
-    H + p + J - 1 for each AR order p), and jobs is an integer of at least 1."""
+    window plus its shortest horizon, the window is deep enough for every
+    `ModelSpec` (`ModelSpec.check_window`), and jobs is an integer of at
+    least 1."""
     names = [m.display for m in models]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate model names: {names}")
@@ -231,14 +231,8 @@ def check_evaluation(
             f"with horizons {plan.horizons}"
         )
     for m in models:
-        if isinstance(m, ModelSpec) and m.name in ("EWD", "TVEWD"):
-            p, (J, N) = max(m.horizon_groups(plan.horizons)), (m.scales.J, m.scales.N)
-            need = m.scales.H + p + J - 1
-            if plan.window < need:
-                raise ValueError(
-                    f"{m.display}: window {plan.window} is too short for p={p} at J={J}, N={N}; "
-                    f"it needs at least {need}"
-                )
+        if isinstance(m, ModelSpec):  # duck-typed models are not checked
+            m.check_window(plan.window, plan.horizons)
     _check_integer(jobs, "jobs")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")

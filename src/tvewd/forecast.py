@@ -1,13 +1,14 @@
 """Multiscale h-step forecasting from a time-varying decomposition.
 
-The point forecast combines three ingredients estimated on the in-sample
-window: the local level (trend) of the series at the right boundary u = 1,
-per-scale forecasts that propagate observed scale innovations through the
-boundary beta coefficients, and scale weights from a no-intercept
-regression of the centered series on its per-scale components.  Scale innovations dated after
-the forecast origin are unobservable and contribute zero, so each scale's
-forecast uses only translates k with k * 2^j >= h; the low-pass component
-is excluded from the combination.
+A window's forecast is one `{h: value}` map, as for every model.  Each
+value combines three ingredients estimated on the in-sample window: the
+local level (trend) of the series at the right boundary u = 1, per-scale
+forecasts that propagate observed scale innovations through the boundary
+beta coefficients, and scale weights from a no-intercept regression of the
+centered series on its per-scale components.  Scale innovations dated
+after the forecast origin are unobservable and contribute zero, so each
+scale's forecast uses only translates k with k * 2^j >= h; the low-pass
+component is excluded from the combination.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .locreg import (
     fit_tvp_ar,
     local_level,
 )
-from .series import VolatilitySeries, format_value, write_csv
+from .series import format_value, write_csv
 from .wold import (
     MultiscaleConfig,
     ar_to_ma,
@@ -37,11 +38,9 @@ from .wold import (
 
 __all__ = [
     "ScaleWeights",
-    "ForecastPoint",
     "estimate_weights",
     "forecast_scale",
     "combine_forecast",
-    "tvewd_forecast",
     "tvewd_forecast_window",
     "store_forecasts",
 ]
@@ -58,23 +57,6 @@ class ScaleWeights:
     r2: float
     cond: float
     n_rows: int
-
-
-@dataclass
-class ForecastPoint:
-    """One h-step-ahead forecast with its exact bookkeeping breakdown.
-
-    value == trend + sum(weights * scale_parts) with that exact expression,
-    so the combination is reproducible bit for bit from the stored parts.
-    """
-
-    horizon: int
-    value: float
-    trend: float
-    scale_parts: np.ndarray
-    weights: np.ndarray
-    origin_date: str | None = None
-    target_date: str | None = None
 
 
 def estimate_weights(centered: np.ndarray, components: list[np.ndarray]) -> ScaleWeights:
@@ -142,15 +124,17 @@ def _multiscale_points(
     trend: float,
     scales: MultiscaleConfig,
     horizons: tuple[int, ...],
-) -> list[ForecastPoint]:
-    """The multiscale chain shared by TVEWD and its time-invariant case EWD.
+) -> dict[int, float]:
+    """The multiscale chain shared by TVEWD and its time-invariant case EWD:
+    the forecast of each horizon, as `{h: value}`.
 
     `centered` holds the centred values of the trailing rows of `residuals`,
     and `alpha` their MA weights: one (H+1,) row per centred value, or one
     row for all of them, whose Haar coefficients are then broadcast.  The
     scale innovations are built from every residual.  `trend` is the level
     at u = 1.  The scale weights are estimated once; each horizon forecasts
-    every scale from its boundary betas and combines them with the trend.
+    every scale from its boundary betas and combines them with the trend
+    (`combine_forecast`).
     """
     betas, gamma = haar_coefficients(alpha, scales)
     if alpha.ndim == 1:
@@ -159,25 +143,14 @@ def _multiscale_points(
         betas = [np.broadcast_to(b, (rows, len(b))) for b in betas]
     innovations, low_pass = haar_innovations(residuals, scales.J)
     components, _ = scale_components(betas, gamma, innovations, low_pass, scales)
-    weights = estimate_weights(centered, components)
-    points = []
+    weights = estimate_weights(centered, components).weights
+    forecasts = {}
     for h in horizons:
         parts = np.array(
-            [
-                forecast_scale(betas[j - 1][-1], innovations[j - 1], j, h)
-                for j in range(1, scales.J + 1)
-            ]
+            [forecast_scale(betas[j - 1][-1], innovations[j - 1], j, h) for j in range(1, scales.J + 1)]
         )
-        points.append(
-            ForecastPoint(
-                horizon=h,
-                value=combine_forecast(trend, weights.weights, parts),
-                trend=trend,
-                scale_parts=parts,
-                weights=weights.weights.copy(),
-            )
-        )
-    return points
+        forecasts[h] = combine_forecast(trend, weights, parts)
+    return forecasts
 
 
 def tvewd_forecast_window(
@@ -186,8 +159,9 @@ def tvewd_forecast_window(
     kernel: KernelSpec,
     scales: MultiscaleConfig,
     horizons: tuple[int, ...],
-) -> list:
-    """Forecast several horizons from one window fitted as a TVP-AR(p).
+) -> dict[int, float] | list:
+    """Forecast several horizons from one window fitted as a TVP-AR(p), as
+    `{h: value}`.
 
     Only the rows the forecast reads are decomposed and levelled: residual
     rows from `first_full_row` on, the first with a full shock history, to
@@ -199,9 +173,9 @@ def tvewd_forecast_window(
     `values` may also be a (B, n) stack of windows of one length.  The
     stack is fitted and levelled in one call each, which builds the kernel
     weights once for all windows; each window is then decomposed and
-    weighted on its own.  The result holds, per window, its list of points
-    or the model failure that window raised, bit for bit what a one-window
-    call returns or raises.
+    weighted on its own.  The result holds, per window, its `{h: value}`
+    map or the model failure that window raised, bit for bit what a
+    one-window call returns or raises.
     """
     values = np.asarray(values, dtype=float)
     stack = values.reshape(-1, values.shape[-1])  # one window is a stack of one
@@ -214,35 +188,17 @@ def tvewd_forecast_window(
     except _MODEL_FAILURES as exc:  # preconditions on n, which fail every window
         fits = levels = [exc] * len(stack)
 
-    def points(window, fit, level):
+    def forecasts(window, fit, level):
         alpha = ar_to_ma(fit.phi[start:, 1:], scales.H)
         return _multiscale_points(
             alpha, fit.residuals, window[first:] - level, float(level[-1]), scales, horizons
         )
 
     results = [
-        fit if isinstance(fit, Exception) else _attempt(points, window, fit, level)
+        fit if isinstance(fit, Exception) else _attempt(forecasts, window, fit, level)
         for window, fit, level in zip(stack, fits, levels)
     ]
     return results if values.ndim == 2 else _single(results)
-
-
-def tvewd_forecast(
-    series, p: int, kernel: KernelSpec, scales: MultiscaleConfig, horizon: int = 1
-) -> ForecastPoint:
-    """One h-step-ahead forecast from the end of the given series."""
-    if isinstance(series, VolatilitySeries):
-        values = series.values
-        origin = str(series.dates[-1])
-        target = str(np.busday_offset(series.dates[-1], horizon, roll="forward"))
-    else:
-        values = np.asarray(series, dtype=float)
-        origin = None
-        target = None
-    point = tvewd_forecast_window(values, p, kernel, scales, (horizon,))[0]
-    point.origin_date = origin
-    point.target_date = target
-    return point
 
 
 def store_forecasts(rows: list[tuple[str, str, int, str, float]], path: str) -> None:

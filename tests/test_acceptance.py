@@ -281,7 +281,7 @@ def test_criterion_07_nesting_checks():
         ("local level == global straight line in tau",
          _gap(local_level(fit.values, fit.kernel), trend_line), 1e-8),
         ("TVEWD forecasts == pipeline on the linear-in-u fit",
-         _gap([pt.value for pt in points], on_linear), 1e-6),
+         _gap(list(points.values()), on_linear), 1e-6),
         ("EWD forecasts == pipeline on the global OLS AR(1)",
          _gap([static[h] for h in horizons], on_ols), 1e-6),
     ]

@@ -221,9 +221,9 @@ def test_static_pipeline_close_to_time_varying_on_stable_process():
     for seed in range(6):
         v = ar1_path(0.6, 400, seed=900 + seed, level=10.0)
         ewd = ewd_static_forecast(v, 1, SCALES, (1, 5, 22))
-        points = tvewd_forecast_window(v, 1, KERN, SCALES, (1, 5, 22))
-        for pt in points:
-            assert abs(ewd[pt.horizon] - pt.value) < 1.0
+        tvewd = tvewd_forecast_window(v, 1, KERN, SCALES, (1, 5, 22))
+        for h, value in tvewd.items():
+            assert abs(ewd[h] - value) < 1.0
 
 
 def test_static_pipeline_on_white_noise_stays_at_level():
@@ -307,10 +307,9 @@ def test_model_spec_dispatch_matches_direct_calls():
     assert ModelSpec(name="EWD", p=1, scales=SCALES).forecast_all(
         v, horizons
     ) == ewd_static_forecast(v, 1, SCALES, horizons)
-    points = tvewd_forecast_window(v, 1, KERN, SCALES, horizons)
     assert ModelSpec(name="TVEWD", p=1, kernel=KERN, scales=SCALES).forecast_all(
         v, horizons
-    ) == {pt.horizon: pt.value for pt in points}
+    ) == tvewd_forecast_window(v, 1, KERN, SCALES, horizons)
 
 
 def test_models_do_not_mutate_input_window():

@@ -620,6 +620,7 @@ def test_forecast_command_matches_library(tmp_path, capsys):
     for line, h in zip(lines[1:], (1, 5)):
         cells = line.split(",")
         assert cells[0] == str(series.dates[-1])
+        assert cells[1] == str(np.busday_offset(series.dates[-1], h, roll="forward"))
         assert cells[2] == str(h)
         assert cells[3] == "TVEWD"
         assert float(cells[4]) == spec.forecast_all(window, (h,))[h]
@@ -669,6 +670,46 @@ def test_explicit_lags_beat_a_preset_without_series(tmp_path):
         assert main(argv + preset) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["forecast", "--model", "HAR"], ["forecast", "--model", "TVHAR"],
+     ["evaluate", "--models", "HAR,TVHAR", "--benchmark", "HAR"]],
+    ids=["forecast-HAR", "forecast-TVHAR", "evaluate-HAR,TVHAR"],
+)
+def test_a_preset_needs_no_series_where_no_model_reads_an_ar_order(tmp_path, capsys, argv):
+    """HAR and TVHAR read no AR order, so a preset's lag maps need no series
+    to pick one: the run writes the bytes of the same run without the preset."""
+    (tmp_path / "cfg.json").write_text(json.dumps({"max_origins": 5} if argv[0] == "evaluate" else {}))
+    outputs = []
+    for preset in ([], ["--preset", "period-2010"]):
+        out = tmp_path / f"out{len(outputs)}.csv"
+        common = ["--input", str(PAPER_SERIES), "--output", str(out), "--config", str(tmp_path / "cfg.json")]
+        assert main(argv[:1] + common + argv[1:] + preset) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("model, p", [("TVEWD", 1), ("EWD", 1), ("TVEWD", 6)])
+def test_forecast_refuses_a_window_too_short_for_the_scale_depth(tmp_path, capsys, model, p):
+    """`tvewd forecast` applies the depth rule of `tvewd evaluate`, with its
+    message, and writes nothing; one more observation forecasts."""
+    need = 512 + p + 7 - 1  # H + p + J - 1 at J = 7, N = 4
+    window = need - 1
+    records = []
+    for argv in (["forecast", "--model", model], ["evaluate", "--models", model, "--benchmark", model]):
+        out = tmp_path / "out.csv"
+        argv += ["--input", str(PAPER_SERIES), "--output", str(out), "--window", str(window), "--p", str(p)]
+        assert main(argv) == 2
+        records.append(json.loads(capsys.readouterr().err))
+        assert not out.exists()
+    message = f"{model}: window {window} is too short for p={p} at J=7, N=4; it needs at least {need}"
+    assert records == [{"error": "config", "message": message}] * 2
+    argv = ["forecast", "--model", model, "--input", str(PAPER_SERIES), "--output", str(out),
+            "--window", str(need), "--p", str(p), "--horizon", "1"]
+    assert main(argv) == 0
+    assert len(out.read_text().splitlines()) == 2
 
 
 @pytest.mark.parametrize("model", ["TVEWD", "EWD", "TVAR", "HAR", "TVHAR"])
@@ -1066,6 +1107,9 @@ PLAN_ERRORS = {
         "series_lags needs 'series' to pick a lag map; available: ['HU']",
     ),
     "zero depth": ([], {"J": 0}, "J must be >= 1, got 0"),
+    "window short for the scale depth": (
+        ["--window", "100"], None, "TVEWD: window 100 is too short for p=1 at J=7, N=4; it needs at least 519"
+    ),
     "fractional window": ([], {"window": 100.7}, "window must be an integer, got 100.7"),
     "fractional horizon": ([], {"horizons": [1.5, 5]}, "horizon must be an integer, got 1.5"),
     "fractional horizon flag": (["--horizon", "1,1.5"], None, "invalid literal for int() with base 10: '1.5'"),
@@ -1088,9 +1132,6 @@ EVALUATE_ERRORS = {
     "repeated model": (["--models", "HAR,HAR", "--benchmark", "HAR"], None, "duplicate model names: ['HAR', 'HAR']"),
     "window beyond series": (
         ["--window", "830"], None, "series of 830 observations cannot support window 830 with horizons (1, 5, 22)"
-    ),
-    "window short for the scale depth": (
-        ["--window", "100"], None, "TVEWD: window 100 is too short for p=1 at J=7, N=4; it needs at least 519"
     ),
     "text jobs": ([], {"jobs": "abc"}, "jobs must be an integer, got 'abc'"),
     "integral float jobs": ([], {"jobs": 2.0}, "jobs must be an integer, got 2.0"),

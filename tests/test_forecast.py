@@ -1,4 +1,5 @@
-"""Multiscale forecasting tests: scale weights, per-scale sums, combination."""
+"""Multiscale forecasting tests: scale weights, per-scale sums, combination,
+and the `{h: float}` window forecast every model returns."""
 
 import math
 
@@ -7,15 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvewd.benchmarks import MODEL_NAMES, ModelSpec, ewd_static_forecast
 from tvewd.forecast import (
     estimate_weights,
     combine_forecast,
     forecast_scale,
     store_forecasts,
-    tvewd_forecast,
     tvewd_forecast_window,
 )
-from tvewd.locreg import EstimationError, KernelSpec, TvpArFit, fit_tvp_ar, local_level
+from tvewd.locreg import EstimationError, KernelSpec, TvpArFit, local_level
 from tvewd.series import VolatilitySeries, business_dates
 from tvewd.wold import MultiscaleConfig, decompose
 
@@ -198,10 +199,11 @@ def test_forecast_scale_horizon_validated():
 # ---------------------------------------------------------------------------
 
 def test_trend_is_boundary_level():
+    """The trend is the local level at u = 1; that the forecast adds exactly
+    this level is pinned bit for bit by the full-route oracles
+    (`test_wold.py::test_trailing_row_forecasts_equal_full_row_route`)."""
     v, _ = ar1_path(0.5, 500, seed=60, level=12.0)
-    fit = fit_tvp_ar(v, 1, KERNEL)
-    level = local_level(fit.values, fit.kernel)[-1]
-    assert tvewd_forecast(v, 1, KERNEL, SCALES).trend == level
+    level = local_level(v, KERNEL)[-1]
     assert level == pytest.approx(12.0, abs=1.5)
 
 
@@ -211,32 +213,53 @@ def test_combine_forecast_is_exact_bookkeeping():
     assert combine_forecast(5.0, w, parts) == 5.0 + float(np.sum(w * parts))
 
 
-def test_forecast_points_reproducible_from_parts():
-    v, _ = ar1_path(0.6, 420, seed=61, level=8.0)
-    points = tvewd_forecast_window(v, 1, KERNEL, SCALES, (1, 5, 22))
-    trends = {pt.trend for pt in points}
-    assert len(trends) == 1  # trend identical across horizons from one window
-    for pt in points:
-        assert pt.value == combine_forecast(pt.trend, pt.weights, pt.scale_parts)
-
-
 def test_forecast_deterministic():
     v, _ = ar1_path(0.6, 400, seed=62)
     a = tvewd_forecast_window(v, 1, KERNEL, SCALES, (1, 22))
     b = tvewd_forecast_window(v.copy(), 1, KERNEL, SCALES, (1, 22))
-    for x, y in zip(a, b):
-        assert x.value == y.value
-        np.testing.assert_array_equal(x.scale_parts, y.scale_parts)
-        np.testing.assert_array_equal(x.weights, y.weights)
+    assert {h: x.hex() for h, x in a.items()} == {h: y.hex() for h, y in b.items()}
 
 
-def test_forecast_series_carries_origin_date():
-    v, _ = ar1_path(0.5, 400, seed=63, level=10.0)
-    series = VolatilitySeries(business_dates("2015-01-05", 400), v, label="X")
-    pt = tvewd_forecast(series, 1, KERNEL, SCALES, horizon=5)
-    assert pt.origin_date == str(series.dates[-1])
-    assert pt.horizon == 5
-    assert math.isfinite(pt.value)
+def forecast_windows(seed=66, T=301, B=2):
+    """B consecutive windows of length T - B + 1 from one AR(1) path, as a stack."""
+    v, _ = ar1_path(0.5, T, seed=seed, level=10.0)
+    return np.lib.stride_tricks.sliding_window_view(v, T - B + 1)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_every_model_forecasts_one_float_per_horizon(name):
+    """A window's forecast is `{h: float}` for every model, alone or as an
+    entry of a stack; the window is deep enough for EWD and TVEWD at J = 5."""
+    horizons = (1, 5, 22)
+    stack = forecast_windows()
+    spec = ModelSpec(name, p=1, kernel=KERNEL, scales=SCALES)
+    spec.check_window(stack.shape[1], horizons)
+    forecasts = spec.forecast_all(stack[-1], horizons)
+    assert type(forecasts) is dict and list(forecasts) == list(horizons)
+    assert all(type(value) is float and math.isfinite(value) for value in forecasts.values())
+    pairs = spec.forecast_all(stack, horizons)
+    assert len(pairs) == len(stack)
+    for window, (got, failures) in zip(stack, pairs):
+        assert failures == []
+        assert type(got) is dict and list(got) == list(horizons)
+        assert all(type(value) is float for value in got.values())
+        assert got == spec.forecast_all(window, horizons)
+
+
+def test_the_multiscale_chain_returns_one_float_per_horizon():
+    """TVEWD's window route and EWD's static route return `{h: float}` with
+    no conversion left to their caller, one map per window of a stack."""
+    horizons = (1, 5, 22)
+    stack = forecast_windows()
+    results = [
+        *tvewd_forecast_window(stack, 1, KERNEL, SCALES, horizons),
+        tvewd_forecast_window(stack[0], 1, KERNEL, SCALES, horizons),
+        ewd_static_forecast(stack[0], 1, SCALES, horizons),
+    ]
+    for forecasts in results:
+        assert type(forecasts) is dict and list(forecasts) == list(horizons)
+        assert all(type(value) is float for value in forecasts.values())
+    assert results[0] == results[2]
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +270,8 @@ def test_white_noise_forecasts_stay_at_level():
     for seed in range(6):
         rng = np.random.default_rng(500 + seed)
         w = 10.0 + rng.standard_normal(400)
-        for pt in tvewd_forecast_window(w, 1, KERNEL, SCALES, (1, 5, 22)):
-            assert abs(pt.value - 10.0) < 0.5
+        for value in tvewd_forecast_window(w, 1, KERNEL, SCALES, (1, 5, 22)).values():
+            assert abs(value - 10.0) < 0.5
 
 
 def test_ar1_one_step_accuracy_band():
@@ -264,7 +287,7 @@ def test_ar1_one_step_accuracy_band():
     errs_model, errs_opt = [], []
     for origin in range(300):
         T0 = 400 + origin
-        f = tvewd_forecast_window(v[T0 - 400 : T0], 1, KERNEL, SCALES, (1,))[0].value
+        f = tvewd_forecast_window(v[T0 - 400 : T0], 1, KERNEL, SCALES, (1,))[1]
         errs_model.append(v[T0] - f)
         errs_opt.append(v[T0] - 0.5 * v[T0 - 1])
     ratio = float(
@@ -278,8 +301,8 @@ def test_error_grows_with_horizon_on_persistent_series():
     errs = {1: [], 22: []}
     for origin in range(120):
         T0 = 300 + origin
-        for pt in tvewd_forecast_window(v[T0 - 300 : T0], 1, KERNEL, SCALES, (1, 22)):
-            errs[pt.horizon].append(v[T0 + pt.horizon - 1] - pt.value)
+        for h, value in tvewd_forecast_window(v[T0 - 300 : T0], 1, KERNEL, SCALES, (1, 22)).items():
+            errs[h].append(v[T0 + h - 1] - value)
     rmse1 = float(np.sqrt(np.mean(np.square(errs[1]))))
     rmse22 = float(np.sqrt(np.mean(np.square(errs[22]))))
     assert rmse22 > rmse1
@@ -287,9 +310,8 @@ def test_error_grows_with_horizon_on_persistent_series():
 
 def test_minimal_depth_configuration_runs():
     v, _ = ar1_path(0.5, 150, seed=64, level=5.0)
-    pt = tvewd_forecast_window(v, 1, KERNEL, MultiscaleConfig(J=1, N=1), (1,))[0]
-    assert math.isfinite(pt.value)
-    assert pt.scale_parts.shape == (1,)
+    forecasts = tvewd_forecast_window(v, 1, KERNEL, MultiscaleConfig(J=1, N=1), (1,))
+    assert list(forecasts) == [1] and math.isfinite(forecasts[1])
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +321,11 @@ def test_minimal_depth_configuration_runs():
 def test_store_forecasts(tmp_path):
     v, _ = ar1_path(0.5, 400, seed=65, level=10.0)
     series = VolatilitySeries(business_dates("2015-01-05", 400), v, label="X")
-    points = [tvewd_forecast(series, 1, KERNEL, SCALES, horizon=h) for h in (1, 5)]
+    forecasts = ModelSpec("TVEWD", p=1, kernel=KERNEL, scales=SCALES).forecast_all(v, (1, 5))
+    origin = series.dates[-1]
+    targets = {h: np.busday_offset(origin, h, roll="forward") for h in forecasts}
     path = str(tmp_path / "fc.csv")
-    store_forecasts([(pt.origin_date, pt.target_date, pt.horizon, "TVEWD", pt.value) for pt in points], path)
+    store_forecasts([(str(origin), str(targets[h]), h, "TVEWD", value) for h, value in forecasts.items()], path)
     with open(path) as fh:
         lines = fh.read().splitlines()
     assert lines[0] == "origin_date,target_date,h,model,forecast"
@@ -311,9 +335,6 @@ def test_store_forecasts(tmp_path):
     assert cells[1] == str(np.busday_offset(series.dates[-1], 1, roll="forward"))
     assert cells[2] == "1"
     assert cells[3] == "TVEWD"
-    assert float(cells[4]) == points[0].value
+    assert float(cells[4]) == forecasts[1]
     # horizon 5 lands one business week after the origin
     assert lines[2].split(",")[1] == str(np.busday_offset(series.dates[-1], 5, roll="forward"))
-    # forecasts from a bare array carry no dates
-    bare = tvewd_forecast(v, 1, KERNEL, SCALES, horizon=1)
-    assert bare.origin_date is None and bare.target_date is None

@@ -1,5 +1,6 @@
 """Lint: every module of the package uses what it imports, defines what
-it exports, and reads every parameter its functions take.
+it exports, and reads every parameter its functions take; the README names
+only what the package defines.
 
 No linter ships with the test dependencies, so this reads each module with
 the standard-library `ast`.  Package `__init__.py` files only re-export, and
@@ -8,6 +9,7 @@ a name listed in a module's `__all__` counts as used.
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -149,3 +151,33 @@ def test_package_reexports_only_public_names():
     assert imports
     public = {module: set(importlib.import_module(f"tvewd.{module}").__all__) for module, _ in imports}
     assert [f"{module}.{name}" for module, name in imports if name not in public[module]] == []
+
+
+README = PACKAGE.parent.parent / "README.md"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("__"))
+
+
+def readme_names(text: str) -> list[tuple[str, str]]:
+    """(module, name) for every name a `from tvewd... import` line imports,
+    and for every backticked `module.name` or `tvewd.module.name` whose
+    module is one of the package's."""
+    names = []
+    for module, imported in re.findall(r"^from (tvewd(?:\.\w+)*) import (.+)$", text, re.MULTILINE):
+        names += [(module, alias.split(" as ")[0].strip()) for alias in imported.split(",")]
+    pattern = rf"`(?:tvewd\.)?({'|'.join(MODULES)})\.([A-Za-z_]\w*)"
+    return names + [(f"tvewd.{module}", name) for module, name in re.findall(pattern, text)]
+
+
+def test_the_check_reads_readme_names():
+    text = "from tvewd.wold import a, b as c\n`tvewd.cli.OPTIONS` and `rv.X(1)`, `tvewd.series`, `ModelSpec.p`\n"
+    assert readme_names(text) == [
+        ("tvewd.wold", "a"), ("tvewd.wold", "b"), ("tvewd.cli", "OPTIONS"), ("tvewd.rv", "X")
+    ]
+
+
+def test_readme_names_only_what_the_package_defines():
+    """The quickstart's imports and the README's `module.name` references resolve."""
+    names = readme_names(README.read_text(encoding="utf-8"))
+    assert len(names) > 6
+    missing = [f"{module}.{name}" for module, name in names if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
