@@ -9,8 +9,13 @@ Models (names match the forecast CSV contract):
     TVEWD  the full time-varying multiscale pipeline
 
 Every model consumes one in-sample window and emits one `{h: value}` map of
-point forecasts for the requested horizons.  The rolling evaluation harness drives them through
-`ModelSpec.forecast_all`, one stack of windows per call.
+point forecasts for the requested horizons.  The rolling evaluation harness
+drives them through `ModelSpec.forecast_all`, one stack of windows per call.
+TVEWD, EWD and TVHAR take the stack whole: the work that does not depend
+on a window's values (kernel weights, active sets, translate plans) is done
+once, and the work that does runs on the whole stack or on slices of it,
+down to the least-squares solves, which stay one per window.  HAR and TVAR
+run window by window.
 """
 
 from __future__ import annotations
@@ -22,17 +27,19 @@ import numpy as np
 
 from .forecast import _multiscale_points, tvewd_forecast_window
 from .locreg import (
+    _MODEL_FAILURES,
     EstimationError,
     KernelSpec,
     _attempt,
     _checked_lstsq,
     _design,
+    _single,
     boundary_fit,
     local_level,
     local_linear,
 )
 from .series import _check_integer
-from .wold import MultiscaleConfig, ar_to_ma
+from .wold import MultiscaleConfig
 
 __all__ = [
     "MODEL_NAMES",
@@ -51,44 +58,50 @@ AR_MODELS = ("TVAR", "EWD", "TVEWD")
 HAR_LAGS = (1, 5, 22)
 
 
-def har_terms(values: np.ndarray, t: int) -> tuple[float, float, float]:
+def har_terms(values: np.ndarray, t: int) -> tuple:
     """Daily, weekly and monthly terms at 1-based time t (t >= 22).
 
     daily = v_t, weekly = mean(v_{t-4..t}), monthly = mean(v_{t-21..t}).
+    A (B, n) stack of windows gives each term as a (B,) array.
     """
     values = np.asarray(values, dtype=float)
     if t < HAR_LAGS[2]:
         raise ValueError(f"need t >= {HAR_LAGS[2]}, got t={t}")
-    if t > len(values):
-        raise ValueError(f"t={t} beyond series length {len(values)}")
+    if t > values.shape[-1]:
+        raise ValueError(f"t={t} beyond series length {values.shape[-1]}")
     _, week, month = HAR_LAGS
-    daily = float(values[t - 1])
-    weekly = float(np.mean(values[t - week : t]))
-    monthly = float(np.mean(values[t - month : t]))
+    daily = values[..., t - 1]
+    weekly = np.mean(values[..., t - week : t], axis=-1)
+    monthly = np.mean(values[..., t - month : t], axis=-1)
+    if values.ndim == 1:
+        return float(daily), float(weekly), float(monthly)
     return daily, weekly, monthly
 
 
 def _har_design(values: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Direct h-step design: y = v_{t+h}, rows t = 22..T-h (1-based)."""
-    T = len(values)
-    if T - h < HAR_LAGS[2]:
-        raise EstimationError(f"window of {T} observations too short for horizon {h}")
-    t_idx = np.arange(HAR_LAGS[2] - 1, T - h)  # 0-based predictor rows
+    """Direct h-step design: y = v_{t+h}, rows t = 22..T-h (1-based), of one
+    window, or of each window of a (B, T) stack."""
+    T = values.shape[-1]
     _, week, month = HAR_LAGS
-    daily = values[t_idx]
-    csum = np.concatenate(([0.0], np.cumsum(values)))
-    weekly = (csum[t_idx + 1] - csum[t_idx + 1 - week]) / float(week)
-    monthly = (csum[t_idx + 1] - csum[t_idx + 1 - month]) / float(month)
-    X = np.column_stack([np.ones(len(t_idx)), daily, weekly, monthly])
-    y = values[t_idx + h]
-    tau = (t_idx + 1).astype(float) / T
+    first = month  # the first row with a full monthly term
+    if T - h < first:
+        raise EstimationError(f"window of {T} observations too short for horizon {h}")
+    last = T - h  # predictor rows t = first..last
+    csum = np.concatenate((np.zeros(values.shape[:-1] + (1,)), np.cumsum(values, axis=-1)), axis=-1)
+    total = csum[..., first : last + 1]  # v_1 + ... + v_t
+    weekly = (total - csum[..., first - week : last + 1 - week]) / float(week)
+    monthly = (total - csum[..., first - month : last + 1 - month]) / float(month)
+    daily = values[..., first - 1 : last]
+    X = np.stack([np.ones(daily.shape), daily, weekly, monthly], axis=-1)
+    y = values[..., first - 1 + h :]
+    tau = np.arange(first, last + 1, dtype=float) / T
     return y, X, tau
 
 
 def _check_har_window(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
-    if len(values) < 100:
-        raise EstimationError(f"HAR window must hold at least 100 observations, got {len(values)}")
+    if values.shape[-1] < 100:
+        raise EstimationError(f"HAR window must hold at least 100 observations, got {values.shape[-1]}")
     return values
 
 
@@ -104,7 +117,7 @@ def har_fit_forecast(values: np.ndarray, h: int) -> tuple[float, np.ndarray]:
     return float(x_T @ coef), coef
 
 
-def tvhar_fit_forecast(values: np.ndarray, h: int, kernel: KernelSpec) -> tuple[float, np.ndarray]:
+def tvhar_fit_forecast(values: np.ndarray, h: int, kernel: KernelSpec) -> tuple[float, np.ndarray] | list:
     """Time-varying HAR: boundary (u = 1) local linear fit of the HAR design.
 
     With a uniform kernel at bandwidth 1 every weight is equal, so the
@@ -114,12 +127,28 @@ def tvhar_fit_forecast(values: np.ndarray, h: int, kernel: KernelSpec) -> tuple[
     slope block of the solve on [X, D]; the forecasts differ by x_T times
     that term.  The two fits coincide only if the sample slopes vanish.
     Acceptance criterion 07 pins this.
+
+    `values` may also be a (B, n) stack of windows of one length.  The
+    designs and the terms at t = T are built for the whole stack and the
+    u = 1 kernel weights once (`local_linear`); each window keeps its own
+    solve and dot product.  The result holds, per window, its (forecast,
+    levels) pair or the model failure it raised, bit for bit what a
+    one-window call returns or raises.
     """
-    values = _check_har_window(values)
-    y, X, tau = _har_design(values, h)
-    levels, _ = local_linear(y, X, tau, 1.0, kernel)
-    x_T = np.array([1.0, *har_terms(values, len(values))])
-    return float(x_T @ levels), levels
+    values = np.asarray(values, dtype=float)
+    stack = values.reshape(-1, values.shape[-1])  # one window is a stack of one
+    try:
+        y, X, tau = _har_design(_check_har_window(stack), h)
+        solves = local_linear(y, X, tau, 1.0, kernel)
+        x_T = np.column_stack([np.ones(len(stack)), *har_terms(stack, stack.shape[1])])
+    except _MODEL_FAILURES as exc:  # checks on the window length, which fail every window
+        results = [exc] * len(stack)
+    else:
+        results = [
+            solve if isinstance(solve, Exception) else (float(x @ solve[0]), solve[0])
+            for x, solve in zip(x_T, solves)
+        ]
+    return results if values.ndim == 2 else _single(results)
 
 
 def tvar_forecast(
@@ -162,23 +191,35 @@ def _ols_ar(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def ewd_static_forecast(
     values: np.ndarray, p: int, scales: MultiscaleConfig, horizons: tuple[int, ...]
-) -> dict[int, float]:
+) -> dict[int, float] | list:
     """Static multiscale pipeline: the multiscale chain TVEWD runs, on the
     MA weights of a global OLS AR(p) fit, inverted once for every row.
 
     The static analog of the local level is the global OLS straight line in
-    rescaled time; centering and the trend forecast use that line.
+    rescaled time; centering and the trend forecast use that line.  As for
+    TVEWD, only the rows from `first_full_row` on are decomposed.
+
+    `values` may also be a (B, n) stack of windows of one length.  Each
+    window fits its OLS row and trend line on its own, and the windows run
+    the multiscale chain together (`_multiscale_points`).  The result
+    holds, per window, its `{h: value}` map or the model failure it raised,
+    bit for bit what a one-window call returns or raises.
     """
     values = np.asarray(values, dtype=float)
-    coef, residuals = _ols_ar(values, p)
-    T = len(values)
+    stack = values.reshape(-1, values.shape[-1])  # one window is a stack of one
+    T = stack.shape[1]
+    first = p + scales.first_full_row(T - p)  # the observation of the first decomposed row
     tau = np.arange(1, T + 1, dtype=float) / T
-    line, _ = _checked_lstsq(np.column_stack([np.ones(T), tau]), values, "singular trend design")
-    trend_curve = line[0] + line[1] * tau
-    alpha = ar_to_ma(coef[1:], scales.H)
-    return _multiscale_points(
-        alpha, residuals, values[p:] - trend_curve[p:], float(trend_curve[-1]), scales, horizons
-    )
+    trend_design = np.column_stack([np.ones(T), tau])
+
+    def chain(window):
+        coef, residuals = _ols_ar(window, p)
+        line, _ = _checked_lstsq(trend_design, window, "singular trend design")
+        trend_curve = line[0] + line[1] * tau
+        return coef[1:], residuals, window[first:] - trend_curve[first:], trend_curve[-1]
+
+    results = _multiscale_points([_attempt(chain, window) for window in stack], scales, horizons)
+    return results if values.ndim == 2 else _single(results)
 
 
 @dataclass(frozen=True)
@@ -258,9 +299,10 @@ class ModelSpec:
         (EstimationError, LinAlgError, FloatingPointError or ValueError) of
         each group that failed, in `horizon_groups` order.  A one-window
         call returns that pair's forecasts or raises its first failure.
-        Other exceptions propagate.  TVEWD fits and levels the stack
-        together (`tvewd_forecast_window`); the other models run window by
-        window.
+        Other exceptions propagate.  TVEWD (`tvewd_forecast_window`), EWD
+        (`ewd_static_forecast`) and TVHAR (`tvhar_fit_forecast`) take the
+        stack in one call per group, with a least-squares solve per window;
+        HAR and TVAR run window by window.
         """
         values = np.asarray(values, dtype=float)
         windows = values.reshape(-1, values.shape[-1])  # one window is a stack of one
@@ -282,14 +324,15 @@ class ModelSpec:
         """Per window: forecasts for one `horizon_groups` group with key p, or the model failure."""
         if self.name == "TVEWD":
             return tvewd_forecast_window(windows, p, self.kernel, self.scales, horizons)
+        if self.name == "EWD":
+            return ewd_static_forecast(windows, p, self.scales, horizons)
+        if self.name == "TVHAR":  # a group of one horizon, keyed by it
+            fits = tvhar_fit_forecast(windows, p, self.kernel)
+            return [fit if isinstance(fit, Exception) else {p: fit[0]} for fit in fits]
         return [_attempt(self._forecast_window, values, p, horizons) for values in windows]
 
     def _forecast_window(self, values: np.ndarray, p: int, horizons: tuple[int, ...]) -> dict:
-        """HAR, TVHAR, TVAR or EWD forecasts from one window for one group with key p."""
+        """HAR or TVAR forecasts from one window for one group with key p."""
         if self.name == "HAR":
             return {h: har_fit_forecast(values, h)[0] for h in horizons}
-        if self.name == "TVHAR":
-            return {h: tvhar_fit_forecast(values, h, self.kernel)[0] for h in horizons}
-        if self.name == "TVAR":
-            return tvar_forecast(values, p, horizons, self.kernel)
-        return ewd_static_forecast(values, p, self.scales, horizons)
+        return tvar_forecast(values, p, horizons, self.kernel)

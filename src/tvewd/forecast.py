@@ -30,10 +30,11 @@ from .locreg import (
 from .series import format_value, write_csv
 from .wold import (
     MultiscaleConfig,
+    _blocks,
+    _component,
     ar_to_ma,
     haar_coefficients,
     haar_innovations,
-    scale_components,
 )
 
 __all__ = [
@@ -92,7 +93,7 @@ def estimate_weights(centered: np.ndarray, components: list[np.ndarray]) -> Scal
 
 def forecast_scale(
     beta_boundary: np.ndarray, innovations: np.ndarray, j: int, h: int
-) -> float:
+) -> float | np.ndarray:
     """h-step forecast of scale j from its boundary betas.
 
     E_T[v_j(T+h)] = sum_k beta_j(k) * eps_j(T+h - k 2^j) over translates
@@ -100,16 +101,25 @@ def forecast_scale(
     Innovations dated after T, and translates reaching before the available
     shock history, contribute zero; an empty sum returns 0.  The observable
     terms are one index gather of the innovations and one dot product.
+
+    A (B, K) stack of boundary betas with a (B, n) stack of innovations
+    gives a (B,) array.  The translates and indices depend only on j, h, K
+    and n, so they are found once for the stack; each window's terms are
+    still one dot product of its own, with the bits of a one-window call.
     """
     if h < 1:
         raise ValueError(f"horizon must be >= 1, got {h}")
+    beta = np.asarray(beta_boundary, dtype=float)
+    innovations = np.asarray(innovations, dtype=float)
     spacing = 1 << j
-    k = np.arange(-(-h // spacing), len(beta_boundary))
-    idx = len(innovations) - 1 + h - k * spacing
-    k, idx = k[idx >= 0], idx[idx >= 0]
-    e = np.asarray(innovations, dtype=float)[idx]
+    k = np.arange(-(-h // spacing), beta.shape[-1])
+    idx = innovations.shape[-1] - 1 + h - k * spacing
+    keep = idx >= 0
+    b, e = beta.take(k[keep], axis=-1), innovations.take(idx[keep], axis=-1)
     observed = np.isfinite(e)
-    return float(np.dot(np.asarray(beta_boundary, dtype=float)[k[observed]], e[observed]))
+    if beta.ndim == 1:
+        return float(np.dot(b[observed], e[observed]))
+    return np.array([np.dot(bi[o], ei[o]) for bi, ei, o in zip(b, e, observed)])
 
 
 def combine_forecast(trend: float, weights: np.ndarray, parts: np.ndarray) -> float:
@@ -117,40 +127,61 @@ def combine_forecast(trend: float, weights: np.ndarray, parts: np.ndarray) -> fl
     return trend + float(np.sum(weights * parts))
 
 
-def _multiscale_points(
-    alpha: np.ndarray,
-    residuals: np.ndarray,
-    centered: np.ndarray,
-    trend: float,
-    scales: MultiscaleConfig,
-    horizons: tuple[int, ...],
-) -> dict[int, float]:
-    """The multiscale chain shared by TVEWD and its time-invariant case EWD:
-    the forecast of each horizon, as `{h: value}`.
+def _multiscale_points(windows: list, scales: MultiscaleConfig, horizons: tuple[int, ...]) -> list:
+    """The multiscale chain shared by TVEWD and its time-invariant case EWD,
+    for a stack of windows: per window, the forecast of each horizon as
+    `{h: value}`, or the model failure it holds or its weights raise.
 
-    `centered` holds the centred values of the trailing rows of `residuals`,
-    and `alpha` their MA weights: one (H+1,) row per centred value, or one
-    row for all of them, whose Haar coefficients are then broadcast.  The
-    scale innovations are built from every residual.  `trend` is the level
-    at u = 1.  The scale weights are estimated once; each horizon forecasts
-    every scale from its boundary betas and combines them with the trend
-    (`combine_forecast`).
+    A window is a failure, passed through, or a tuple (phi, residuals,
+    centered, trend) of one geometry for all windows: `centered` holds the
+    centred values of the trailing R rows of `residuals`, `phi` their AR
+    rows, one per centred value (R, p) or one for all of them (p,), whose
+    MA weights and Haar coefficients are then broadcast, and `trend` the
+    level at u = 1.  The scale innovations are built from every residual.
+
+    The windows run in slices of at most WOLD_BLOCK_BYTES of MA weights,
+    R (H+1) weights a window, a broadcast row counted once for each row it
+    stands for.  A slice inverts its AR rows in one `ar_to_ma` call, so an
+    explosive slice warns once, and Haar-transforms the weights and the
+    residuals, builds the J scale components the weights read (not the
+    low-pass component, which no forecast reads) and forecasts every scale
+    from its boundary betas, each on the whole slice.  Then each window's
+    scale weights are estimated once, and each horizon combines its scale
+    forecasts with the trend (`combine_forecast`).  Every step works row
+    by row or window by window, so a window's bits do not depend on its
+    slice or on the other windows.
     """
-    betas, gamma = haar_coefficients(alpha, scales)
-    if alpha.ndim == 1:
-        rows = len(centered)
-        gamma = np.broadcast_to(gamma, (rows, len(gamma)))
-        betas = [np.broadcast_to(b, (rows, len(b))) for b in betas]
-    innovations, low_pass = haar_innovations(residuals, scales.J)
-    components, _ = scale_components(betas, gamma, innovations, low_pass, scales)
-    weights = estimate_weights(centered, components).weights
-    forecasts = {}
-    for h in horizons:
-        parts = np.array(
-            [forecast_scale(betas[j - 1][-1], innovations[j - 1], j, h) for j in range(1, scales.J + 1)]
-        )
-        forecasts[h] = combine_forecast(trend, weights, parts)
-    return forecasts
+    results = list(windows)
+    fitted = [i for i, window in enumerate(windows) if not isinstance(window, Exception)]
+    if not fitted:
+        return results
+    phi, residuals, centered, trend = (np.stack(column) for column in zip(*(windows[i] for i in fitted)))
+    R, H, J = centered.shape[1], scales.H, scales.J
+    for win in _blocks(len(fitted), R, H):
+        rows = phi[win]
+        alpha = ar_to_ma(rows.reshape(-1, rows.shape[-1]), H).reshape(rows.shape[:-1] + (H + 1,))
+        betas, _ = haar_coefficients(alpha, scales)
+        del alpha  # a slice holds its betas, not its MA weights, while it builds its components
+        if rows.ndim == 2:  # each window's one row stands for all of its R rows
+            betas = [np.broadcast_to(b[:, None], (len(b), R, b.shape[-1])) for b in betas]
+        innovations, _ = haar_innovations(residuals[win], J)
+        scales_of = list(enumerate(zip(betas, innovations), start=1))
+        components = [_component(b, e, 1 << j) for j, (b, e) in scales_of]
+        try:  # per horizon, a (windows, J) array of scale forecasts
+            parts = {
+                h: np.stack([forecast_scale(b[:, -1], e, j, h) for j, (b, e) in scales_of], axis=1)
+                for h in horizons
+            }
+        except _MODEL_FAILURES as exc:  # a horizon below 1 fails each window whose weights succeed
+            parts = exc
+        for k, (i, values, level) in enumerate(zip(fitted[win], centered[win], trend[win])):
+            weights = _attempt(estimate_weights, values, [c[k] for c in components])
+            if isinstance(weights, Exception) or isinstance(parts, Exception):
+                results[i] = weights if isinstance(weights, Exception) else parts
+            else:
+                level = float(level)
+                results[i] = {h: combine_forecast(level, weights.weights, parts[h][k]) for h in horizons}
+    return results
 
 
 def tvewd_forecast_window(
@@ -172,10 +203,12 @@ def tvewd_forecast_window(
 
     `values` may also be a (B, n) stack of windows of one length.  The
     stack is fitted and levelled in one call each, which builds the kernel
-    weights once for all windows; each window is then decomposed and
-    weighted on its own.  The result holds, per window, its `{h: value}`
-    map or the model failure that window raised, bit for bit what a
-    one-window call returns or raises.
+    weights once for all windows, and the windows whose fit succeeded run
+    the multiscale chain together (`_multiscale_points`) in slices of at
+    most WOLD_BLOCK_BYTES of MA weights: one `ar_to_ma` call per slice, so
+    one ExplosiveWarning per slice that holds an explosive row.  The result
+    holds, per window, its `{h: value}` map or the model failure that
+    window raised, bit for bit what a one-window call returns or raises.
     """
     values = np.asarray(values, dtype=float)
     stack = values.reshape(-1, values.shape[-1])  # one window is a stack of one
@@ -187,17 +220,12 @@ def tvewd_forecast_window(
         levels = local_level(stack, kernel, u=np.arange(first + 1, T + 1, dtype=float) / T)
     except _MODEL_FAILURES as exc:  # preconditions on n, which fail every window
         fits = levels = [exc] * len(stack)
-
-    def forecasts(window, fit, level):
-        alpha = ar_to_ma(fit.phi[start:, 1:], scales.H)
-        return _multiscale_points(
-            alpha, fit.residuals, window[first:] - level, float(level[-1]), scales, horizons
-        )
-
-    results = [
-        fit if isinstance(fit, Exception) else _attempt(forecasts, window, fit, level)
+    chains = [
+        fit if isinstance(fit, Exception)
+        else (fit.phi[start:, 1:], fit.residuals, window[first:] - level, level[-1])
         for window, fit, level in zip(stack, fits, levels)
     ]
+    results = _multiscale_points(chains, scales, horizons)
     return results if values.ndim == 2 else _single(results)
 
 

@@ -135,7 +135,7 @@ def _checked_lstsq(A: np.ndarray, b: np.ndarray, what: str) -> tuple[np.ndarray,
 
 def local_linear(
     y: np.ndarray, X: np.ndarray, tau: np.ndarray, u: float, kernel: KernelSpec
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray] | list:
     """Weighted local linear solve at evaluation point u.
 
     Regresses y on [X, (tau - u) * X] with weights K((tau - u)/b), solved by
@@ -149,8 +149,16 @@ def local_linear(
     `local_level` solve many points at once by batched normal equations
     (`_local_linear_grid`), fall back to this solve on the rows their guard
     flags, and are tested against a loop over it.
+
+    y may also be a (B, n) stack with X (B, n, m): windows of one geometry,
+    sharing tau.  The kernel weights and the active set depend on tau alone,
+    so they are built once for the stack, and the too-few-observations
+    error raises for the whole stack.  Each window keeps its own solve: the
+    result holds, per window, its (levels, slopes) or the model failure its
+    solve raised, bit for bit what a one-window call returns or raises.
     """
-    m = X.shape[1]
+    y, X = np.asarray(y, dtype=float), np.asarray(X, dtype=float)
+    m = X.shape[-1]
     offs = tau - u
     w = kernel_weights(offs / kernel.bandwidth, kernel.family)
     active = np.nonzero(w > 0.0)[0]
@@ -160,13 +168,19 @@ def local_linear(
             f"for {2 * m} parameters; increase bandwidth"
         )
     sw = np.sqrt(w[active])
-    Xa = X[active]
-    Z = np.empty((len(active), 2 * m))
-    Z[:, :m] = Xa
-    Z[:, m:] = Xa * offs[active, None]
+    Xa = X.take(active, axis=-2)
+    Z = np.empty(Xa.shape[:-1] + (2 * m,))
+    Z[..., :m] = Xa
+    Z[..., m:] = Xa * offs[active, None]
     Z *= sw[:, None]
-    theta, _ = _checked_lstsq(Z, y[active] * sw, f"singular local system at u={u:.6g}")
-    return theta[:m], theta[m:]
+    rhs = y.take(active, axis=-1) * sw
+    what = f"singular local system at u={u:.6g}"
+    solves = [
+        _attempt(_checked_lstsq, Zi, ri, what)
+        for Zi, ri in zip(Z.reshape(-1, len(active), 2 * m), rhs.reshape(-1, len(active)))
+    ]
+    results = [solve if isinstance(solve, Exception) else (solve[0][:m], solve[0][m:]) for solve in solves]
+    return results if y.ndim == 2 else _single(results)
 
 
 def _flagged(A: np.ndarray, thin: np.ndarray) -> np.ndarray:

@@ -45,8 +45,9 @@ __all__ = [
 
 ABS_ALPHA_GUARD = 1e12
 # Bytes of MA weights in one block of `decompose`, which inverts and
-# Haar-transforms the fit's rows block by block, so the Wold step's working
-# memory stays bounded however many rows the fit has.
+# Haar-transforms the fit's rows block by block, and in one slice of windows
+# of the forecast chain, so the Wold step's working memory stays bounded
+# however many rows or windows it is given.
 WOLD_BLOCK_BYTES = 1 << 20
 # MA weights of an explosive row overflow to inf, and the Haar sums and
 # components built from them to inf or NaN.  That is their defined value:
@@ -96,6 +97,13 @@ class MultiscaleConfig:
         return max(min(self.H, n_rows) - 1, 0)
 
 
+def _blocks(count: int, rows: int, H: int) -> list[slice]:
+    """Consecutive blocks of `count` items of `rows` rows of H + 1 MA weights
+    each: at most WOLD_BLOCK_BYTES of weights a block, and at least one item."""
+    size = max(1, WOLD_BLOCK_BYTES // (8 * (H + 1) * rows))
+    return [slice(start, start + size) for start in range(0, count, size)]
+
+
 def ar_to_ma(phi: np.ndarray, H: int) -> np.ndarray:
     """Invert AR coefficients to MA weights alpha(0..H).
 
@@ -103,7 +111,10 @@ def ar_to_ma(phi: np.ndarray, H: int) -> np.ndarray:
     Accepts a (p,) vector or a (G, p) matrix of rows, p >= 1; returns
     matching (H+1,) or (G, H+1).  Explosive inputs are allowed but trigger
     an ExplosiveWarning once sum |alpha| exceeds the overflow guard or is
-    NaN (weights that overflowed to inf - inf).
+    NaN (weights that overflowed to inf - inf): one warning per call, naming
+    the largest sum |alpha| of its rows.  `decompose` and the forecast chain
+    call it once per block or slice of rows, so they warn once per block or
+    slice that holds an explosive row, not once per row or window.
 
     The recursion runs on a lag-major (H+p, G) buffer whose first p-1 rows
     are zero, so each lag is one reduction over the p products of every
@@ -186,45 +197,48 @@ def haar_innovations(eps: np.ndarray, J: int) -> tuple[list[np.ndarray], np.ndar
     low-pass innovation is 2^(-J/2) W_{2^J}(t).  Every window sum is a
     difference of one cumulative sum of eps.  Positions without a full
     window (the first 2^j - 1 of scale j, the first 2^J - 1 of the low
-    pass) are NaN, never zero-filled.
+    pass) are NaN, never zero-filled.  eps may be a (B, n) stack of shock
+    series, transformed along its last axis; a row's bits are those of its
+    one-series transform.
     """
     eps = np.asarray(eps, dtype=float)
-    n = len(eps)
-    c = np.concatenate(([0.0], np.cumsum(eps)))
+    c = np.concatenate((np.zeros(eps.shape[:-1] + (1,)), np.cumsum(eps, axis=-1)), axis=-1)
     innovations: list[np.ndarray] = []
     for j in range(1, J + 2):
         m = 1 << (j - 1)
-        w = np.full(n, np.nan)  # W_m, and W_{2^J} after the last pass
-        w[m - 1 :] = c[m:] - c[:-m]
+        w = np.full(eps.shape, np.nan)  # W_m, and W_{2^J} after the last pass
+        w[..., m - 1 :] = c[..., m:] - c[..., :-m]
         if j <= J:
-            older = np.full(n, np.nan)
-            older[m:] = w[:-m]
+            older = np.full(eps.shape, np.nan)
+            older[..., m:] = w[..., :-m]
             innovations.append(_haar_factor(j) * (w - older))
     return innovations, _haar_factor(J) * w
 
 
 def _component(surface: np.ndarray, innov: np.ndarray, spacing: int) -> np.ndarray:
-    """sum_k surface[r, k] * innov[t - k*spacing] for the trailing rows t of innov.
+    """sum_k surface[..., r, k] * innov[..., t - k*spacing] for the trailing rows t of innov.
 
-    Surface row r belongs to innovation row t = offset + r, with offset =
-    len(innov) - len(surface).  A row is NaN when it lacks a full history
-    (t < H - 1, H = K * spacing, which is exactly when some innovation it
-    needs is undefined); otherwise non-finite terms propagate to the result.  The window product is made
-    in C order before the row sum, so a row's bits do not depend on the
-    other rows or on whether the surface is a broadcast.
+    surface is (rows, K) for one innovation series (n,), or (B, rows, K)
+    for a (B, n) stack of them.  Surface row r belongs to innovation row
+    t = offset + r, with offset = n - rows.  A row is NaN when it lacks a
+    full history (t < H - 1, H = K * spacing, which is exactly when some
+    innovation it needs is undefined); otherwise non-finite terms propagate
+    to the result.  The window product is made in C order before the row
+    sum, so a row's bits do not depend on the other rows, on the other
+    series of a stack or on whether the surface is a broadcast.
     """
-    rows, K = surface.shape
-    offset = len(innov) - rows
-    out = np.full(rows, np.nan)
+    rows, K = surface.shape[-2:]
+    offset = innov.shape[-1] - rows
+    out = np.full(surface.shape[:-1], np.nan)
     first = max(K * spacing - 1 - offset, 0)
     if first < rows:
         width = (K - 1) * spacing + 1
         # window i covers innov[i : i + width] and ends at t = i + width - 1;
         # stepping back from its end by `spacing` gives k = 0..K-1
-        windows = sliding_window_view(innov, width)[offset + first - width + 1 :, ::-spacing]
+        windows = sliding_window_view(innov, width, axis=-1)[..., offset + first - width + 1 :, ::-spacing]
         with np.errstate(**_EXPLOSIVE):
-            terms = np.multiply(surface[first:], windows, order="C")
-            out[first:] = terms.sum(axis=1)
+            terms = np.multiply(surface[..., first:, :], windows, order="C")
+            out[..., first:] = terms.sum(axis=-1)
     return out
 
 
@@ -296,9 +310,7 @@ def decompose(
     G, H = len(fit.phi), config.H
     betas = [np.empty((G, config.n_translates(j))) for j in range(1, config.J + 1)]
     gamma = np.empty((G, config.N))
-    size = max(1, WOLD_BLOCK_BYTES // (8 * (H + 1)))
-    for start in range(0, G, size):
-        rows = slice(start, start + size)
+    for rows in _blocks(G, 1, H):
         block_betas, gamma[rows] = haar_coefficients(ar_to_ma(fit.phi[rows, 1:], H), config)
         for beta, block in zip(betas, block_betas):
             beta[rows] = block

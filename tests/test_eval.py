@@ -1,6 +1,7 @@
 """Rolling evaluation harness tests: losses, DM inference, pairing, parallelism."""
 
 import math
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+from tvewd import forecast, locreg, wold
 from tvewd.benchmarks import MODEL_NAMES, ModelSpec
 from tvewd.evaluate import (
     BLOCK_ORIGINS,
@@ -25,9 +28,10 @@ from tvewd.evaluate import (
     store_forecast_records,
     store_report,
 )
-from tvewd.locreg import _MODEL_FAILURES, EstimationError, KernelSpec
+from tvewd.locreg import _MODEL_FAILURES, EstimationError, KernelSpec, kernel_weights
 from tvewd.series import VolatilitySeries, business_dates, load_series
-from tvewd.wold import MultiscaleConfig
+from tvewd.sim import Curve, TvpArScenario, simulate
+from tvewd.wold import ExplosiveWarning, MultiscaleConfig
 
 PAPER_SERIES = Path(__file__).parent / "data" / "paper_series.csv"
 
@@ -385,6 +389,82 @@ def test_a_failing_window_costs_only_its_own_forecasts(jobs):
     assert first_block - tvewd_origins and first_block & tvewd_origins
     last = len(series) - 1
     assert (last, 1, "TVEWD") in bits and (last, 5, "TVEWD") not in bits
+
+
+def slice_test_series():
+    """180 days whose first block of origins at window 140 holds windows
+    whose local fits fail (their last 45 or more values are constant),
+    windows whose scale weights fail, windows that forecast, and windows
+    whose AR rows are explosive over H = 128 lags (a deviation growing by
+    1.5 a day from day 158)."""
+    series = make_series(180, seed=116)
+    values = series.values.copy()
+    values[95:148] = values[95]
+    values[158:] += 1.5 ** np.arange(len(values) - 158)
+    return VolatilitySeries(series.dates, values, label=series.label)
+
+
+@pytest.mark.filterwarnings("ignore::tvewd.wold.ExplosiveWarning")
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_slices_of_a_block_forecast_as_the_per_window_loop(monkeypatch, jobs):
+    """With the Wold budget cut to two windows of MA weights, TVEWD and EWD
+    run each block's multiscale chain in many slices, and TVHAR stacks its
+    design.  Forecast bits and failure messages are those of a per-window
+    loop, in a first block that holds failing fits, failing weights and
+    explosive windows."""
+    scales = MultiscaleConfig(J=5, N=4)
+    rows = 140 - 1 - (scales.H - 1)  # decomposed rows of a window of 140 at p = 1
+    monkeypatch.setattr(wold, "WOLD_BLOCK_BYTES", 2 * 8 * (scales.H + 1) * rows)
+    models = [ModelSpec(name, p=1, kernel=KERN, scales=scales) for name in ("TVEWD", "EWD", "TVHAR")]
+    series = slice_test_series()
+    plan = RollingPlan(window=140, horizons=(1, 5))
+    report = rolling_evaluate(series, models, plan, benchmark="TVHAR", jobs=jobs)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        bits, failures = per_window_loop(series, models, plan)
+    assert forecast_bits(report) == bits
+    assert report.failures == failures
+    first_block = range(140, 140 + BLOCK_ORIGINS)
+    assert {w.category for w in caught} == {ExplosiveWarning}
+    for name in ("TVEWD", "TVHAR"):
+        kept = {o for o, _, m in bits if m == name}
+        assert set(first_block) - kept and set(first_block) & kept, name
+    assert any(m.startswith("TVEWD: EstimationError: singular local system") for m in failures)
+    assert any(m.startswith("TVEWD: EstimationError: collinear scale components") for m in failures)
+    assert {o for o, _, m in bits if m == "EWD"} == set(range(140, 180))
+
+
+def test_a_sweep_block_runs_the_chain_once_per_slice(monkeypatch):
+    """One block of the criterion-08 sweep: 30 windows of 300 days, TVEWD
+    at p = 1, J = 5, N = 4 and TVHAR, horizons 1 and 22.  A window
+    decomposes 172 rows of 129 MA weights, so 1 MiB holds five windows:
+    `ar_to_ma` is called once per slice of five, six times, not once per
+    window; the chain builds the five scale components once per slice and
+    never the low-pass one; and TVHAR builds its u = 1 kernel weights once
+    per horizon."""
+    scenario = TvpArScenario(
+        p=1,
+        T=351,
+        coefficients=(Curve("sinusoid", {"base": 0.775, "amplitude": 0.175, "frequency": 0.75}),),
+        intercept=Curve("sinusoid", {"base": 2.25, "amplitude": -1.75, "frequency": 0.75}),
+        seed=7,
+    )
+    values = simulate(scenario).series.values
+    windows = sliding_window_view(values[:329], 300)  # origins 300..329
+    horizons = (1, 22)
+    tvewd = ModelSpec("TVEWD", p=1, kernel=KERN, scales=MultiscaleConfig(J=5, N=4))
+    inverted, spacings, weights = [], [], []
+    monkeypatch.setattr(forecast, "ar_to_ma", lambda phi, H: inverted.append(len(phi)) or wold.ar_to_ma(phi, H))
+    monkeypatch.setattr(forecast, "_component", lambda s, e, m: spacings.append(m) or wold._component(s, e, m))
+    monkeypatch.setattr(locreg, "kernel_weights", lambda x, fam: weights.append(1) or kernel_weights(x, fam))
+    out = tvewd.forecast_all(windows, horizons)
+    assert inverted == [5 * 172] * 6
+    assert spacings == [2, 4, 8, 16, 32] * 6
+    assert all(set(forecasts) == set(horizons) and not failed for forecasts, failed in out)
+    weights.clear()  # the TVEWD fits may re-solve flagged rows by `local_linear`
+    out = ModelSpec("TVHAR", kernel=KERN).forecast_all(windows, horizons)
+    assert len(weights) == len(horizons)
+    assert all(set(forecasts) == set(horizons) and not failed for forecasts, failed in out)
 
 
 def test_parallel_jobs_match_serial():

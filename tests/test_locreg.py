@@ -118,6 +118,33 @@ def test_local_solve_satisfies_weighted_normal_equations():
         assert np.linalg.norm(normal_eq) < 1e-8 * max(scale, 1.0)
 
 
+def test_local_linear_solves_each_window_of_a_stack_on_its_own(monkeypatch):
+    """A stack of windows of one geometry shares one set of kernel weights,
+    and each window keeps its own solve: its (levels, slopes) bit for bit as
+    a one-window call, or the failure that call raises.  Too few active
+    observations is a property of tau and raises for the whole stack."""
+    T = 200
+    tau = np.arange(2, T + 1) / T
+    windows = np.stack([ar1_path(0.6, T, seed=s) for s in range(20, 24)])
+    windows[2, -80:] = 4.0  # constant at the boundary: a singular local system
+    y, X = windows[:, 1:], np.stack([_design(w, 1)[1] for w in windows])
+    calls = []
+    counted = lambda x, family: calls.append(1) or kernel_weights(x, family)
+    monkeypatch.setattr(locreg, "kernel_weights", counted)
+    stacked = local_linear(y, X, tau, 1.0, EPA)
+    assert len(calls) == 1 and len(stacked) == len(windows)
+    for i, got in enumerate(stacked):
+        if i == 2:
+            with pytest.raises(EstimationError, match="^singular local system at u=1: ") as raised:
+                local_linear(y[i], X[i], tau, 1.0, EPA)
+            assert isinstance(got, EstimationError) and str(got) == str(raised.value)
+        else:
+            want = local_linear(y[i], X[i], tau, 1.0, EPA)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    with pytest.raises(EstimationError, match=r"^only \d observations in kernel support at u=1 for 4 parameters"):
+        local_linear(y, X, tau, 1.0, KernelSpec("epanechnikov", 0.015))
+
+
 def test_constant_ar1_coefficient_recovery():
     """Constant AR(1) with phi = 0.5, T = 2000, b = 0.3: mean absolute error
     of the estimated coefficient curve stays below 0.06 in most replications."""

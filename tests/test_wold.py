@@ -24,7 +24,7 @@ from tvewd.forecast import (
     forecast_scale,
     tvewd_forecast_window,
 )
-from tvewd.locreg import KERNEL_FAMILIES, KernelSpec, TvpArFit, fit_tvp_ar, local_level
+from tvewd.locreg import KERNEL_FAMILIES, EstimationError, KernelSpec, TvpArFit, fit_tvp_ar, local_level
 from tvewd.wold import (
     ExplosiveWarning,
     MultiscaleConfig,
@@ -456,10 +456,18 @@ def test_decompose_static_agrees_with_constant_rows():
         np.testing.assert_allclose(static[j][mask], varying.components[j][mask], rtol=1e-12)
 
 
+def one_window_chain(phi, residuals, centered, trend, cfg):
+    """The multiscale chain of one window, a stack of one: its forecasts, or
+    the failure it returns."""
+    (result,) = _multiscale_points([(phi, residuals, centered, trend)], cfg, HORIZONS)
+    return result
+
+
 def test_decompose_static_inverts_once_and_equals_row_route():
-    """The multiscale chain given one row of MA weights, whose Haar
-    coefficients it broadcasts, gives bitwise the forecasts of `ar_to_ma` of
-    the broadcast AR rows, on every residual row or on the trailing rows."""
+    """The multiscale chain given one AR row, whose MA weights and Haar
+    coefficients it broadcasts, gives bitwise the forecasts of the AR row
+    repeated on every row, each row inverted, on every residual row or on
+    the trailing rows."""
     rng = np.random.default_rng(46)
     for J, N, p in ((1, 1, 1), (3, 2, 2), (5, 4, 6), (7, 4, 3)):
         cfg = MultiscaleConfig(J=J, N=N)
@@ -467,10 +475,46 @@ def test_decompose_static_inverts_once_and_equals_row_route():
         eps = rng.standard_normal(cfg.H + 50)
         for rows in (len(eps), len(eps) - cfg.first_full_row(len(eps))):
             centered = rng.standard_normal(rows)
-            once = _multiscale_points(ar_to_ma(phi, cfg.H), eps, centered, 0.3, cfg, HORIZONS)
-            broadcast = ar_to_ma(np.broadcast_to(phi, (rows, p)), cfg.H)
-            route = _multiscale_points(broadcast, eps, centered, 0.3, cfg, HORIZONS)
+            once = one_window_chain(phi, eps, centered, 0.3, cfg)
+            route = one_window_chain(np.broadcast_to(phi, (rows, p)), eps, centered, 0.3, cfg)
             assert {h: v.hex() for h, v in once.items()} == {h: v.hex() for h, v in route.items()}
+
+
+@pytest.mark.parametrize("per_row", [False, True])
+def test_the_forecast_chain_warns_once_per_explosive_slice(monkeypatch, per_row):
+    """The multiscale chain inverts a stack of windows two at a time.  Three
+    windows hold an explosive AR row, in two slices: it warns twice, each
+    warning naming its slice's largest sum |alpha|, once per slice and not
+    once per window, and every window's forecasts or failure are those of
+    a one-window call.  Each window holds one AR row (EWD), or one per
+    decomposed row, of which one is explosive (TVEWD)."""
+    cfg = MultiscaleConfig(J=3, N=2)
+    G, B = cfg.H + 10, 6
+    R = G - cfg.first_full_row(G)
+    rng = np.random.default_rng(51)
+    phi = rng.uniform(-0.5, 0.5, (B, R, 1) if per_row else (B, 1))
+    explosive = {1: 10.0, 4: 20.0, 5: 30.0}  # slices {0, 1}, {2, 3} and {4, 5}
+    for i, value in explosive.items():
+        phi[i].flat[-1] = value  # the window's one row, or its boundary row
+    residuals = rng.standard_normal((B, G))
+    centered = rng.standard_normal((B, R))
+    trend = rng.uniform(5.0, 15.0, B)
+    monkeypatch.setattr(wold, "WOLD_BLOCK_BYTES", 2 * 8 * (cfg.H + 1) * R)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stacked = _multiscale_points(list(zip(phi, residuals, centered, trend)), cfg, HORIZONS)
+    largest = [float(np.abs(loop_ar_to_ma([explosive[i]], cfg.H)).sum()) for i in (1, 5)]
+    assert [w.category for w in caught] == [ExplosiveWarning] * 2
+    for w, total in zip(caught, largest):
+        assert str(w.message).startswith(f"MA weights exceed overflow guard (max sum |alpha| = {total:.3g})")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExplosiveWarning)
+        for i, got in enumerate(stacked):
+            want = one_window_chain(phi[i], residuals[i], centered[i], trend[i], cfg)
+            if isinstance(want, EstimationError):
+                assert isinstance(got, EstimationError) and str(got) == str(want)
+            else:
+                assert {h: v.hex() for h, v in got.items()} == {h: v.hex() for h, v in want.items()}
 
 
 def test_ewd_warns_once_for_an_explosive_ols_row():
