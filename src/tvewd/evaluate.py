@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .benchmarks import ModelSpec
+from .benchmarks import ModelSpec, forecast_block
 from .forecast import FORECAST_COLUMNS
 from .series import VolatilitySeries, _check_integer, format_value, write_csv
 
@@ -41,8 +41,8 @@ __all__ = [
 
 MIN_DM_OBS = 30
 P_THRESHOLDS = (0.10, 0.05, 0.01)
-# Most consecutive origins scored as one block, whose windows a ModelSpec
-# receives as one stack.
+# Most consecutive origins scored as one block, whose windows the block's
+# models receive as one stack.
 BLOCK_ORIGINS = 32
 
 
@@ -205,8 +205,8 @@ def _forecast_block(args) -> tuple[list[int], list[dict[tuple[str, int], float]]
     windows = sliding_window_view(span, window)[::step]  # one row per origin
     outs: list[dict[tuple[str, int], float]] = [{} for _ in origins]
     failures: list[str] = []
-    for model in models:
-        for out, (forecasts, fails) in zip(outs, model.forecast_all(windows, horizons)):
+    for model, pairs in zip(models, forecast_block(models, windows, horizons)):
+        for out, (forecasts, fails) in zip(outs, pairs):
             out.update(((model.display, h), value) for h, value in forecasts.items())
             failures.extend(f"{model.display}: {type(exc).__name__}: {exc}" for exc in fails)
     return origins, outs, failures
@@ -259,11 +259,13 @@ def rolling_evaluate(
             order-independent reduction.
 
     Origins are scored in blocks of up to BLOCK_ORIGINS consecutive origins
-    with the same horizons; the blocks do not depend on `jobs`.  Each model
-    is called once per block, with the block's windows as one strided stack
-    of the series and the horizons every origin of the block can score
-    (`ModelSpec.forecast_all`).  It returns one `(forecasts, failures)`
-    pair per window, bit for bit what one-window calls per fit give.
+    with the same horizons; the blocks do not depend on `jobs`.  A block's
+    models forecast together, once per block, from the block's windows as
+    one strided stack of the series and the horizons every origin of the
+    block can score (`benchmarks.forecast_block`), which shares the fits,
+    levels and multiscale passes that several models read.  Each model
+    gets one `(forecasts, failures)` pair per window, bit for bit what
+    one-window `ModelSpec.forecast_all` calls per fit give.
 
     Model failures at an origin (EstimationError, LinAlgError,
     FloatingPointError or ValueError) are recorded and the affected

@@ -13,6 +13,7 @@ component is excluded from the combination.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,61 +128,118 @@ def combine_forecast(trend: float, weights: np.ndarray, parts: np.ndarray) -> fl
     return trend + float(np.sum(weights * parts))
 
 
-def _multiscale_points(windows: list, scales: MultiscaleConfig, horizons: tuple[int, ...]) -> list:
+def _multiscale_points(chains: list[tuple[list, tuple[int, ...]]], scales: MultiscaleConfig) -> list[list]:
     """The multiscale chain shared by TVEWD and its time-invariant case EWD,
-    for a stack of windows: per window, the forecast of each horizon as
-    `{h: value}`, or the model failure it holds or its weights raise.
+    for the windows of one block: per chain, per window, the forecast of
+    each of the chain's horizons as `{h: value}`, or the model failure the
+    window holds or its weights raise.
 
-    A window is a failure, passed through, or a tuple (phi, residuals,
-    centered, trend) of one geometry for all windows: `centered` holds the
-    centred values of the trailing R rows of `residuals`, `phi` their AR
-    rows, one per centred value (R, p) or one for all of them (p,), whose
-    MA weights and Haar coefficients are then broadcast, and `trend` the
-    level at u = 1.  The scale innovations are built from every residual.
+    A chain is a pair (windows, horizons), with one entry per window of the
+    block: a failure, passed through, or a tuple (phi, residuals, centered,
+    trend) of one geometry for every window and chain.  `centered` holds
+    the centred values of the trailing R rows of `residuals`, `phi` their
+    AR rows, one per centred value (R, p), as TVEWD has, or one for all of
+    them (p,), as EWD has, whose MA weights and Haar coefficients are then
+    broadcast, and `trend` the level at u = 1.  The scale innovations are
+    built from every residual.
 
-    The windows run in slices of at most WOLD_BLOCK_BYTES of MA weights,
-    R (H+1) weights a window, a broadcast row counted once for each row it
-    stands for.  A slice inverts its AR rows in one `ar_to_ma` call, so an
-    explosive slice warns once, and Haar-transforms the weights and the
-    residuals, builds the J scale components the weights read (not the
-    low-pass component, which no forecast reads) and forecasts every scale
-    from its boundary betas, each on the whole slice.  Then each window's
-    scale weights are estimated once, and each horizon combines its scale
-    forecasts with the trend (`combine_forecast`).  Every step works row
-    by row or window by window, so a window's bits do not depend on its
-    slice or on the other windows.
+    The windows that some chain fitted run in slices.  A slice holds at
+    most WOLD_BLOCK_BYTES of MA weights of the chains with a row per
+    centred value, R (H+1) weights a window each; with none, a broadcast
+    row counts for the R rows it stands for, so EWD alone slices as TVEWD
+    alone does.  A slice inverts the AR rows of every chain in one
+    `ar_to_ma` call, so an explosive slice warns once (ExplosiveWarning),
+    not once per chain, and Haar-transforms them in one
+    `haar_coefficients` call; both work row by row.  Then, per chain, it
+    Haar-transforms the residuals, builds the J scale components the
+    weights read (not the low-pass component, which no forecast reads) and
+    forecasts every scale from its boundary betas, each on the whole
+    slice.  Each window's scale weights are estimated once, and each
+    horizon combines its scale forecasts with the trend
+    (`combine_forecast`).  Every step works row by row or window by
+    window, so a window's bits do not depend on its slice, on the other
+    windows or on the other chains.
     """
-    results = list(windows)
-    fitted = [i for i, window in enumerate(windows) if not isinstance(window, Exception)]
-    if not fitted:
+    results = [list(windows) for windows, _ in chains]
+    fitted = [[i for i, window in enumerate(windows) if not isinstance(window, Exception)] for windows, _ in chains]
+    block = sorted(set().union(*fitted))
+    if not block:
         return results
-    phi, residuals, centered, trend = (np.stack(column) for column in zip(*(windows[i] for i in fitted)))
-    R, H, J = centered.shape[1], scales.H, scales.J
-    for win in _blocks(len(fitted), R, H):
-        rows = phi[win]
-        alpha = ar_to_ma(rows.reshape(-1, rows.shape[-1]), H).reshape(rows.shape[:-1] + (H + 1,))
-        betas, _ = haar_coefficients(alpha, scales)
+    stacks = [
+        [np.stack(column) for column in zip(*(windows[i] for i in own))] if own else None
+        for (windows, _), own in zip(chains, fitted)
+    ]
+    R = next(stack[2].shape[1] for stack in stacks if stack)
+    per_row = sum(1 for stack in stacks if stack and stack[0].ndim == 3)
+    H, J = scales.H, scales.J
+    for win in _blocks(len(block), R * max(1, per_row), H):
+        first, last = block[win][0], block[win][-1]
+        # a chain's windows in the slice are a run of its own fitted windows
+        runs = [
+            (c, slice(bisect.bisect_left(own, first), bisect.bisect_right(own, last)))
+            for c, own in enumerate(fitted)
+        ]
+        runs = [(c, run) for c, run in runs if run.start < run.stop]
+        rows = [stacks[c][0][run] for c, run in runs]
+        flat = [r.reshape(-1, r.shape[-1]) for r in rows]
+        alpha = ar_to_ma(np.concatenate(flat), H)
+        coefficients, _ = haar_coefficients(alpha, scales)
         del alpha  # a slice holds its betas, not its MA weights, while it builds its components
-        if rows.ndim == 2:  # each window's one row stands for all of its R rows
-            betas = [np.broadcast_to(b[:, None], (len(b), R, b.shape[-1])) for b in betas]
-        innovations, _ = haar_innovations(residuals[win], J)
-        scales_of = list(enumerate(zip(betas, innovations), start=1))
-        components = [_component(b, e, 1 << j) for j, (b, e) in scales_of]
-        try:  # per horizon, a (windows, J) array of scale forecasts
-            parts = {
-                h: np.stack([forecast_scale(b[:, -1], e, j, h) for j, (b, e) in scales_of], axis=1)
-                for h in horizons
-            }
-        except _MODEL_FAILURES as exc:  # a horizon below 1 fails each window whose weights succeed
-            parts = exc
-        for k, (i, values, level) in enumerate(zip(fitted[win], centered[win], trend[win])):
-            weights = _attempt(estimate_weights, values, [c[k] for c in components])
-            if isinstance(weights, Exception) or isinstance(parts, Exception):
-                results[i] = weights if isinstance(weights, Exception) else parts
-            else:
-                level = float(level)
-                results[i] = {h: combine_forecast(level, weights.weights, parts[h][k]) for h in horizons}
+        offset = 0
+        for (c, run), r, f in zip(runs, rows, flat):
+            betas = [b[offset : offset + len(f)].reshape(r.shape[:-1] + b.shape[-1:]) for b in coefficients]
+            offset += len(f)
+            if r.ndim == 2:  # each window's one row stands for all of its R rows
+                betas = [np.broadcast_to(b[:, None], (len(b), R, b.shape[-1])) for b in betas]
+            _, residuals, centered, trend = (column[run] for column in stacks[c])
+            _chain_slice(results[c], fitted[c][run], betas, residuals, centered, trend, J, chains[c][1])
     return results
+
+
+def _chain_slice(results, owners, betas, residuals, centered, trend, J, horizons) -> None:
+    """One chain's slice of `_multiscale_points`, from its Haar coefficients
+    on: each window's forecasts or failure, written to its place in results."""
+    innovations, _ = haar_innovations(residuals, J)
+    scales_of = list(enumerate(zip(betas, innovations), start=1))
+    components = [_component(b, e, 1 << j) for j, (b, e) in scales_of]
+    try:  # per horizon, a (windows, J) array of scale forecasts
+        parts = {
+            h: np.stack([forecast_scale(b[:, -1], e, j, h) for j, (b, e) in scales_of], axis=1)
+            for h in horizons
+        }
+    except _MODEL_FAILURES as exc:  # a horizon below 1 fails each window whose weights succeed
+        parts = exc
+    for k, (i, values, level) in enumerate(zip(owners, centered, trend)):
+        weights = _attempt(estimate_weights, values, [c[k] for c in components])
+        if isinstance(weights, Exception) or isinstance(parts, Exception):
+            results[i] = weights if isinstance(weights, Exception) else parts
+        else:
+            level = float(level)
+            results[i] = {h: combine_forecast(level, weights.weights, parts[h][k]) for h in horizons}
+
+
+def _tvewd_inputs(stack: np.ndarray, fits, levels, p: int, scales: MultiscaleConfig) -> list:
+    """Per window of a (B, T) stack, TVEWD's chain inputs at order p for
+    `_multiscale_points`, or its failure.
+
+    fits is `fit_tvp_ar(stack, p, kernel)` or the error it raised; levels
+    is `local_level(stack, kernel, u=...)` at the trailing rows of every
+    window, at least from the first decomposed row to the boundary, or the
+    error it raised.  A window takes its fit's failure first, then the
+    levels' failure.
+    """
+    if isinstance(fits, Exception):
+        return [fits] * len(stack)
+    if isinstance(levels, Exception):
+        return [fit if isinstance(fit, Exception) else levels for fit in fits]
+    T = stack.shape[1]
+    start = scales.first_full_row(T - p)
+    first = p + start  # the observation of residual row `start`
+    return [
+        fit if isinstance(fit, Exception)
+        else (fit.phi[start:, 1:], fit.residuals, window[first:] - level[first - T :], level[-1])
+        for window, fit, level in zip(stack, fits, levels)
+    ]
 
 
 def tvewd_forecast_window(
@@ -213,19 +271,10 @@ def tvewd_forecast_window(
     values = np.asarray(values, dtype=float)
     stack = values.reshape(-1, values.shape[-1])  # one window is a stack of one
     T = stack.shape[1]
-    start = scales.first_full_row(T - p)
-    first = p + start  # the observation of residual row `start`
-    try:
-        fits = fit_tvp_ar(stack, p, kernel)
-        levels = local_level(stack, kernel, u=np.arange(first + 1, T + 1, dtype=float) / T)
-    except _MODEL_FAILURES as exc:  # preconditions on n, which fail every window
-        fits = levels = [exc] * len(stack)
-    chains = [
-        fit if isinstance(fit, Exception)
-        else (fit.phi[start:, 1:], fit.residuals, window[first:] - level, level[-1])
-        for window, fit, level in zip(stack, fits, levels)
-    ]
-    results = _multiscale_points(chains, scales, horizons)
+    first = p + scales.first_full_row(T - p)
+    fits = _attempt(fit_tvp_ar, stack, p, kernel)
+    levels = _attempt(local_level, stack, kernel, np.arange(first + 1, T + 1, dtype=float) / T)
+    (results,) = _multiscale_points([(_tvewd_inputs(stack, fits, levels, p, scales), horizons)], scales)
     return results if values.ndim == 2 else _single(results)
 
 

@@ -473,21 +473,22 @@ def fit_tvp_ar(series, p: int, kernel: KernelSpec) -> TvpArFit | list:
     return fits if values.ndim == 2 else _single(fits)
 
 
-def boundary_fit(series, p: int, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
+def boundary_fit(series, p: int, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray] | list:
     """Local linear coefficients at the right sample boundary u = 1.
 
     The effective kernel is one-sided: only observations with t/T <= 1
     exist, so no future data can enter.  Returns (levels, slopes), bit for
-    bit the last row of `fit_tvp_ar`.
+    bit the last row of `fit_tvp_ar`.  A (B, T) stack of windows gives, as
+    `fit_tvp_ar` does, one entry per window: its (levels, slopes), or the
+    error its own fit raises.
     """
     values = _as_values(series)
-    T = len(values)
-    _check_preconditions(T, p, kernel)
-    y, X, tau = _design(values, p)
-    levels, slopes, errors = _local_linear_grid(y[None], X[None], tau, np.array([1.0]), kernel)
-    if errors[0] is not None:
-        raise errors[0]
-    return levels[0, 0], slopes[0, 0]
+    stack = values.reshape(-1, values.shape[-1])  # one window is a stack of one
+    _check_preconditions(stack.shape[1], p, kernel)
+    y, X, tau = _design(stack, p)
+    levels, slopes, errors = _local_linear_grid(y, X, tau, np.array([1.0]), kernel)
+    fits = [error or (levels[i, 0], slopes[i, 0]) for i, error in enumerate(errors)]
+    return fits if values.ndim == 2 else _single(fits)
 
 
 def local_level(series, kernel: KernelSpec, u: float | np.ndarray | None = None):

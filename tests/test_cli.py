@@ -712,23 +712,64 @@ def test_forecast_refuses_a_window_too_short_for_the_scale_depth(tmp_path, capsy
     assert len(out.read_text().splitlines()) == 2
 
 
+# per model: extra flags, a window below a fit's own minimum and its message,
+# and the smallest window the rule accepts
+FIT_MINIMUMS = {
+    "TVAR": (["--p", "6"], 100, "series too short: 100 observations for p=6 (need more than 140)", 141),
+    "TVEWD": (["--bandwidth", "0.03"], 130,
+              "bandwidth 0.03 too small for T=130: fewer than 4 observations in the kernel window", 134),
+    "EWD": (["--p", "10"], 110, "series too short for OLS AR(10): 110 observations", 111),
+    "HAR": (["--horizon", "79"], 100, "window of 100 observations too short for horizon 79", 101),
+    "TVHAR": (["--horizon", "1,79"], 100, "window of 100 observations too short for horizon 79", 101),
+}
+
+
+@pytest.mark.parametrize("model", sorted(FIT_MINIMUMS))
+def test_both_commands_refuse_a_window_below_a_fits_own_minimum(tmp_path, capsys, model):
+    """`ModelSpec.check_window` holds each model's minimum window, from the
+    checks its fits run: the local-fit length and bandwidth rules for TVAR
+    and TVEWD, the OLS length for EWD, and 100 observations and 22 design
+    rows for HAR and TVHAR.  Below it, `tvewd forecast` and `tvewd
+    evaluate` exit 2 with one message and write nothing, where they exited
+    1 or reported the model failing at every origin."""
+    flags, window, message, smallest = FIT_MINIMUMS[model]
+    cfg = tmp_path / "depth.json"
+    cfg.write_text(json.dumps({"J": 1, "N": 1}))  # a scale depth that any of these windows holds
+    records = []
+    for argv in (["forecast", "--model", model], ["evaluate", "--models", model, "--benchmark", model]):
+        out = tmp_path / "out.csv"
+        argv += ["--input", str(PAPER_SERIES), "--output", str(out), "--config", str(cfg),
+                 "--window", str(window), *flags]
+        assert main(argv) == 2
+        records.append(json.loads(capsys.readouterr().err))
+        assert not out.exists()
+    assert records == [{"error": "config", "message": f"{model}: {message}"}] * 2
+    p = int(flags[1]) if flags[0] == "--p" else 1
+    kernel = KernelSpec("epanechnikov", float(flags[1]) if flags[0] == "--bandwidth" else 0.3)
+    horizons = tuple(int(h) for h in flags[1].split(",")) if flags[0] == "--horizon" else (1,)
+    spec = ModelSpec(model, p=p, kernel=kernel, scales=MultiscaleConfig(J=1, N=1))
+    spec.check_window(smallest, horizons)
+    with pytest.raises(ValueError, match=f"^{re.escape(model)}: "):
+        spec.check_window(smallest - 1, horizons)
+
+
 @pytest.mark.parametrize("model", ["TVEWD", "EWD", "TVAR", "HAR", "TVHAR"])
 def test_forecast_fits_once_per_lag_and_matches_per_horizon_route(tmp_path, monkeypatch, model):
     """Horizons sharing an AR order share one window fit; the CSV is
     byte-identical to forecasting each horizon on its own."""
-    from tvewd import forecast
+    from tvewd import benchmarks, forecast
 
     series_csv = tmp_path / "series.csv"
     series = write_series(series_csv, ar1_values(760, seed=48))
     out = tmp_path / "fc.csv"
     fits = []
-    fit_tvp_ar = forecast.fit_tvp_ar
+    fit_tvp_ar = benchmarks.fit_tvp_ar
 
     def counting_fit(values, p, *args, **kwargs):
         fits.append(p)
         return fit_tvp_ar(values, p, *args, **kwargs)
 
-    monkeypatch.setattr(forecast, "fit_tvp_ar", counting_fit)
+    monkeypatch.setattr(benchmarks, "fit_tvp_ar", counting_fit)
     argv = ["forecast", "--input", str(series_csv), "--output", str(out), "--model", model]
     code = main(argv + ["--preset", "period-2010", "--series", "CL", "--horizon", "5,1,22"])
     assert code == 0
@@ -1006,19 +1047,34 @@ def test_evaluate_origin_count_does_not_depend_on_horizon_order(tmp_path, capsys
 
 
 def test_evaluate_isolates_failures_per_ar_order(tmp_path, capsys):
-    """A window too short for p = 6 costs only the horizons mapped to p = 6,
-    and counts once per origin that still has such a horizon."""
-    _, records = evaluate_with_lags(tmp_path, "w", {"1": 2, "5": 6}, "TVEWD,TVAR,HAR", 120, "1,5", J=3, N=4)
+    """A local fit that fails at p = 6 costs only the horizons mapped to
+    p = 6, and counts once per origin that still has such a horizon.  Every
+    window ends in 60 or more values of period 3, where the lags t-1 and
+    t-4 are equal, so each local system there is singular at p = 6 and not
+    at p = 2."""
+    values = ar1_values(190, seed=2024)
+    values[90:] = 10.0 + np.resize([0.7, -1.3, 0.4], len(values) - 90)
+    series_csv = tmp_path / "series.csv"
+    write_series(series_csv, values)
+    cfg, fc_csv = tmp_path / "w.json", tmp_path / "w.fc.csv"
+    cfg.write_text(json.dumps({"lags": {"1": 2, "5": 6}, "forecasts_output": str(fc_csv), "J": 3, "N": 4}))
+    argv = ["evaluate", "--input", str(series_csv), "--output", str(tmp_path / "w.csv"), "--config", str(cfg),
+            "--models", "TVEWD,TVAR,HAR", "--benchmark", "HAR", "--window", "150", "--horizon", "1,5"]
+    assert main(argv) == 0
+    records = fc_csv.read_text().splitlines()
     table = capsys.readouterr().out
     counts = Counter((model, int(h)) for _, _, h, model, _ in (r.split(",") for r in records[1:]))
     assert (counts["TVAR", 1], counts["TVAR", 5]) == (40, 0)
     assert (counts["TVEWD", 1], counts["TVEWD", 5]) == (40, 0)
     assert (counts["HAR", 1], counts["HAR", 5]) == (40, 36)
-    too_short = "EstimationError: series too short: 120 observations for p=6 (need more than 140)"
-    failures = [line.strip() for line in table.split("failures:\n")[1].split("\n\n")[0].splitlines()]
+    failures = Counter()
+    for line in table.split("failures:\n")[1].split("\n\n")[0].splitlines():
+        count, message = line.strip().split(" ", 1)
+        assert ": EstimationError: singular local system at u=" in message
+        failures[message.split(":")[0]] += int(count[1:-2])
     # the p = 6 group has no horizon at the last 4 of the 40 origins, so it
     # is neither fitted nor counted there
-    assert failures == [f"[36x] TVAR: {too_short}", f"[36x] TVEWD: {too_short}"]
+    assert failures == {"TVAR": 36, "TVEWD": 36}
 
 
 @pytest.mark.parametrize("max_origins", [0, -3])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from tvewd import forecast, locreg, wold
+from tvewd import benchmarks, forecast, locreg, wold
 from tvewd.benchmarks import MODEL_NAMES, ModelSpec
 from tvewd.evaluate import (
     BLOCK_ORIGINS,
@@ -364,23 +364,25 @@ def test_a_failing_window_costs_only_its_own_forecasts(jobs):
     and count of a per-window loop, and every other window of their block
     keeps that loop's forecasts bit for bit.  The last origins lose h = 5,
     so the origins split into blocks of both horizons and of h = 1 alone.
-    The orders of TVEWD-1-6 disagree on the same windows: order 6 is too
-    long for a window of 100 and fails at every origin, while order 1
-    forecasts wherever TVEWD does."""
+    The orders of TVEWD-1-3 disagree on the same windows: order 1 forecasts
+    wherever TVEWD does, and order 3 fails at windows where order 1
+    forecasts."""
     series = make_series(100 + BLOCK_ORIGINS + 13, seed=108)
     values = series.values.copy()
     values[95:127] = values[95]
     series = VolatilitySeries(series.dates, values, label=series.label)
     plan = RollingPlan(window=100, horizons=(1, 5))
-    mixed = ModelSpec(name="TVEWD", p={1: 1, 5: 6}, kernel=KERN, scales=MultiscaleConfig(J=3, N=2), label="TVEWD-1-6")
+    mixed = ModelSpec(name="TVEWD", p={1: 1, 5: 3}, kernel=KERN, scales=MultiscaleConfig(J=3, N=2), label="TVEWD-1-3")
     models = FIVE_MODELS + [mixed]
     report = rolling_evaluate(series, models, plan, benchmark="HAR", jobs=jobs)
     bits, failures = per_window_loop(series, models, plan)
     assert forecast_bits(report) == bits
     assert report.failures == failures
-    too_long = "TVEWD-1-6: EstimationError: series too short: 100 observations for p=6 (need more than 140)"
-    assert failures[too_long] == len(range(100, len(series) - 4))  # every origin that scores h = 5
-    assert {(o, h) for o, h, m in bits if m == "TVEWD-1-6"} == {(o, h) for o, h, m in bits if m == "TVEWD" and h == 1}
+    def origins(model, h):
+        return {o for o, hh, m in bits if m == model and hh == h}
+
+    assert origins("TVEWD-1-3", 1) == origins("TVEWD", 1)
+    assert origins("TVEWD-1-3", 5) < origins("TVEWD", 5)
     singular = [msg for msg in failures if msg.startswith("TVEWD") and "singular local system" in msg]
     assert singular, failures
     # failing and forecasting TVEWD windows share the first block
@@ -465,6 +467,104 @@ def test_a_sweep_block_runs_the_chain_once_per_slice(monkeypatch):
     out = ModelSpec("TVHAR", kernel=KERN).forecast_all(windows, horizons)
     assert len(weights) == len(horizons)
     assert all(set(forecasts) == set(horizons) and not failed for forecasts, failed in out)
+
+
+PAPER_LAGS = {1: 2, 5: 6, 22: 6}  # the CL row of the period-2010 preset
+
+
+def paper_block_case():
+    """One block of 32 origins at the paper's geometry: all five models on
+    the committed criterion-08 series, window 700, lags {1: 2, 5: 6, 22: 6},
+    J = 7, N = 4 (H = 512)."""
+    models = [ModelSpec(m, p=PAPER_LAGS, kernel=KERN, scales=MultiscaleConfig(J=7, N=4)) for m in MODEL_NAMES]
+    return load_series(PAPER_SERIES), models, RollingPlan(window=700, horizons=(1, 5, 22), max_origins=BLOCK_ORIGINS)
+
+
+def failing_fits_case():
+    """137 days, window 100, bandwidth 0.15: the windows of origins 100-105
+    hold a NaN, and those of 106-134 a constant stretch of 28 days, where
+    the full local fits are singular while the boundary fit, 15 days wide,
+    is not.  Origins 100-131 form the first block."""
+    kernel = KernelSpec("epanechnikov", 0.15)
+    models = [ModelSpec(m, p=1, kernel=kernel, scales=MultiscaleConfig(J=3, N=2)) for m in MODEL_NAMES]
+    series = make_series(137, seed=117)
+    series.values[20:48] = series.values[20]
+    series.values[5] = np.nan
+    return series, models, RollingPlan(window=100, horizons=(1, 5))
+
+
+@pytest.mark.filterwarnings("ignore::tvewd.wold.ExplosiveWarning")
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("case", [paper_block_case, failing_fits_case])
+def test_a_block_forecasts_each_model_as_its_block_of_one(case, jobs):
+    """A block of all five models shares fits, levels and multiscale passes,
+    and each model keeps the forecast bits and failure messages of an
+    evaluation of that model alone."""
+    series, models, plan = case()
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = rolling_evaluate(series, models, plan, benchmark="HAR", jobs=jobs)
+        bits = forecast_bits(report)
+        for model in models:
+            alone = rolling_evaluate(series, [model], plan, benchmark=model.display, jobs=jobs)
+            assert {key: value for key, value in bits.items() if key[2] == model.display} == forecast_bits(alone)
+            own = {msg: n for msg, n in report.failures.items() if msg.startswith(f"{model.display}: ")}
+            assert own == alone.failures
+    if case is failing_fits_case:
+        window = series.values[10:110]  # origin 110
+        with pytest.raises(EstimationError, match="singular local system"):
+            locreg.fit_tvp_ar(window, 1, models[0].kernel)
+        locreg.boundary_fit(window, 1, models[0].kernel)
+        assert (110, 1, "TVAR") in bits and (110, 1, "TVEWD") not in bits
+        assert not any(origin <= 105 for origin, _, model in bits if model in ("TVAR", "TVEWD"))
+    else:
+        assert len(bits) == 5 * 3 * BLOCK_ORIGINS
+
+
+def counting(calls, name, fn):
+    """fn, counting its calls under name."""
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_a_paper_block_shares_its_fits_levels_and_passes(monkeypatch):
+    """The 32-origin block at the paper's geometry fits the stack once per
+    AR order (one kernel): TVAR reads its boundary rows in TVEWD's fits and
+    never calls `boundary_fit`; one `local_level` call levels every row
+    TVAR and TVEWD read; and each slice, one window at H = 512, inverts
+    TVEWD's 187 or 183 rows with EWD's one row in one `ar_to_ma` call, 64
+    calls where two separate chains made 128."""
+    series, models, plan = paper_block_case()
+    calls, inverted = Counter(), []
+    for name in ("fit_tvp_ar", "boundary_fit", "local_level"):
+        monkeypatch.setattr(benchmarks, name, counting(calls, name, getattr(benchmarks, name)))
+    monkeypatch.setattr(forecast, "ar_to_ma", lambda phi, H: inverted.append(len(phi)) or wold.ar_to_ma(phi, H))
+    report = rolling_evaluate(series, models, plan, benchmark="TVHAR")
+    assert len(report.records) == 5 * 3 * BLOCK_ORIGINS
+    assert calls == {"fit_tvp_ar": 2, "local_level": 1}
+    assert inverted == [187 + 1] * BLOCK_ORIGINS + [183 + 1] * BLOCK_ORIGINS
+
+
+def test_a_grid_search_over_depths_fits_each_block_once_per_order(monkeypatch):
+    """Four TVEWD candidates that differ only in J share each block's fit
+    per AR order: blocks of 32 and 8 origins with both horizons and one of
+    4 with h = 1 alone make five fits, where one evaluation per candidate
+    made twenty."""
+    series = make_series(100 + BLOCK_ORIGINS + 12, seed=118)
+    plan = RollingPlan(window=100, horizons=(1, 5))
+    candidates = [
+        ModelSpec("TVEWD", p={1: 1, 5: 2}, kernel=KERN, scales=MultiscaleConfig(J=J, N=2), label=f"J{J}")
+        for J in (1, 2, 3, 4)
+    ]
+    fits = []
+    fit_tvp_ar = benchmarks.fit_tvp_ar
+    monkeypatch.setattr(benchmarks, "fit_tvp_ar", lambda v, p, kernel: fits.append(p) or fit_tvp_ar(v, p, kernel))
+    results = grid_search(series, candidates, plan, horizon=5)
+    assert fits == [1, 2, 1, 2, 1]
+    assert sorted(r["label"] for r in results) == ["J1", "J2", "J3", "J4"] and all(r["n"] == 40 for r in results)
 
 
 def test_parallel_jobs_match_serial():
@@ -676,11 +776,10 @@ def test_grid_search_scores_every_candidate_as_its_own_evaluation_does(failing_a
         ModelSpec(name="HAR", label="har"),
         ModelSpec(name="TVEWD", p={1: 1, 5: 2}, kernel=KERN, scales=MultiscaleConfig(J=3, N=2), label="tvewd"),
     ]
-    # too short a window for p = 6: fails at every origin
-    candidates.insert(failing_at, ModelSpec(name="TVAR", p=6, kernel=KERN, label="tvar-p6"))
+    candidates.insert(failing_at, FailsOnHighClose(-np.inf, name="fails"))  # at every origin
     for loss in ("rmse", "mae"):
         results = grid_search(series, candidates, plan, horizon=5, loss=loss)
-        assert [r["label"] for r in results][-1] == "tvar-p6"
+        assert [r["label"] for r in results][-1] == "fails"
         for r in results:
             alone = rolling_evaluate(series, [r["spec"]], plan, benchmark=r["label"])
             entry = alone.entries.get((r["label"], 5))
@@ -698,11 +797,11 @@ def test_benchmark_without_forecasts_gives_nan_ratios():
     losses stay those of its evaluation alone."""
     series = make_series(150, seed=110)
     plan = RollingPlan(window=100, horizons=(1, 5))
-    failing = ModelSpec(name="TVAR", p=6, kernel=KERN, label="tvar-p6")
+    failing = FailsOnHighClose(-np.inf, name="fails")  # at every origin
     har = ModelSpec(name="HAR", label="har")
-    report = rolling_evaluate(series, [failing, har], plan, benchmark="tvar-p6")
+    report = rolling_evaluate(series, [failing, har], plan, benchmark="fails")
     alone = rolling_evaluate(series, [har], plan, benchmark="har")
-    assert not any(name == "tvar-p6" for name, _ in report.entries)
+    assert not any(name == "fails" for name, _ in report.entries)
     for h in plan.horizons:
         entry, own = report.entries[("har", h)], alone.entries[("har", h)]
         assert entry.n_paired == 0 and entry.n == own.n > 0

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tvewd import wold
+from tvewd import forecast, wold
 from tvewd.benchmarks import _ols_ar, ewd_static_forecast
 from tvewd.forecast import (
     _multiscale_points,
@@ -459,7 +459,7 @@ def test_decompose_static_agrees_with_constant_rows():
 def one_window_chain(phi, residuals, centered, trend, cfg):
     """The multiscale chain of one window, a stack of one: its forecasts, or
     the failure it returns."""
-    (result,) = _multiscale_points([(phi, residuals, centered, trend)], cfg, HORIZONS)
+    ((result,),) = _multiscale_points([([(phi, residuals, centered, trend)], HORIZONS)], cfg)
     return result
 
 
@@ -502,7 +502,7 @@ def test_the_forecast_chain_warns_once_per_explosive_slice(monkeypatch, per_row)
     monkeypatch.setattr(wold, "WOLD_BLOCK_BYTES", 2 * 8 * (cfg.H + 1) * R)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        stacked = _multiscale_points(list(zip(phi, residuals, centered, trend)), cfg, HORIZONS)
+        (stacked,) = _multiscale_points([(list(zip(phi, residuals, centered, trend)), HORIZONS)], cfg)
     largest = [float(np.abs(loop_ar_to_ma([explosive[i]], cfg.H)).sum()) for i in (1, 5)]
     assert [w.category for w in caught] == [ExplosiveWarning] * 2
     for w, total in zip(caught, largest):
@@ -515,6 +515,49 @@ def test_the_forecast_chain_warns_once_per_explosive_slice(monkeypatch, per_row)
                 assert isinstance(got, EstimationError) and str(got) == str(want)
             else:
                 assert {h: v.hex() for h, v in got.items()} == {h: v.hex() for h, v in want.items()}
+
+
+def test_tvewd_and_ewd_rows_share_a_slice_and_warn_once_for_it(monkeypatch):
+    """Two chains over one block of four windows, two a slice: TVEWD's, an
+    AR row per decomposed row, and EWD's, one broadcast OLS row, each with
+    an explosive row in window 1.  Run apart, each chain inverts its slices
+    on its own and warns for the first, twice in all; run as one pass, each
+    slice inverts both chains' rows in one `ar_to_ma` call, and the first
+    slice warns once, naming the larger sum |alpha|, EWD's.  Each chain's
+    forecasts and failures are those of its own pass, bit for bit."""
+    cfg = MultiscaleConfig(J=3, N=2)
+    G, B = cfg.H + 10, 4
+    R = G - cfg.first_full_row(G)
+    rng = np.random.default_rng(52)
+    per_row = rng.uniform(-0.5, 0.5, (B, R, 1))
+    one_row = rng.uniform(-0.5, 0.5, (B, 1))
+    per_row[1, -1], one_row[1] = 10.0, 20.0
+
+    def chain(phi):
+        return list(zip(phi, rng.standard_normal((B, G)), rng.standard_normal((B, R)), rng.uniform(5.0, 15.0, B)))
+
+    tvewd, ewd = chain(per_row), chain(one_row)
+    monkeypatch.setattr(wold, "WOLD_BLOCK_BYTES", 2 * 8 * (cfg.H + 1) * R)
+    inverted = []
+    monkeypatch.setattr(forecast, "ar_to_ma", lambda phi, H: inverted.append(len(phi)) or ar_to_ma(phi, H))
+    with warnings.catch_warnings(record=True) as apart:
+        warnings.simplefilter("always")
+        alone = [_multiscale_points([(windows, HORIZONS)], cfg)[0] for windows in (tvewd, ewd)]
+    assert inverted == [2 * R, 2 * R, 2, 2]
+    with warnings.catch_warnings(record=True) as joint:
+        warnings.simplefilter("always")
+        together = _multiscale_points([(tvewd, HORIZONS), (ewd, HORIZONS)], cfg)
+    assert inverted[4:] == [2 * R + 2, 2 * R + 2]
+    assert [w.category for w in apart] == [ExplosiveWarning] * 2
+    assert [w.category for w in joint] == [ExplosiveWarning]
+    largest = float(np.abs(loop_ar_to_ma([20.0], cfg.H)).sum())
+    assert str(joint[0].message).startswith(f"MA weights exceed overflow guard (max sum |alpha| = {largest:.3g})")
+    for got, want in zip(together, alone):
+        for g, w in zip(got, want):
+            if isinstance(w, Exception):
+                assert type(g) is type(w) and str(g) == str(w)
+            else:
+                assert {h: v.hex() for h, v in g.items()} == {h: v.hex() for h, v in w.items()}
 
 
 def test_ewd_warns_once_for_an_explosive_ols_row():
