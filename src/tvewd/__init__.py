@@ -13,10 +13,8 @@ truth, and a command-line interface.
 from .benchmarks import (
     MODEL_NAMES,
     ModelSpec,
-    ewd_static_forecast,
     har_fit_forecast,
     har_terms,
-    tvar_forecast,
     tvhar_fit_forecast,
 )
 from .evaluate import (

@@ -37,6 +37,7 @@ from .locreg import (
     _check_preconditions,
     _checked_lstsq,
     _design,
+    _kernel_support,
     _single,
     boundary_fit,
     fit_tvp_ar,
@@ -53,8 +54,6 @@ __all__ = [
     "har_terms",
     "har_fit_forecast",
     "tvhar_fit_forecast",
-    "tvar_forecast",
-    "ewd_static_forecast",
     "forecast_block",
 ]
 
@@ -99,18 +98,26 @@ def _har_design(values: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray, np.
     daily = values[..., first - 1 : last]
     X = np.stack([np.ones(daily.shape), daily, weekly, monthly], axis=-1)
     y = values[..., first - 1 + h :]
-    tau = np.arange(first, last + 1, dtype=float) / T
-    return y, X, tau
+    return y, X, _har_tau(T, h)
 
 
-def _check_har_window(T: int, h: int) -> None:
+def _har_tau(T: int, h: int) -> np.ndarray:
+    """Rescaled times t/T of the HAR design's predictor rows t = 22..T-h."""
+    return np.arange(HAR_LAGS[2], T - h + 1, dtype=float) / T
+
+
+def _check_har_window(T: int, h: int, kernel: KernelSpec | None = None) -> None:
     """Raise EstimationError unless a window of T observations holds a HAR
     regression for horizon h: at least 100 observations, and one row
-    t = 22..T-h at least."""
+    t = 22..T-h at least.  With a kernel, TVHAR's u = 1 local linear fit
+    must also find twice its regressors in the kernel support, as
+    `local_linear` checks (`locreg._kernel_support`)."""
     if T < 100:
         raise EstimationError(f"HAR window must hold at least 100 observations, got {T}")
     if T - h < HAR_LAGS[2]:
         raise EstimationError(f"window of {T} observations too short for horizon {h}")
+    if kernel is not None:
+        _kernel_support(_har_tau(T, h), 1.0, kernel, 1 + len(HAR_LAGS))
 
 
 def _har_forecasts(values: np.ndarray, h: int, kernel: KernelSpec | None) -> tuple[float, np.ndarray] | list:
@@ -173,34 +180,13 @@ def tvhar_fit_forecast(values: np.ndarray, h: int, kernel: KernelSpec) -> tuple[
     return _har_forecasts(values, h, kernel)
 
 
-def tvar_forecast(
-    values: np.ndarray, p: int, horizons: tuple[int, ...], kernel: KernelSpec
-) -> dict[int, float] | list:
-    """Time-varying AR(p): iterate the recursion with boundary coefficients.
-
-    The last p observations are centered with the estimated local level
-    (trend) at their own time points, the AR recursion is iterated on
-    centered values with the boundary (u = 1) coefficients of `boundary_fit`
-    and future shocks set to zero, and the boundary level is added back.
-    Only those p levels and one boundary solve are computed; they equal the
-    matching entries of a full `fit_tvp_ar` and `local_level` bit for bit.
-
-    `values` may also be a (B, n) stack of windows of one length, fitted
-    and levelled in one call each; each window keeps its own recursion.
-    The result holds, per window, its `{h: value}` map or the model failure
-    it raised, bit for bit what a one-window call returns or raises.
-    """
-    values = np.asarray(values, dtype=float)
-    stack = values.reshape(-1, values.shape[-1])  # one window is a stack of one
-    T = stack.shape[1]
-    rows = _boundary_rows(stack, p, kernel, None)
-    levels = _attempt(local_level, stack, kernel, np.arange(T - p + 1, T + 1, dtype=float) / T)
-    results = _tvar_points(stack, rows, levels, p, horizons)
-    return results if values.ndim == 2 else _single(results)
-
-
 def _tvar_points(stack: np.ndarray, rows, levels, p: int, horizons: tuple[int, ...]) -> list:
     """Per window of a (B, T) stack, TVAR's forecasts at order p, or its failure.
+
+    The last p observations are centred with the local level at their own
+    time points, the AR recursion is iterated on them with the boundary
+    (u = 1) coefficients and future shocks set to zero, and the boundary
+    level is added back.
 
     rows holds, per window, the (p+1,) u = 1 levels of its local AR fit or
     that fit's failure, or is one failure for the whole stack.  levels is
@@ -249,7 +235,8 @@ def _ewd_inputs(stack: np.ndarray, p: int, scales: MultiscaleConfig) -> list:
     """Per window of a (B, T) stack, EWD's chain inputs at order p for
     `_multiscale_points`, or its failure: the OLS AR row, its residuals,
     and the rows from `first_full_row` on centred on the OLS trend line in
-    rescaled time, with that line's value at u = 1."""
+    rescaled time, the static analog of the local level, with that line's
+    value at u = 1."""
     T = stack.shape[1]
     first = p + scales.first_full_row(T - p)  # the observation of the first decomposed row
     tau = np.arange(1, T + 1, dtype=float) / T
@@ -262,32 +249,6 @@ def _ewd_inputs(stack: np.ndarray, p: int, scales: MultiscaleConfig) -> list:
         return coef[1:], residuals, window[first:] - trend_curve[first:], trend_curve[-1]
 
     return [_attempt(chain, window) for window in stack]
-
-
-def ewd_static_forecast(
-    values: np.ndarray, p: int, scales: MultiscaleConfig, horizons: tuple[int, ...]
-) -> dict[int, float] | list:
-    """Static multiscale pipeline: the multiscale chain TVEWD runs, on the
-    MA weights of a global OLS AR(p) fit, inverted once for every row.
-
-    The static analog of the local level is the global OLS straight line in
-    rescaled time; centering and the trend forecast use that line.  As for
-    TVEWD, only the rows from `first_full_row` on are decomposed.
-
-    `values` may also be a (B, n) stack of windows of one length.  Each
-    window fits its OLS row and trend line on its own, and the windows run
-    the multiscale chain together (`_multiscale_points`).  The result
-    holds, per window, its `{h: value}` map or the model failure it raised,
-    bit for bit what a one-window call returns or raises.  Alone, EWD
-    inverts its rows in slices of its own, one ExplosiveWarning per slice
-    that holds an explosive row; in a block with TVEWD at the same order
-    and scales (`forecast_block`), its rows ride in TVEWD's slices, and an
-    explosive slice warns once for both models.
-    """
-    values = np.asarray(values, dtype=float)
-    stack = values.reshape(-1, values.shape[-1])  # one window is a stack of one
-    (results,) = _multiscale_points([(_ewd_inputs(stack, p, scales), horizons)], scales)
-    return results if values.ndim == 2 else _single(results)
 
 
 @dataclass(frozen=True)
@@ -351,7 +312,9 @@ class ModelSpec:
             bandwidth * window >= 2p+2;
           - EWD, the OLS minimum: window > 10(p+1);
           - HAR and TVHAR, per horizon h: at least 100 observations, and
-            window - h >= 22.
+            window - h >= 22;
+          - TVHAR, per horizon, the kernel support of its u = 1 local fit
+            (`locreg._kernel_support`): twice its four regressors.
         """
         groups = self.horizon_groups(horizons)
         if self.name in ("EWD", "TVEWD"):
@@ -365,7 +328,7 @@ class ModelSpec:
         try:
             for key in groups:
                 if self.name in ("HAR", "TVHAR"):
-                    _check_har_window(window, key)
+                    _check_har_window(window, key, self.kernel if self.name == "TVHAR" else None)
                 elif self.name == "EWD":
                     _check_ols_window(window, key)
                 else:

@@ -18,16 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .locreg import (
-    _MODEL_FAILURES,
-    EstimationError,
-    KernelSpec,
-    _attempt,
-    _checked_lstsq,
-    _single,
-    fit_tvp_ar,
-    local_level,
-)
+from .locreg import _MODEL_FAILURES, EstimationError, _attempt, _checked_lstsq
 from .series import format_value, write_csv
 from .wold import (
     MultiscaleConfig,
@@ -43,7 +34,6 @@ __all__ = [
     "estimate_weights",
     "forecast_scale",
     "combine_forecast",
-    "tvewd_forecast_window",
     "store_forecasts",
 ]
 
@@ -240,42 +230,6 @@ def _tvewd_inputs(stack: np.ndarray, fits, levels, p: int, scales: MultiscaleCon
         else (fit.phi[start:, 1:], fit.residuals, window[first:] - level[first - T :], level[-1])
         for window, fit, level in zip(stack, fits, levels)
     ]
-
-
-def tvewd_forecast_window(
-    values: np.ndarray,
-    p: int,
-    kernel: KernelSpec,
-    scales: MultiscaleConfig,
-    horizons: tuple[int, ...],
-) -> dict[int, float] | list:
-    """Forecast several horizons from one window fitted as a TVP-AR(p), as
-    `{h: value}`.
-
-    Only the rows the forecast reads are decomposed and levelled: residual
-    rows from `first_full_row` on, the first with a full shock history, to
-    the boundary row.  A local level does not depend on which other points
-    are evaluated with it, so these levels equal the same rows of
-    `local_level(values, kernel)` bit for bit, and the last of them
-    sits at u = 1.
-
-    `values` may also be a (B, n) stack of windows of one length.  The
-    stack is fitted and levelled in one call each, which builds the kernel
-    weights once for all windows, and the windows whose fit succeeded run
-    the multiscale chain together (`_multiscale_points`) in slices of at
-    most WOLD_BLOCK_BYTES of MA weights: one `ar_to_ma` call per slice, so
-    one ExplosiveWarning per slice that holds an explosive row.  The result
-    holds, per window, its `{h: value}` map or the model failure that
-    window raised, bit for bit what a one-window call returns or raises.
-    """
-    values = np.asarray(values, dtype=float)
-    stack = values.reshape(-1, values.shape[-1])  # one window is a stack of one
-    T = stack.shape[1]
-    first = p + scales.first_full_row(T - p)
-    fits = _attempt(fit_tvp_ar, stack, p, kernel)
-    levels = _attempt(local_level, stack, kernel, np.arange(first + 1, T + 1, dtype=float) / T)
-    (results,) = _multiscale_points([(_tvewd_inputs(stack, fits, levels, p, scales), horizons)], scales)
-    return results if values.ndim == 2 else _single(results)
 
 
 def store_forecasts(rows: list[tuple[str, str, int, str, float]], path: str) -> None:

@@ -133,6 +133,22 @@ def _checked_lstsq(A: np.ndarray, b: np.ndarray, what: str) -> tuple[np.ndarray,
     return x, cond
 
 
+def _kernel_support(tau: np.ndarray, u: float, kernel: KernelSpec, m: int) -> tuple:
+    """Offsets tau - u, kernel weights and active rows of a local linear
+    solve at u with m regressors; raise EstimationError if fewer than 2m
+    rows have a positive weight.  The rows depend on tau alone, so a
+    caller can check a window's geometry before it has the window."""
+    offs = tau - u
+    w = kernel_weights(offs / kernel.bandwidth, kernel.family)
+    active = np.nonzero(w > 0.0)[0]
+    if len(active) < 2 * m:
+        raise EstimationError(
+            f"only {len(active)} observations in kernel support at u={u:.6g} "
+            f"for {2 * m} parameters; increase bandwidth"
+        )
+    return offs, w, active
+
+
 def local_linear(
     y: np.ndarray, X: np.ndarray, tau: np.ndarray, u: float, kernel: KernelSpec
 ) -> tuple[np.ndarray, np.ndarray] | list:
@@ -159,14 +175,7 @@ def local_linear(
     """
     y, X = np.asarray(y, dtype=float), np.asarray(X, dtype=float)
     m = X.shape[-1]
-    offs = tau - u
-    w = kernel_weights(offs / kernel.bandwidth, kernel.family)
-    active = np.nonzero(w > 0.0)[0]
-    if len(active) < 2 * m:
-        raise EstimationError(
-            f"only {len(active)} observations in kernel support at u={u:.6g} "
-            f"for {2 * m} parameters; increase bandwidth"
-        )
+    offs, w, active = _kernel_support(tau, u, kernel, m)
     sw = np.sqrt(w[active])
     Xa = X.take(active, axis=-2)
     Z = np.empty(Xa.shape[:-1] + (2 * m,))

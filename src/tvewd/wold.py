@@ -265,21 +265,19 @@ def scale_components(
 
 @dataclass
 class MultiscaleDecomposition:
-    """Multiscale decomposition of a fitted window, one row per residual row.
+    """Beta surface of a fitted window, one row per residual row.
 
-    Row r of every array is residual row r of the fit, observation t = p+1+r
-    of the window, at rescaled time grid[r].  The MA weights are not kept;
-    `ar_to_ma(fit.phi[:, 1:], config.H)` gives them.
+    Row r of every beta array is residual row r of the fit, observation
+    t = p+1+r of the window, at rescaled time grid[r].  The MA weights, the
+    scaling coefficients and the scale components are not kept:
+    `ar_to_ma(fit.phi[:, 1:], config.H)` gives the weights,
+    `haar_coefficients` the coefficients, and `haar_innovations` with
+    `scale_components` the components.
     """
 
     config: MultiscaleConfig
     grid: np.ndarray
     betas: list[np.ndarray]
-    gamma: np.ndarray
-    innovations: list[np.ndarray]
-    low_pass: np.ndarray
-    components: list[np.ndarray]
-    residual_component: np.ndarray
     dates: np.ndarray | None = None
 
     @property
@@ -290,45 +288,27 @@ class MultiscaleDecomposition:
 def decompose(
     fit: TvpArFit, config: MultiscaleConfig, dates: np.ndarray | None = None
 ) -> MultiscaleDecomposition:
-    """Decompose a TVP-AR fit into persistence-scale components.
-
-    The fit's coefficient rows, residuals and innovations share one index:
-    one row per observation t = p+1..T of the window.  `dates` align with
-    the fit grid.  `config.first_full_row(G)` is the first row whose
-    components are defined.
+    """The beta surface of a TVP-AR fit: per residual row, the detail
+    coefficients beta_j(k) of its MA weights, which the persistence shares
+    and the beta CSV read.  `dates` align with the fit grid.
 
     The AR rows are inverted and Haar-transformed in blocks of
     max(1, WOLD_BLOCK_BYTES // (8 (H+1))) rows, and each block's MA weights
     are dropped once its coefficients are stored.  Rows are independent and
-    `ar_to_ma` gives a row the same bits in any batch, so every array equals
+    `ar_to_ma` gives a row the same bits in any batch, so the betas equal
     the whole-array chain bit for bit.  `ar_to_ma` checks each block on its
     own: an explosive fit gives one ExplosiveWarning per block that holds an
     explosive row, each naming that block's largest sum |alpha|.
     """
-    if dates is not None and len(dates) != len(fit.residuals):
+    if dates is not None and len(dates) != len(fit.grid):
         raise ValueError("dates must align with the fit grid")
     G, H = len(fit.phi), config.H
     betas = [np.empty((G, config.n_translates(j))) for j in range(1, config.J + 1)]
-    gamma = np.empty((G, config.N))
     for rows in _blocks(G, 1, H):
-        block_betas, gamma[rows] = haar_coefficients(ar_to_ma(fit.phi[rows, 1:], H), config)
+        block_betas, _ = haar_coefficients(ar_to_ma(fit.phi[rows, 1:], H), config)
         for beta, block in zip(betas, block_betas):
             beta[rows] = block
-    innovations, low_pass = haar_innovations(fit.residuals, config.J)
-    components, residual_component = scale_components(
-        betas, gamma, innovations, low_pass, config
-    )
-    return MultiscaleDecomposition(
-        config=config,
-        grid=fit.grid,
-        betas=betas,
-        gamma=gamma,
-        innovations=innovations,
-        low_pass=low_pass,
-        components=components,
-        residual_component=residual_component,
-        dates=dates,
-    )
+    return MultiscaleDecomposition(config=config, grid=fit.grid, betas=betas, dates=dates)
 
 
 @dataclass

@@ -11,20 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from tvewd.benchmarks import (
-    ModelSpec,
-    ewd_static_forecast,
-    har_fit_forecast,
-    tvhar_fit_forecast,
-)
+from tvewd.benchmarks import ModelSpec, har_fit_forecast, tvhar_fit_forecast
 from tvewd.evaluate import RollingPlan, dm_test, rolling_evaluate
-from tvewd.forecast import (
-    combine_forecast,
-    estimate_weights,
-    forecast_scale,
-    tvewd_forecast_window,
-)
-from tvewd.locreg import KernelSpec, TvpArFit, fit_tvp_ar, local_level
+from tvewd.forecast import combine_forecast, estimate_weights, forecast_scale
+from tvewd.locreg import KernelSpec, fit_tvp_ar, local_level
 from tvewd.rv import TradingCalendar, annualize, realized_variance, sample_five_minute
 from tvewd.sim import Curve, TvpArScenario, constant, simulate
 from tvewd.wold import (
@@ -188,25 +178,14 @@ def _multiscale_forecasts(v, phi_rows, trend_line, scales, horizons):
     """
     y = v[1:]
     X = np.column_stack([np.ones(len(y)), v[:-1]])
-    tau = np.arange(2, len(v) + 1, dtype=float) / len(v)
-    fit = TvpArFit(
-        grid=tau,
-        phi=phi_rows,
-        slopes=np.zeros_like(phi_rows),
-        residuals=y - np.sum(X * phi_rows, axis=1),
-        values=v,
-        p=1,
-        kernel=KernelSpec("uniform", 1.0),
-    )
-    decomp = decompose(fit, scales)
-    weights = estimate_weights(v[1:] - trend_line[1:], decomp.components)
+    betas, gamma = haar_coefficients(ar_to_ma(phi_rows[:, 1:], scales.H), scales)
+    innovations, low_pass = haar_innovations(y - np.sum(X * phi_rows, axis=1), scales.J)
+    components, _ = scale_components(betas, gamma, innovations, low_pass, scales)
+    weights = estimate_weights(v[1:] - trend_line[1:], components)
     out = []
     for h in horizons:
         parts = np.array(
-            [
-                forecast_scale(decomp.betas[j - 1][-1], decomp.innovations[j - 1], j, h)
-                for j in range(1, scales.J + 1)
-            ]
+            [forecast_scale(betas[j - 1][-1], innovations[j - 1], j, h) for j in range(1, scales.J + 1)]
         )
         out.append(combine_forecast(float(trend_line[-1]), weights.weights, parts))
     return out
@@ -264,8 +243,8 @@ def test_criterion_07_nesting_checks():
     line = np.linalg.lstsq(np.column_stack([np.ones(T), tau]), v, rcond=None)[0]
     trend_line = line[0] + line[1] * tau
     fit = fit_tvp_ar(v, 1, uniform)
-    points = tvewd_forecast_window(v, 1, uniform, scales, horizons)
-    static = ewd_static_forecast(v, 1, scales, horizons)
+    points = ModelSpec("TVEWD", p=1, kernel=uniform, scales=scales).forecast_all(v, horizons)
+    static = ModelSpec("EWD", p=1, scales=scales).forecast_all(v, horizons)
     on_linear = _multiscale_forecasts(v, linear_phi, trend_line, scales, horizons)
     on_ols = _multiscale_forecasts(v, ols_phi, trend_line, scales, horizons)
 

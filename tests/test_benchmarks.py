@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from tvewd.benchmarks import (
-    MODEL_NAMES,
-    ModelSpec,
-    ewd_static_forecast,
-    har_fit_forecast,
-    har_terms,
-    tvar_forecast,
-    tvhar_fit_forecast,
+from tvewd.benchmarks import MODEL_NAMES, ModelSpec, har_fit_forecast, har_terms, tvhar_fit_forecast
+from tvewd.locreg import (
+    _MODEL_FAILURES,
+    KERNEL_FAMILIES,
+    EstimationError,
+    KernelSpec,
+    boundary_fit,
+    fit_tvp_ar,
+    local_level,
 )
-from tvewd.forecast import tvewd_forecast_window
-from tvewd.locreg import _MODEL_FAILURES, KERNEL_FAMILIES, EstimationError, KernelSpec, fit_tvp_ar, local_level
 from tvewd.wold import MultiscaleConfig
 
 KERN = KernelSpec("epanechnikov", 0.3)
@@ -143,7 +142,7 @@ def test_tvar_closed_form_ar1():
     fit = fit_tvp_ar(v, 1, KERN)
     trend = local_level(fit.values, fit.kernel)
     phi1 = fit.phi[-1, 1]
-    out = tvar_forecast(v, 1, (1, 2, 5, 22), KERN)
+    out = ModelSpec("TVAR", p=1, kernel=KERN).forecast_all(v, (1, 2, 5, 22))
     for h in (1, 2, 5, 22):
         assert out[h] == pytest.approx(trend[-1] + phi1**h * (fit.values[-1] - trend[-1]), rel=1e-12)
 
@@ -159,7 +158,7 @@ def test_tvar_manual_recursion_oracle_p2():
         nxt = c1 * x_cur + c2 * x_prev
         x_prev, x_cur = x_cur, nxt
         expected[h] = trend[-1] + nxt
-    out = tvar_forecast(v, 2, (1, 3, 5), KERN)
+    out = ModelSpec("TVAR", p=2, kernel=KERN).forecast_all(v, (1, 3, 5))
     for h in (1, 3, 5):
         assert out[h] == pytest.approx(expected[h], rel=1e-12)
 
@@ -188,15 +187,16 @@ def test_tvar_boundary_route_equals_full_fit_route(p):
         T = int(rng.integers(150, 800))
         kernel = KernelSpec(str(rng.choice(KERNEL_FAMILIES)), float(rng.uniform(0.15, 1.0)))
         v = ar1_path(float(rng.uniform(0.0, 0.95)), T, seed=1000 * p + trial, level=float(rng.uniform(1.0, 20.0)))
-        out = tvar_forecast(v, p, horizons, kernel)
+        out = ModelSpec("TVAR", p=p, kernel=kernel).forecast_all(v, horizons)
         expected = full_fit_tvar(v, p, horizons, kernel)
         np.testing.assert_array_equal([out[h] for h in horizons], [expected[h] for h in horizons])
 
 
 def test_tvar_order_zero_is_refused():
     v = ar1_path(0.5, 400, seed=77, level=10.0)
-    with pytest.raises(EstimationError, match="order must be >= 1, got 0"):
-        tvar_forecast(v, 0, (1, 22), KERN)
+    for fit in (fit_tvp_ar, boundary_fit):
+        with pytest.raises(EstimationError, match="order must be >= 1, got 0"):
+            fit(v, 0, KERN)
     for name in MODEL_NAMES:
         for p in (0, -1, {1: 2, 5: 0}):
             with pytest.raises(ValueError, match="AR order must be >= 1, got (0|-1)"):
@@ -207,7 +207,7 @@ def test_tvar_forecast_decays_to_trend():
     v = ar1_path(0.7, 500, seed=78, level=10.0)
     fit = fit_tvp_ar(v, 1, KERN)
     level = local_level(fit.values, fit.kernel)[-1]
-    out = tvar_forecast(v, 1, (1, 50), KERN)
+    out = ModelSpec("TVAR", p=1, kernel=KERN).forecast_all(v, (1, 50))
     # with |phi| < 1 the centered part dies out at long horizons
     assert abs(out[50] - level) < abs(out[1] - level) + 1e-9
     assert out[50] == pytest.approx(level, abs=0.05)
@@ -220,8 +220,8 @@ def test_tvar_forecast_decays_to_trend():
 def test_static_pipeline_close_to_time_varying_on_stable_process():
     for seed in range(6):
         v = ar1_path(0.6, 400, seed=900 + seed, level=10.0)
-        ewd = ewd_static_forecast(v, 1, SCALES, (1, 5, 22))
-        tvewd = tvewd_forecast_window(v, 1, KERN, SCALES, (1, 5, 22))
+        ewd = ModelSpec("EWD", p=1, scales=SCALES).forecast_all(v, (1, 5, 22))
+        tvewd = ModelSpec("TVEWD", p=1, kernel=KERN, scales=SCALES).forecast_all(v, (1, 5, 22))
         for h, value in tvewd.items():
             assert abs(ewd[h] - value) < 1.0
 
@@ -229,14 +229,14 @@ def test_static_pipeline_close_to_time_varying_on_stable_process():
 def test_static_pipeline_on_white_noise_stays_at_level():
     rng = np.random.default_rng(79)
     v = 10.0 + rng.standard_normal(400)
-    out = ewd_static_forecast(v, 1, SCALES, (1, 5, 22))
+    out = ModelSpec("EWD", p=1, scales=SCALES).forecast_all(v, (1, 5, 22))
     for h in (1, 5, 22):
         assert abs(out[h] - 10.0) < 0.5
 
 
 def test_static_pipeline_too_short():
     with pytest.raises(EstimationError, match="too short"):
-        ewd_static_forecast(np.ones(15), 1, SCALES, (1,))
+        ModelSpec("EWD", p=1, scales=SCALES).forecast_all(np.ones(15), (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +301,6 @@ def test_model_spec_dispatch_matches_direct_calls():
     assert ModelSpec(name="TVHAR", kernel=KERN).forecast_all(v, horizons) == {
         h: tvhar_fit_forecast(v, h, KERN)[0] for h in horizons
     }
-    assert ModelSpec(name="TVAR", p=1, kernel=KERN).forecast_all(v, horizons) == tvar_forecast(
-        v, 1, horizons, KERN
-    )
-    assert ModelSpec(name="EWD", p=1, scales=SCALES).forecast_all(
-        v, horizons
-    ) == ewd_static_forecast(v, 1, SCALES, horizons)
-    assert ModelSpec(name="TVEWD", p=1, kernel=KERN, scales=SCALES).forecast_all(
-        v, horizons
-    ) == tvewd_forecast_window(v, 1, KERN, SCALES, horizons)
 
 
 def test_models_do_not_mutate_input_window():

@@ -712,27 +712,31 @@ def test_forecast_refuses_a_window_too_short_for_the_scale_depth(tmp_path, capsy
     assert len(out.read_text().splitlines()) == 2
 
 
-# per model: extra flags, a window below a fit's own minimum and its message,
-# and the smallest window the rule accepts
+# per case, named by its model: extra flags, a window below a fit's own
+# minimum and its message, and the smallest window the rule accepts
 FIT_MINIMUMS = {
     "TVAR": (["--p", "6"], 100, "series too short: 100 observations for p=6 (need more than 140)", 141),
     "TVEWD": (["--bandwidth", "0.03"], 130,
               "bandwidth 0.03 too small for T=130: fewer than 4 observations in the kernel window", 134),
     "EWD": (["--p", "10"], 110, "series too short for OLS AR(10): 110 observations", 111),
     "HAR": (["--horizon", "79"], 100, "window of 100 observations too short for horizon 79", 101),
-    "TVHAR": (["--horizon", "1,79"], 100, "window of 100 observations too short for horizon 79", 101),
+    "TVHAR": (["--horizon", "1,79"], 100, "window of 100 observations too short for horizon 79", 287),
+    "TVHAR-support": (["--bandwidth", "0.03", "--horizon", "1"], 150,
+                      "only 4 observations in kernel support at u=1 for 8 parameters; increase bandwidth", 267),
 }
 
 
-@pytest.mark.parametrize("model", sorted(FIT_MINIMUMS))
-def test_both_commands_refuse_a_window_below_a_fits_own_minimum(tmp_path, capsys, model):
+@pytest.mark.parametrize("case", sorted(FIT_MINIMUMS))
+def test_both_commands_refuse_a_window_below_a_fits_own_minimum(tmp_path, capsys, case):
     """`ModelSpec.check_window` holds each model's minimum window, from the
     checks its fits run: the local-fit length and bandwidth rules for TVAR
-    and TVEWD, the OLS length for EWD, and 100 observations and 22 design
-    rows for HAR and TVHAR.  Below it, `tvewd forecast` and `tvewd
-    evaluate` exit 2 with one message and write nothing, where they exited
-    1 or reported the model failing at every origin."""
-    flags, window, message, smallest = FIT_MINIMUMS[model]
+    and TVEWD, the OLS length for EWD, 100 observations and 22 design rows
+    for HAR and TVHAR, and for TVHAR the kernel support of its u = 1 fit.
+    Below it, `tvewd forecast` and `tvewd evaluate` exit 2 with one message
+    and write nothing, where they exited 1 or reported the model failing at
+    every origin.  At the smallest window it accepts, TVHAR forecasts."""
+    model = case.split("-")[0]
+    flags, window, message, smallest = FIT_MINIMUMS[case]
     cfg = tmp_path / "depth.json"
     cfg.write_text(json.dumps({"J": 1, "N": 1}))  # a scale depth that any of these windows holds
     records = []
@@ -744,13 +748,19 @@ def test_both_commands_refuse_a_window_below_a_fits_own_minimum(tmp_path, capsys
         records.append(json.loads(capsys.readouterr().err))
         assert not out.exists()
     assert records == [{"error": "config", "message": f"{model}: {message}"}] * 2
-    p = int(flags[1]) if flags[0] == "--p" else 1
-    kernel = KernelSpec("epanechnikov", float(flags[1]) if flags[0] == "--bandwidth" else 0.3)
-    horizons = tuple(int(h) for h in flags[1].split(",")) if flags[0] == "--horizon" else (1,)
+    options = dict(zip(flags[::2], flags[1::2]))
+    p = int(options.get("--p", 1))
+    kernel = KernelSpec("epanechnikov", float(options.get("--bandwidth", 0.3)))
+    horizons = tuple(int(h) for h in options.get("--horizon", "1").split(","))
     spec = ModelSpec(model, p=p, kernel=kernel, scales=MultiscaleConfig(J=1, N=1))
     spec.check_window(smallest, horizons)
     with pytest.raises(ValueError, match=f"^{re.escape(model)}: "):
         spec.check_window(smallest - 1, horizons)
+    if case == "TVHAR-support":
+        argv = ["forecast", "--model", model, "--input", str(PAPER_SERIES), "--output", str(out),
+                "--window", str(smallest), *flags]
+        assert main(argv) == 0
+        assert len(out.read_text().splitlines()) == 2
 
 
 @pytest.mark.parametrize("model", ["TVEWD", "EWD", "TVAR", "HAR", "TVHAR"])

@@ -8,20 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvewd.benchmarks import MODEL_NAMES, ModelSpec, ewd_static_forecast
-from tvewd.forecast import (
-    estimate_weights,
-    combine_forecast,
-    forecast_scale,
-    store_forecasts,
-    tvewd_forecast_window,
-)
-from tvewd.locreg import EstimationError, KernelSpec, TvpArFit, local_level
+from tvewd.benchmarks import MODEL_NAMES, ModelSpec
+from tvewd.forecast import estimate_weights, combine_forecast, forecast_scale, store_forecasts
+from tvewd.locreg import EstimationError, KernelSpec, local_level
 from tvewd.series import VolatilitySeries, business_dates
-from tvewd.wold import MultiscaleConfig, decompose
+from tvewd.wold import MultiscaleConfig, ar_to_ma, haar_coefficients, haar_innovations, scale_components
 
 KERNEL = KernelSpec("epanechnikov", 0.3)
 SCALES = MultiscaleConfig(J=5, N=4)
+TVEWD = ModelSpec("TVEWD", p=1, kernel=KERNEL, scales=SCALES)
 
 
 def ar1_path(phi, T, seed, level=0.0):
@@ -38,64 +33,60 @@ def ar1_path(phi, T, seed, level=0.0):
 # scale weights
 # ---------------------------------------------------------------------------
 
-def small_decomp(seed=50, G=120, phi=0.4, J=3, N=2):
+def small_components(seed=50, G=120, phi=0.4, J=3, N=2):
+    """The J scale components of G rows that all hold one AR(1) row, on
+    white-noise shocks, from the public whole-array chain."""
     rng = np.random.default_rng(seed)
     cfg = MultiscaleConfig(J=J, N=N)
     eps = rng.standard_normal(G)
-    fit = TvpArFit(
-        grid=np.arange(2, G + 2, dtype=float) / (G + 1),
-        phi=np.tile([0.0, phi], (G, 1)),  # one constant AR(1) row
-        slopes=np.zeros((G, 2)),
-        residuals=eps,
-        values=np.concatenate([[0.0], eps]),
-        p=1,
-        kernel=KERNEL,
-    )
-    return decompose(fit, cfg)
+    betas, gamma = haar_coefficients(ar_to_ma(np.full((G, 1), phi), cfg.H), cfg)
+    innovations, low_pass = haar_innovations(eps, J)
+    components, _ = scale_components(betas, gamma, innovations, low_pass, cfg)
+    return components
 
 
 def test_weights_recover_unit_combination():
-    decomp = small_decomp()
-    y = np.sum(decomp.components, axis=0)
-    w = estimate_weights(y, decomp.components)
+    components = small_components()
+    y = np.sum(components, axis=0)
+    w = estimate_weights(y, components)
     np.testing.assert_allclose(w.weights, 1.0, atol=1e-8)
     assert w.r2 == pytest.approx(1.0, abs=1e-10)
 
 
 def test_weights_identify_amplified_scale():
-    decomp = small_decomp(seed=51)
-    y = 2.0 * decomp.components[0]
-    w = estimate_weights(y, decomp.components)
+    components = small_components(seed=51)
+    y = 2.0 * components[0]
+    w = estimate_weights(y, components)
     assert w.weights[0] == pytest.approx(2.0, abs=1e-8)
     np.testing.assert_allclose(w.weights[1:], 0.0, atol=1e-8)
 
 
 def test_weights_single_component():
-    decomp = small_decomp(seed=52, J=1, N=4)
-    y = decomp.components[0]
-    w = estimate_weights(y, decomp.components)
+    components = small_components(seed=52, J=1, N=4)
+    y = components[0]
+    w = estimate_weights(y, components)
     assert w.weights.shape == (1,)
     assert w.weights[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_weights_error_on_short_window():
-    decomp = small_decomp(seed=54, G=17)  # H=16 leaves 2 defined rows for 3 scales
-    y = np.sum(decomp.components, axis=0)
+    components = small_components(seed=54, G=17)  # H=16 leaves 2 defined rows for 3 scales
+    y = np.sum(components, axis=0)
     with pytest.raises(EstimationError, match="usable rows"):
-        estimate_weights(y, decomp.components)
+        estimate_weights(y, components)
 
 
 def test_weights_error_on_collinear_components():
-    decomp = small_decomp(seed=55)
-    c = decomp.components[0]
+    components = small_components(seed=55)
+    c = components[0]
     with pytest.raises(EstimationError, match="collinear"):
         estimate_weights(2.0 * c, [c, c.copy()])
 
 
 def test_weights_length_mismatch():
-    decomp = small_decomp(seed=56)
+    components = small_components(seed=56)
     with pytest.raises(ValueError, match="row count"):
-        estimate_weights(np.zeros(3), decomp.components)
+        estimate_weights(np.zeros(3), components)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +206,8 @@ def test_combine_forecast_is_exact_bookkeeping():
 
 def test_forecast_deterministic():
     v, _ = ar1_path(0.6, 400, seed=62)
-    a = tvewd_forecast_window(v, 1, KERNEL, SCALES, (1, 22))
-    b = tvewd_forecast_window(v.copy(), 1, KERNEL, SCALES, (1, 22))
+    a = TVEWD.forecast_all(v, (1, 22))
+    b = TVEWD.forecast_all(v.copy(), (1, 22))
     assert {h: x.hex() for h, x in a.items()} == {h: y.hex() for h, y in b.items()}
 
 
@@ -246,22 +237,6 @@ def test_every_model_forecasts_one_float_per_horizon(name):
         assert got == spec.forecast_all(window, horizons)
 
 
-def test_the_multiscale_chain_returns_one_float_per_horizon():
-    """TVEWD's window route and EWD's static route return `{h: float}` with
-    no conversion left to their caller, one map per window of a stack."""
-    horizons = (1, 5, 22)
-    stack = forecast_windows()
-    results = [
-        *tvewd_forecast_window(stack, 1, KERNEL, SCALES, horizons),
-        tvewd_forecast_window(stack[0], 1, KERNEL, SCALES, horizons),
-        ewd_static_forecast(stack[0], 1, SCALES, horizons),
-    ]
-    for forecasts in results:
-        assert type(forecasts) is dict and list(forecasts) == list(horizons)
-        assert all(type(value) is float for value in forecasts.values())
-    assert results[0] == results[2]
-
-
 # ---------------------------------------------------------------------------
 # forecast quality on known processes
 # ---------------------------------------------------------------------------
@@ -270,7 +245,7 @@ def test_white_noise_forecasts_stay_at_level():
     for seed in range(6):
         rng = np.random.default_rng(500 + seed)
         w = 10.0 + rng.standard_normal(400)
-        for value in tvewd_forecast_window(w, 1, KERNEL, SCALES, (1, 5, 22)).values():
+        for value in TVEWD.forecast_all(w, (1, 5, 22)).values():
             assert abs(value - 10.0) < 0.5
 
 
@@ -287,7 +262,7 @@ def test_ar1_one_step_accuracy_band():
     errs_model, errs_opt = [], []
     for origin in range(300):
         T0 = 400 + origin
-        f = tvewd_forecast_window(v[T0 - 400 : T0], 1, KERNEL, SCALES, (1,))[1]
+        f = TVEWD.forecast_all(v[T0 - 400 : T0], (1,))[1]
         errs_model.append(v[T0] - f)
         errs_opt.append(v[T0] - 0.5 * v[T0 - 1])
     ratio = float(
@@ -301,7 +276,7 @@ def test_error_grows_with_horizon_on_persistent_series():
     errs = {1: [], 22: []}
     for origin in range(120):
         T0 = 300 + origin
-        for h, value in tvewd_forecast_window(v[T0 - 300 : T0], 1, KERNEL, SCALES, (1, 22)).items():
+        for h, value in TVEWD.forecast_all(v[T0 - 300 : T0], (1, 22)).items():
             errs[h].append(v[T0 + h - 1] - value)
     rmse1 = float(np.sqrt(np.mean(np.square(errs[1]))))
     rmse22 = float(np.sqrt(np.mean(np.square(errs[22]))))
@@ -310,7 +285,7 @@ def test_error_grows_with_horizon_on_persistent_series():
 
 def test_minimal_depth_configuration_runs():
     v, _ = ar1_path(0.5, 150, seed=64, level=5.0)
-    forecasts = tvewd_forecast_window(v, 1, KERNEL, MultiscaleConfig(J=1, N=1), (1,))
+    forecasts = ModelSpec("TVEWD", p=1, kernel=KERNEL, scales=MultiscaleConfig(J=1, N=1)).forecast_all(v, (1,))
     assert list(forecasts) == [1] and math.isfinite(forecasts[1])
 
 
@@ -321,7 +296,7 @@ def test_minimal_depth_configuration_runs():
 def test_store_forecasts(tmp_path):
     v, _ = ar1_path(0.5, 400, seed=65, level=10.0)
     series = VolatilitySeries(business_dates("2015-01-05", 400), v, label="X")
-    forecasts = ModelSpec("TVEWD", p=1, kernel=KERNEL, scales=SCALES).forecast_all(v, (1, 5))
+    forecasts = TVEWD.forecast_all(v, (1, 5))
     origin = series.dates[-1]
     targets = {h: np.busday_offset(origin, h, roll="forward") for h in forecasts}
     path = str(tmp_path / "fc.csv")

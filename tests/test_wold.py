@@ -16,14 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tvewd import forecast, wold
-from tvewd.benchmarks import _ols_ar, ewd_static_forecast
-from tvewd.forecast import (
-    _multiscale_points,
-    combine_forecast,
-    estimate_weights,
-    forecast_scale,
-    tvewd_forecast_window,
-)
+from tvewd.benchmarks import ModelSpec, _ols_ar
+from tvewd.forecast import _multiscale_points, combine_forecast, estimate_weights, forecast_scale
 from tvewd.locreg import KERNEL_FAMILIES, EstimationError, KernelSpec, TvpArFit, fit_tvp_ar, local_level
 from tvewd.wold import (
     ExplosiveWarning,
@@ -132,6 +126,16 @@ def loop_component(surface, innov, spacing):
         out = out + np.where(observed, surface[:, k] * shifted, 0.0)
     out[~defined] = np.nan
     return out
+
+
+def whole_array_chain(fit, cfg):
+    """The Wold step of a fit over every row at once: its Haar coefficients,
+    its scale and low-pass innovations, and the scale and low-pass
+    components, each a list of arrays, from the public functions."""
+    betas, gamma = haar_coefficients(ar_to_ma(fit.phi[:, 1:], cfg.H), cfg)
+    innovations, low_pass = haar_innovations(fit.residuals, cfg.J)
+    components, residual = scale_components(betas, gamma, innovations, low_pass, cfg)
+    return [*betas, gamma], [*innovations, low_pass], [*components, residual]
 
 
 def make_fit(phi_rows, residuals):
@@ -399,20 +403,18 @@ def test_component_shift_semantics():
 
 def test_components_zero_for_zero_shocks():
     cfg = MultiscaleConfig(J=2, N=2)
-    decomp = decompose(make_fit(np.full(30, 0.5), np.zeros(30)), cfg)
-    for comp in decomp.components:
+    _, _, components = whole_array_chain(make_fit(np.full(30, 0.5), np.zeros(30)), cfg)
+    for comp in components:  # the scale components and the low-pass one
         finite = comp[np.isfinite(comp)]
         np.testing.assert_allclose(finite, 0.0, atol=0.0)
-    finite = decomp.residual_component[np.isfinite(decomp.residual_component)]
-    np.testing.assert_allclose(finite, 0.0, atol=0.0)
 
 
 def test_components_defined_exactly_from_full_history():
     cfg = MultiscaleConfig(J=3, N=2)
     G = cfg.H + 25
     rng = np.random.default_rng(40)
-    decomp = decompose(make_fit(np.full(G, 0.4), rng.standard_normal(G)), cfg)
-    for comp in decomp.components + [decomp.residual_component]:
+    _, _, components = whole_array_chain(make_fit(np.full(G, 0.4), rng.standard_normal(G)), cfg)
+    for comp in components:
         assert np.all(np.isnan(comp[: cfg.H - 1]))
         assert np.all(np.isfinite(comp[cfg.H - 1 :]))
 
@@ -426,9 +428,8 @@ def test_reconstruction_matches_truncated_moving_average():
     rng = np.random.default_rng(41)
     phi1 = rng.uniform(-0.6, 0.6, size=G)
     eps = rng.standard_normal(G)
-    fit = make_fit(phi1, eps)
-    decomp = decompose(fit, cfg)
-    total = np.sum(decomp.components, axis=0) + decomp.residual_component
+    _, _, components = whole_array_chain(make_fit(phi1, eps), cfg)
+    total = np.sum(components, axis=0)
     for t in range(H - 1, G):
         alpha_t = oracle_alpha([phi1[t]], H)
         truth = sum(alpha_t[h] * eps[t - h] for h in range(H))
@@ -438,7 +439,8 @@ def test_reconstruction_matches_truncated_moving_average():
 def test_decompose_static_agrees_with_constant_rows():
     """EWD's static route, one AR row inverted once with its Haar
     coefficients broadcast over the rows as `_multiscale_points` does,
-    agrees with `decompose` of a fit whose rows all hold that AR row."""
+    agrees with `decompose` of a fit whose rows all hold that AR row, and
+    with the components of that fit."""
     cfg = MultiscaleConfig(J=2, N=3)
     rng = np.random.default_rng(42)
     eps = rng.standard_normal(cfg.H + 10)
@@ -448,12 +450,14 @@ def test_decompose_static_agrees_with_constant_rows():
     gamma = np.broadcast_to(gamma, (rows, len(gamma)))
     innovations, low_pass = haar_innovations(eps, cfg.J)
     static, _ = scale_components(betas, gamma, innovations, low_pass, cfg)
-    varying = decompose(make_fit(np.full(rows, 0.45), eps), cfg)
+    fit = make_fit(np.full(rows, 0.45), eps)
+    varying = decompose(fit, cfg)
+    _, _, components = whole_array_chain(fit, cfg)
     for j in range(cfg.J):
         np.testing.assert_array_equal(betas[j], varying.betas[j])
-        np.testing.assert_array_equal(np.isnan(static[j]), np.isnan(varying.components[j]))
+        np.testing.assert_array_equal(np.isnan(static[j]), np.isnan(components[j]))
         mask = np.isfinite(static[j])
-        np.testing.assert_allclose(static[j][mask], varying.components[j][mask], rtol=1e-12)
+        np.testing.assert_allclose(static[j][mask], components[j][mask], rtol=1e-12)
 
 
 def one_window_chain(phi, residuals, centered, trend, cfg):
@@ -572,7 +576,7 @@ def test_ewd_warns_once_for_an_explosive_ols_row():
     assert _ols_ar(v, 1)[0][1] > 1.05
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ewd_static_forecast(v, 1, MultiscaleConfig(J=7, N=4), HORIZONS)
+        ModelSpec("EWD", p=1, scales=MultiscaleConfig(J=7, N=4)).forecast_all(v, HORIZONS)
     assert [w.category for w in caught] == [ExplosiveWarning]
     assert str(caught[0].message).startswith("MA weights exceed overflow guard")
 
@@ -597,7 +601,9 @@ def test_overflowing_row_is_nan_and_left_out_of_weights():
     rng = np.random.default_rng(48)
     eps = rng.standard_normal(G)
     phi1 = rng.uniform(-0.5, 0.5, G)
-    clean = decompose(make_fit(phi1, eps), cfg)
+    clean = make_fit(phi1, eps)
+    clean_betas = decompose(clean, cfg).betas
+    _, _, (*clean_components, _) = whole_array_chain(clean, cfg)
     y = rng.standard_normal(G)
     bad = cfg.H + 20
     for explosive in (
@@ -607,9 +613,10 @@ def test_overflowing_row_is_nan_and_left_out_of_weights():
     ):
         phi = phi1.copy()
         phi[list(explosive)] = list(explosive.values())
+        fit = make_fit(phi, eps)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            decomp = decompose(make_fit(phi, eps), cfg)
+            decomp = decompose(fit, cfg)
         # the ExplosiveWarnings alone report the rows: no numpy overflow warnings
         with np.errstate(over="ignore"):
             totals = {row: float(np.abs(loop_ar_to_ma([value], cfg.H)).sum()) for row, value in explosive.items()}
@@ -620,22 +627,20 @@ def test_overflowing_row_is_nan_and_left_out_of_weights():
         for w, (_, total) in zip(caught, sorted(largest.items())):
             assert str(w.message).startswith(f"MA weights exceed overflow guard (max sum |alpha| = {total:.3g})")
         others = ~np.isin(np.arange(G), list(explosive))
-        for comp, ok in zip(decomp.components, clean.components):
+        for beta, ok in zip(decomp.betas, clean_betas):
+            assert not np.isfinite(beta[bad]).all()
+            np.testing.assert_array_equal(beta[others], ok[others])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExplosiveWarning)
+            _, _, (*components, residual) = whole_array_chain(fit, cfg)
+        for comp, ok in zip(components, clean_components):
             assert np.isnan(comp[bad])
             np.testing.assert_array_equal(comp[others], ok[others])
-        assert not np.isfinite(decomp.residual_component[bad])
-        got = estimate_weights(y, decomp.components)
+        assert not np.isfinite(residual[bad])
+        got = estimate_weights(y, components)
         assert got.n_rows == G - (cfg.H - 1) - 1
-        want = estimate_weights(np.where(np.arange(G) == bad, np.nan, y), clean.components)
+        want = estimate_weights(np.where(np.arange(G) == bad, np.nan, y), clean_components)
         np.testing.assert_array_equal(got.weights, want.weights)
-
-
-def whole_array_chain(fit, cfg):
-    """The Wold step over every row at once, then the components."""
-    betas, gamma = haar_coefficients(ar_to_ma(fit.phi[:, 1:], cfg.H), cfg)
-    innovations, low_pass = haar_innovations(fit.residuals, cfg.J)
-    components, residual = scale_components(betas, gamma, innovations, low_pass, cfg)
-    return [*betas, gamma, *innovations, low_pass, *components, residual]
 
 
 BLOCK_G = 40
@@ -644,16 +649,14 @@ BLOCK_G = 40
 @pytest.mark.parametrize("size", [1, 2, 7, BLOCK_G - 1, BLOCK_G, BLOCK_G + 5])
 @pytest.mark.parametrize("p", [1, 3])
 def test_row_blocks_equal_the_whole_array_chain(monkeypatch, size, p):
-    """`decompose` inverts blocks of `size` rows and gives every array bit for
+    """`decompose` inverts blocks of `size` rows and gives every beta bit for
     bit as the whole-array chain, with an explosive row on each side of the
-    first block edge and a NaN residual."""
+    first block edge."""
     cfg = MultiscaleConfig(J=3, N=2)
     rng = np.random.default_rng(49)
     phi = rng.uniform(-0.3, 0.3, (BLOCK_G, p))
     phi[[size - 1, size] if size < BLOCK_G else [BLOCK_G - 1], 0] = 1e25  # overflows within the 16 lags
-    eps = rng.standard_normal(BLOCK_G)
-    eps[30] = np.nan
-    fit = make_fit(phi, eps)
+    fit = make_fit(phi, rng.standard_normal(BLOCK_G))
     calls = []
 
     def counted(phi_rows, H):
@@ -662,24 +665,19 @@ def test_row_blocks_equal_the_whole_array_chain(monkeypatch, size, p):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExplosiveWarning)
-        want = whole_array_chain(fit, cfg)
+        (*want, _), _, _ = whole_array_chain(fit, cfg)
         monkeypatch.setattr(wold, "WOLD_BLOCK_BYTES", size * 8 * (cfg.H + 1))
         monkeypatch.setattr(wold, "ar_to_ma", counted)
         decomp = decompose(fit, cfg)
     assert calls == [min(size, BLOCK_G - start) for start in range(0, BLOCK_G, size)]
-    got = [*decomp.betas, decomp.gamma, *decomp.innovations, decomp.low_pass,
-           *decomp.components, decomp.residual_component]
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
+    assert len(decomp.betas) == len(want)
+    for g, w in zip(decomp.betas, want):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
-    assert np.isnan(decomp.components[0][30:]).all()
 
 
 def test_decompose_memory_is_its_output_and_a_few_blocks(monkeypatch):
-    """Past the arrays it returns, `decompose` holds a few blocks of MA
-    weights, however many rows the fit has.  Both sizes stay below H rows,
-    so no component has a full history and `scale_components`, which works
-    on whole arrays, makes no window product."""
+    """Past the betas it returns, `decompose` holds a few blocks of MA
+    weights, however many rows the fit has."""
     cfg = MultiscaleConfig(J=7, N=4)
     budget = 4 * 8 * (cfg.H + 1)  # four rows a block
     monkeypatch.setattr(wold, "WOLD_BLOCK_BYTES", budget)
@@ -692,9 +690,7 @@ def test_decompose_memory_is_its_output_and_a_few_blocks(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        returned = [*decomp.betas, decomp.gamma, *decomp.innovations, decomp.low_pass,
-                    *decomp.components, decomp.residual_component]
-        assert peak - sum(a.nbytes for a in returned) < 6 * budget, G
+        assert peak - sum(b.nbytes for b in decomp.betas) < 6 * budget, G
 
 
 # ---------------------------------------------------------------------------
@@ -854,18 +850,17 @@ def simulated_window(seed, T, phi=0.7, level=5.0):
     return v
 
 
-def multiscale_forecasts(decomp, weights, trend, horizons):
-    J = decomp.config.J
+def multiscale_forecasts(fit, scales, centered, trend, horizons):
+    """The multiscale chain of a fit built step by step over every residual
+    row: scale weights of the centred values on the components, per-scale
+    forecasts from the boundary betas, and their combination with the trend."""
+    (*betas, _), (*innovations, _), (*components, _) = whole_array_chain(fit, scales)
+    weights = estimate_weights(centered, components)
     return {
         h: combine_forecast(
             trend,
             weights.weights,
-            np.array(
-                [
-                    forecast_scale(decomp.betas[j - 1][-1], decomp.innovations[j - 1], j, h)
-                    for j in range(1, J + 1)
-                ]
-            ),
+            np.array([forecast_scale(betas[j - 1][-1], innovations[j - 1], j, h) for j in range(1, scales.J + 1)]),
         )
         for h in horizons
     }
@@ -887,12 +882,10 @@ def test_trailing_row_forecasts_equal_full_row_route(p, extra, family, seed):
     scales = MultiscaleConfig(J=5, N=4)
     values = simulated_window(seed, scales.H + p + extra)
     kernel = KernelSpec(family, 0.3)
-    forecasts = tvewd_forecast_window(values, p, kernel, scales, HORIZONS)
+    forecasts = ModelSpec("TVEWD", p=p, kernel=kernel, scales=scales).forecast_all(values, HORIZONS)
     fit = fit_tvp_ar(values, p, kernel)
     trend = local_level(fit.values, fit.kernel)
-    full = decompose(fit, scales)
-    weights = estimate_weights((fit.values - trend)[p:], full.components)
-    route = multiscale_forecasts(full, weights, float(trend[-1]), HORIZONS)
+    route = multiscale_forecasts(fit, scales, (fit.values - trend)[p:], float(trend[-1]), HORIZONS)
     assert forecasts == route
 
 
@@ -909,10 +902,9 @@ def test_ewd_forecasts_equal_the_static_chain(p, extra, seed):
     tau = np.arange(1, T + 1, dtype=float) / T
     line = np.linalg.lstsq(np.column_stack([np.ones(T), tau]), values, rcond=None)[0]
     trend_curve = line[0] + line[1] * tau
-    decomp = decompose(make_fit(np.tile(coef[1:], (len(residuals), 1)), residuals), scales)
-    weights = estimate_weights(values[p:] - trend_curve[p:], decomp.components)
-    route = multiscale_forecasts(decomp, weights, float(trend_curve[-1]), HORIZONS)
-    assert ewd_static_forecast(values, p, scales, HORIZONS) == route
+    fit = make_fit(np.tile(coef[1:], (len(residuals), 1)), residuals)
+    route = multiscale_forecasts(fit, scales, values[p:] - trend_curve[p:], float(trend_curve[-1]), HORIZONS)
+    assert ModelSpec("EWD", p=p, scales=scales).forecast_all(values, HORIZONS) == route
 
 
 # ---------------------------------------------------------------------------
@@ -952,17 +944,8 @@ def test_single_scale_loading_takes_full_share():
     alpha[0], alpha[1] = 1.0, -1.0  # loads only the finest detail scale
     G = 4
     rows = np.tile(alpha, (G, 1))
-    betas, gamma = haar_coefficients(rows, cfg)
-    decomp = MultiscaleDecomposition(
-        config=cfg,
-        grid=np.linspace(0.25, 1.0, G),
-        betas=betas,
-        gamma=gamma,
-        innovations=[np.zeros(G)] * cfg.J,
-        low_pass=np.zeros(G),
-        components=[np.zeros(G)] * cfg.J,
-        residual_component=np.zeros(G),
-    )
+    betas, _ = haar_coefficients(rows, cfg)
+    decomp = MultiscaleDecomposition(config=cfg, grid=np.linspace(0.25, 1.0, G), betas=betas)
     shares = persistence_shares(decomp, mode="absolute")
     np.testing.assert_allclose(shares.shares[:, 0], 1.0, rtol=1e-15)
     np.testing.assert_allclose(shares.shares[:, 1:], 0.0, atol=1e-15)
@@ -982,17 +965,8 @@ def test_signed_negative_denominator_flagged():
     alpha = np.zeros(cfg.H)
     alpha[0], alpha[1] = -1.0, 1.0  # beta_1(0) < 0 dominates
     rows = np.tile(alpha, (3, 1))
-    betas, gamma = haar_coefficients(rows, cfg)
-    decomp = MultiscaleDecomposition(
-        config=cfg,
-        grid=np.linspace(0.5, 1.0, 3),
-        betas=betas,
-        gamma=gamma,
-        innovations=[np.zeros(3)] * cfg.J,
-        low_pass=np.zeros(3),
-        components=[np.zeros(3)] * cfg.J,
-        residual_component=np.zeros(3),
-    )
+    betas, _ = haar_coefficients(rows, cfg)
+    decomp = MultiscaleDecomposition(config=cfg, grid=np.linspace(0.5, 1.0, 3), betas=betas)
     shares = persistence_shares(decomp, mode="signed")
     assert shares.flagged.all()
     np.testing.assert_allclose(shares.shares.sum(axis=1), 1.0, rtol=1e-12)
